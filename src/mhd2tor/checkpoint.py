@@ -38,9 +38,10 @@ def physical_arrays(st: MHDState) -> list[np.ndarray]:
 
 
 def write_checkpoint(st: MHDState, path: str | os.PathLike, s: int) -> None:
+    arrays = physical_arrays(st)  # before opening, so a failed transform leaves no file
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, st.grid.n, s, st.t))
-        for arr in physical_arrays(st):
+        for arr in arrays:
             fh.write(arr.astype("<f8", copy=False).tobytes())
 
 

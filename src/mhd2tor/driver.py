@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import checkpoint_header, read_checkpoint, write_checkpoint
 from .config import RunConfig
 from .diagnostics import (
     DiagnosticsRecord,
@@ -25,8 +25,14 @@ from .diagnostics import (
     ledger_update,
 )
 from .dynamics import energy_balance_series
-from .errors import InsufficientSamples, NonFiniteState, NonPositiveValue, StepTooSmall
-from .spectral import GridSpec
+from .errors import (
+    GridMismatch,
+    InsufficientSamples,
+    NonFiniteState,
+    NonPositiveValue,
+    StepTooSmall,
+)
+from .spectral import GridSpec, fft_workers
 from .stepping import StepperConfig, run
 from .symmetry import InitialDataSpec, MHDState, make_initial_data
 
@@ -74,6 +80,7 @@ def _fit_or_nan(series) -> float:
 
 def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
     """Advance st0 to cfg.t_end, streaming diagnostics to outdir."""
+    fft_workers()  # a bad MHD2_THREADS fails here, before any output exists
     os.makedirs(outdir, exist_ok=True)
     s = cfg.s
     stepper = StepperConfig(
@@ -181,6 +188,9 @@ def simulate(cfg: RunConfig, outdir: str | None = None) -> int:
 
 
 def resume(cfg: RunConfig, checkpoint_path: str, outdir: str | None = None) -> int:
-    """Continue a checkpointed run to cfg.t_end; grid sizes must match."""
+    """Continue a checkpointed run to cfg.t_end; grid size n and index s must match."""
+    _, s, _ = checkpoint_header(checkpoint_path)
+    if s != cfg.s:
+        raise GridMismatch(f"checkpoint has s={s}, expected s={cfg.s}")
     st = read_checkpoint(checkpoint_path, GridSpec(cfg.n))
     return _execute(cfg, st, outdir or cfg.outdir)

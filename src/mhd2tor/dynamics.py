@@ -10,6 +10,12 @@ separately (``db_stiff``) so the stepper can treat it with an exact
 integrating factor.  Quadratic products are formed pseudo-spectrally from
 dealiased inputs and dealiased again; linear terms are not dealiased.
 The k = 0 mode of every tendency is forced to zero.
+
+The private ``_*_arrays`` kernels work on the solver-internal convention
+of ``spectral``: stacked half spectra (u1, u2, b1, b2) of shape
+(4, n//2+1, n), transformed without phase or scaling on the grid anchored
+at 0.  The public ``rhs_perturbation``/``rhs_total`` take and return full
+spectra anchored at -pi, like every other public function.
 """
 
 from __future__ import annotations
@@ -27,10 +33,14 @@ from .spectral import (
     VectorField,
     _coeff_arrays,
     fft_coeffs,
+    half_coeffs,
+    half_samples,
     ifft_samples,
     inverse_transform,
-    project_divergence_free,
+    project_pairs,
     sobolev_norm,
+    to_full,
+    to_half,
 )
 from .symmetry import MHDState
 
@@ -52,61 +62,50 @@ def _advect(grid: GridSpec, v1p, v2p, f_hat):
     return v1p * d1 + v2p * d2
 
 
-def _quadratic_arrays(grid: GridSpec, v1, v2, b1, b2):
-    """Dealiased spectral products (-u.grad u + b.grad b, -u.grad b + b.grad u).
+def _quadratic_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    """Dealiased products (-u.grad u + b.grad b, -u.grad b + b.grad u).
 
-    All transforms are batched into three stacked FFT calls per evaluation.
+    ``x`` holds the half spectra of (u1, u2, b1, b2); one stacked inverse
+    transform of 12 fields and one forward transform of 4 per evaluation.
     """
     n = grid.n
-    mask = grid.dealias_mask
-    stacked = np.empty((12, n, n), dtype=np.complex128)
+    half = grid.half
+    stacked = np.empty((12,) + x.shape[1:], dtype=np.complex128)
     spec = stacked[:4]
-    np.multiply(np.stack([v1, v2, b1, b2]), mask, out=spec)
+    np.multiply(x, half.dealias_mask, out=spec)
     # gradients of all four fields via one broadcast multiply
-    np.multiply(spec[:, None], grid.ik_stack[None], out=stacked[4:].reshape(4, 2, n, n))
-    phys = ifft_samples(grid, stacked).real
+    np.multiply(spec[:, None], half.ik_stack[None], out=stacked[4:].reshape((4, 2) + x.shape[1:]))
+    phys = half_samples(grid, stacked)
     U1, U2, B1, B2 = phys[:4]
-    d = phys[4:]  # d[2i], d[2i+1] = d1, d2 of field i
-
-    def adv_u(i):
-        return U1 * d[2 * i] + U2 * d[2 * i + 1]
-
-    def adv_b(i):
-        return B1 * d[2 * i] + B2 * d[2 * i + 1]
-
-    products = np.empty((4, n, n))
-    np.subtract(adv_b(2), adv_u(0), out=products[0])
-    np.subtract(adv_b(3), adv_u(1), out=products[1])
-    np.subtract(adv_b(0), adv_u(2), out=products[2])
-    np.subtract(adv_b(1), adv_u(3), out=products[3])
-    return mask * fft_coeffs(grid, products)
+    grads = phys[4:].reshape(4, 2, n, n)  # grads[i, j] = d_j of field i
+    u_grad = U1 * grads[:, 0] + U2 * grads[:, 1]
+    b_grad = B1 * grads[:, 0] + B2 * grads[:, 1]
+    products = b_grad[[2, 3, 0, 1]] - u_grad
+    return half.dealias_mask * half_coeffs(grid, products)
 
 
-def _rhs_arrays(grid: GridSpec, u1, u2, b1, b2, nonlinear: bool, coupling: bool):
-    if nonlinear:
-        du1, du2, ds1, ds2 = _quadratic_arrays(grid, u1, u2, b1, b2)
-    else:
-        du1 = np.zeros_like(u1)
-        du2 = np.zeros_like(u2)
-        ds1 = np.zeros_like(b1)
-        ds2 = np.zeros_like(b2)
+def _rhs_arrays(grid: GridSpec, x: np.ndarray, nonlinear: bool, coupling: bool) -> np.ndarray:
+    """Non-stiff tendency (du, db_soft) of the perturbation form, half spectra."""
+    out = _quadratic_arrays(grid, x) if nonlinear else np.zeros_like(x)
     if coupling:
-        du1 += grid.ik2 * b1
-        du2 += grid.ik2 * b2
-        ds1 += grid.ik2 * u1
-        ds2 += grid.ik2 * u2
-    du1, du2 = project_divergence_free(grid, du1, du2)
-    ds1, ds2 = project_divergence_free(grid, ds1, ds2)
+        ik2 = grid.half.ik2
+        out[:2] += ik2 * x[2:]
+        out[2:] += ik2 * x[:2]
+    return project_pairs(grid.half, out)
+
+
+def _rhs_total_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    """Non-stiff tendency of the total-field form; x holds (u1, u2, B1, B2)."""
+    return project_pairs(grid.half, _quadratic_arrays(grid, x))
+
+
+def _as_tendency(grid: GridSpec, soft: np.ndarray, b1, b2) -> Tendency:
+    """Full-spectrum Tendency from a half-spectrum soft part and the field b."""
+    du1, du2, ds1, ds2 = to_full(soft)
     st1 = -grid.ksq * b1
     st2 = -grid.ksq * b2
-    for arr in (du1, du2, ds1, ds2, st1, st2):
-        arr[0, 0] = 0.0
-    return du1, du2, ds1, ds2, st1, st2
-
-
-def _as_tendency(grid: GridSpec, arrays) -> Tendency:
-    du1, du2, ds1, ds2, st1, st2 = arrays
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    st1[0, 0] = st2[0, 0] = 0.0
+    if not all(np.all(np.isfinite(a)) for a in (soft, st1, st2)):
         raise NonFiniteTendency("tendency contains non-finite coefficients")
     wrap = lambda a: SpectralScalar(grid, a)
     return Tendency(
@@ -125,19 +124,9 @@ def rhs_perturbation(st: MHDState, nonlinear: bool = True, coupling: bool = True
     surface (the linearized limit has a closed-form per-mode solution).
     """
     grid = st.grid
-    u1, u2, b1, b2 = st.coeff_arrays()
-    return _as_tendency(grid, _rhs_arrays(grid, u1, u2, b1, b2, nonlinear, coupling))
-
-
-def _rhs_total_arrays(grid: GridSpec, u1, u2, B1, B2):
-    du1, du2, ds1, ds2 = _quadratic_arrays(grid, u1, u2, B1, B2)
-    du1, du2 = project_divergence_free(grid, du1, du2)
-    ds1, ds2 = project_divergence_free(grid, ds1, ds2)
-    st1 = -grid.ksq * B1
-    st2 = -grid.ksq * B2
-    for arr in (du1, du2, ds1, ds2, st1, st2):
-        arr[0, 0] = 0.0
-    return du1, du2, ds1, ds2, st1, st2
+    arrays = st.coeff_arrays()
+    soft = _rhs_arrays(grid, to_half(np.stack(arrays)), nonlinear, coupling)
+    return _as_tendency(grid, soft, *arrays[2:])
 
 
 def rhs_total(u: VectorField, B: VectorField) -> Tendency:
@@ -148,7 +137,8 @@ def rhs_total(u: VectorField, B: VectorField) -> Tendency:
     """
     grid, (u1, u2) = _coeff_arrays(u)
     _, (B1, B2) = _coeff_arrays(B)
-    return _as_tendency(grid, _rhs_total_arrays(grid, u1, u2, B1, B2))
+    soft = _rhs_total_arrays(grid, to_half(np.stack([u1, u2, B1, B2])))
+    return _as_tendency(grid, soft, B1, B2)
 
 
 def compute_pressure(st: MHDState) -> ScalarField:

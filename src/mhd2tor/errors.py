@@ -78,4 +78,4 @@ class CorruptCheckpoint(Mhd2torError):
 
 
 class GridMismatch(Mhd2torError):
-    """Checkpoint grid resolution does not match the running grid."""
+    """Checkpoint grid size n or regularity index s does not match the run."""

@@ -3,11 +3,25 @@
 Conventions
 -----------
 Fields are expanded as ``f(x) = sum_k fhat_k exp(i k.x)`` over integer
-wavevectors ``k in {-n/2, ..., n/2 - 1}^2``.  The forward transform is the
-scaled DFT ``fhat_k = n^-2 sum_ij f(x_ij) exp(-i k.x_ij)`` on the collocation
-grid ``x_ij = (-pi + 2*pi*i/n, -pi + 2*pi*j/n)``.  Coefficient arrays are
-stored in standard FFT order (non-negative frequencies first); the grid
-offset at ``-pi`` is absorbed into a ``(-1)^(k1+k2)`` phase.
+wavevectors ``k in {-n/2, ..., n/2 - 1}^2``.  Two storage conventions are
+in use:
+
+* Public and on disk: full spectra, shape ``(n, n)``, anchored at ``-pi``.
+  The forward transform is the scaled DFT
+  ``fhat_k = n^-2 sum_ij f(x_ij) exp(-i k.x_ij)`` on the collocation grid
+  ``x_ij = (-pi + 2*pi*i/n, -pi + 2*pi*j/n)``.  Coefficient arrays are
+  stored in standard FFT order (non-negative frequencies first); the grid
+  offset at ``-pi`` is absorbed into a ``(-1)^(k1+k2)`` phase
+  (``fft_coeffs``/``ifft_samples``).  ``MHDState``, checkpoints, oracles
+  and diagnostics use this form.
+* Solver-internal: half spectra of real fields, shape ``(..., n//2+1, n)``,
+  holding the rows ``k1 = 0..n/2`` (the Nyquist row ``k1 = -n/2`` last);
+  ``k2`` keeps its full FFT-ordered axis, so the x2 reflection stays an
+  index permutation on the last axis.  ``half_samples``/``half_coeffs``
+  transform them with ``norm="forward"`` on the grid anchored at 0.  The
+  right-hand side only forms pointwise products, and those give the same
+  coefficients on any uniform grid of even size, so the phase and the
+  ``n^2`` scaling drop out exactly.  ``to_half``/``to_full`` convert.
 
 Sobolev norms use the full ``(2*pi)^2`` measure, evaluated exactly through
 the Fourier multiplier ``mu_m(k) = sum_{|alpha| <= m} k1^(2a1) k2^(2a2)``,
@@ -19,29 +33,49 @@ zeroed by odd-order derivatives along the corresponding axis.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
 
-from .errors import HermitianViolation
+from .errors import HermitianViolation, InvalidValue
 
 DOMAIN_HALF_WIDTH = np.pi
 MEASURE = (2.0 * np.pi) ** 2
 
 
-_CPU_COUNT = os.cpu_count() or 1
+@functools.cache
+def fft_workers() -> int:
+    """Worker count for scipy.fft from the MHD2_THREADS env var, read once.
+
+    Unset, empty or 0 means one worker per core.
+
+    Raises
+    ------
+    InvalidValue
+        If MHD2_THREADS is not a non-negative integer.
+    """
+    raw = os.environ.get("MHD2_THREADS", "").strip() or "0"
+    if not raw.isdecimal():
+        raise InvalidValue(f"MHD2_THREADS = {raw!r}: must be a non-negative integer")
+    return int(raw) or os.cpu_count() or 1
 
 
-def _fft_workers() -> int:
-    """Worker count for scipy.fft, capped by the MHD2_THREADS env var (0 = auto)."""
-    raw = os.environ.get("MHD2_THREADS", "")
-    if raw.strip() in ("", "0"):
-        return _CPU_COUNT
-    return max(1, int(raw))
+class HalfGrid(NamedTuple):
+    """GridSpec multipliers restricted to the half-spectrum rows k1 = 0..n/2."""
+
+    k1: np.ndarray
+    k2: np.ndarray
+    ksq: np.ndarray
+    inv_ksq: np.ndarray
+    dealias_mask: np.ndarray
+    ik2: np.ndarray
+    ik_stack: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,6 +168,15 @@ class GridSpec:
         cutoff = float(self.dealias_fraction) * (self.n / 2)
         return np.maximum(np.abs(self.k1), np.abs(self.k2)) <= cutoff
 
+    @cached_property
+    def half(self) -> HalfGrid:
+        """The multipliers above on the half spectrum (see ``to_half``)."""
+        rows = slice(0, self.n // 2 + 1)
+        return HalfGrid(*(
+            np.ascontiguousarray(getattr(self, name)[..., rows, :])
+            for name in HalfGrid._fields
+        ))
+
     @property
     def dealias_cutoff(self) -> float:
         return float(self.dealias_fraction) * (self.n / 2)
@@ -212,7 +255,7 @@ def fft_coeffs(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
 
     Accepts stacked inputs of shape (..., n, n); transforms the last two axes.
     """
-    return grid.phase * scipy.fft.fft2(samples, workers=_fft_workers()) / grid.n**2
+    return grid.phase * scipy.fft.fft2(samples, workers=fft_workers()) / grid.n**2
 
 
 def ifft_samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -220,7 +263,43 @@ def ifft_samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
 
     Accepts stacked inputs of shape (..., n, n); transforms the last two axes.
     """
-    return scipy.fft.ifft2(coeffs * grid.phase, workers=_fft_workers()) * grid.n**2
+    return scipy.fft.ifft2(coeffs * grid.phase, workers=fft_workers()) * grid.n**2
+
+
+def half_samples(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Real samples of stacked half spectra (..., n//2+1, n) on the grid anchored at 0.
+
+    Sample (i, j) is the field at (2*pi*i/n, 2*pi*j/n); with ``half_coeffs``
+    this is the solver-internal transform pair (no phase, no scaling).
+    """
+    n = grid.n
+    return scipy.fft.irfft2(
+        half, s=(n, n), axes=(-1, -2), norm="forward", workers=fft_workers()
+    )
+
+
+def half_coeffs(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
+    """Half spectra (..., n//2+1, n) of real samples on the grid anchored at 0."""
+    return scipy.fft.rfft2(samples, axes=(-1, -2), norm="forward", workers=fft_workers())
+
+
+def to_half(coeffs: np.ndarray) -> np.ndarray:
+    """The stored rows k1 = 0..n/2 of full spectra (..., n, n), as a view."""
+    return coeffs[..., : coeffs.shape[-1] // 2 + 1, :]
+
+
+def to_full(half: np.ndarray) -> np.ndarray:
+    """Full spectra (..., n, n) of real fields from their half spectra.
+
+    Rows n/2+1..n-1 (k1 < 0) are the conjugates of rows n/2-1..1 with k2
+    negated; rows 0 and n/2 keep their stored values.
+    """
+    n = half.shape[-1]
+    full = np.empty(half.shape[:-2] + (n, n), dtype=np.complex128)
+    full[..., : n // 2 + 1, :] = half
+    neg = (-np.arange(n)) % n
+    np.conjugate(half[..., n // 2 - 1 : 0 : -1, neg], out=full[..., n // 2 + 1 :, :])
+    return full
 
 
 def derivative_multiplier(grid: GridSpec, alpha: tuple[int, int]) -> np.ndarray:
@@ -235,11 +314,22 @@ def derivative_multiplier(grid: GridSpec, alpha: tuple[int, int]) -> np.ndarray:
 
 
 def project_divergence_free(
-    grid: GridSpec, v1: np.ndarray, v2: np.ndarray
+    grid: GridSpec | HalfGrid, v1: np.ndarray, v2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Leray projection per mode: v -> v - k (k.v) / |k|^2; k = 0 untouched."""
+    """Leray projection per mode: v -> v - k (k.v) / |k|^2; k = 0 untouched.
+
+    Pass ``grid.half`` for half spectra.
+    """
     factor = (grid.k1 * v1 + grid.k2 * v2) * grid.inv_ksq
     return v1 - grid.k1 * factor, v2 - grid.k2 * factor
+
+
+def project_pairs(grid: GridSpec | HalfGrid, x: np.ndarray) -> np.ndarray:
+    """Leray-project (x[0], x[1]) and (x[2], x[3]) and zero k = 0, in place."""
+    for i in (0, 2):
+        x[i], x[i + 1] = project_divergence_free(grid, x[i], x[i + 1])
+    x[..., 0, 0] = 0.0
+    return x
 
 
 def divergence_defect(grid: GridSpec, v1: np.ndarray, v2: np.ndarray) -> float:

@@ -7,6 +7,12 @@ the remaining terms at fourth order.  Every step ends with a Leray
 projection, zeroing of the k = 0 mode, and, when the run started inside
 the symmetry class, re-symmetrization; all three are projections the exact
 flow already satisfies, so they only suppress roundoff drift.
+
+Inside a step the state is one stacked array of half spectra (u1, u2, b1,
+b2), shape (4, n//2+1, n), in the solver-internal convention of
+``spectral`` (rows k1 = 0..n/2, grid anchored at 0, ``norm="forward"``).
+The state passed in and returned is an ``MHDState`` of full spectra
+anchored at -pi; the half spectrum is filled back to full once per step.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .dynamics import _rhs_arrays, _rhs_total_arrays
 from .errors import NonFiniteState, StepTooSmall
-from .spectral import ifft_samples, project_divergence_free
+from .spectral import ifft_samples, project_pairs, to_full, to_half
 from .symmetry import (
     MHDState,
     _reflect_coeffs,
@@ -29,12 +35,17 @@ from .symmetry import (
 )
 
 _LANDING_TOL = 1e-12
+_STACK_PARITY = np.array([PARITY[c] for c in ("u1", "u2", "b1", "b2")], dtype=float)[:, None, None]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def _heat_factors(grid, dt: float):
-    """exp(-|k|^2 dt/2) and exp(-|k|^2 dt), cached per (grid, dt)."""
-    e_half = np.exp(-grid.ksq * (0.5 * dt))
+    """exp(-|k|^2 dt/2) and exp(-|k|^2 dt) on the half spectrum, per (grid, dt).
+
+    A run bound by dt_max repeats one dt, so a few entries keep it hitting;
+    a CFL-bound run never repeats one, so more entries would only hold memory.
+    """
+    e_half = np.exp(-grid.half.ksq * (0.5 * dt))
     return e_half, e_half * e_half
 
 
@@ -72,24 +83,21 @@ def cfl_dt(st: MHDState, cfg: StepperConfig) -> float:
 
 
 def _soft_rhs(grid, nonlinear: bool, coupling: bool, rhs_mode: str):
-    """Non-stiff tendency (du and db_soft) as a function of raw coeff arrays."""
+    """Non-stiff tendency (du, db_soft) as a function of stacked half spectra.
+
+    The kernels are looked up in this module at call time.
+    """
     if rhs_mode == "perturbation":
+        return lambda x: _rhs_arrays(grid, x, nonlinear, coupling)
+    if rhs_mode == "total":
 
-        def rhs(u1, u2, b1, b2):
-            du1, du2, ds1, ds2, _, _ = _rhs_arrays(grid, u1, u2, b1, b2, nonlinear, coupling)
-            return du1, du2, ds1, ds2
+        def rhs(x):
+            total = x.copy()
+            total[3, 0, 0] += 1.0  # B2 = b2 + 1
+            return _rhs_total_arrays(grid, total)
 
-    elif rhs_mode == "total":
-
-        def rhs(u1, u2, b1, b2):
-            B2 = b2.copy()
-            B2[0, 0] += 1.0
-            du1, du2, ds1, ds2, _, _ = _rhs_total_arrays(grid, u1, u2, b1, B2)
-            return du1, du2, ds1, ds2
-
-    else:
-        raise ValueError(f"unknown rhs_mode {rhs_mode!r}")
-    return rhs
+        return rhs
+    raise ValueError(f"unknown rhs_mode {rhs_mode!r}")
 
 
 def step_ifrk4(
@@ -111,43 +119,24 @@ def step_ifrk4(
     if enforce_class is None:
         enforce_class = symmetry_defect(st) < 1e-12
     rhs = _soft_rhs(grid, nonlinear, coupling, rhs_mode)
-    e_half, e_full = _heat_factors(grid, dt)
+    # only b diffuses: the factors are 1 on the u rows of the stack
+    heat = _heat_factors(grid, dt)
+    one = np.ones_like(heat[0])
+    e_half, e_full = (np.stack([one, one, e, e]) for e in heat)
 
-    u1, u2, b1, b2 = st.coeff_arrays()
-    k1u1, k1u2, k1b1, k1b2 = rhs(u1, u2, b1, b2)
-    a_u1 = u1 + 0.5 * dt * k1u1
-    a_u2 = u2 + 0.5 * dt * k1u2
-    a_b1 = e_half * (b1 + 0.5 * dt * k1b1)
-    a_b2 = e_half * (b2 + 0.5 * dt * k1b2)
-    k2u1, k2u2, k2b1, k2b2 = rhs(a_u1, a_u2, a_b1, a_b2)
-    c_u1 = u1 + 0.5 * dt * k2u1
-    c_u2 = u2 + 0.5 * dt * k2u2
-    c_b1 = e_half * b1 + 0.5 * dt * k2b1
-    c_b2 = e_half * b2 + 0.5 * dt * k2b2
-    k3u1, k3u2, k3b1, k3b2 = rhs(c_u1, c_u2, c_b1, c_b2)
-    d_u1 = u1 + dt * k3u1
-    d_u2 = u2 + dt * k3u2
-    d_b1 = e_full * b1 + dt * e_half * k3b1
-    d_b2 = e_full * b2 + dt * e_half * k3b2
-    k4u1, k4u2, k4b1, k4b2 = rhs(d_u1, d_u2, d_b1, d_b2)
+    x = to_half(np.stack(st.coeff_arrays()))
+    k1 = rhs(x)
+    k2 = rhs(e_half * (x + 0.5 * dt * k1))
+    k3 = rhs(e_half * x + 0.5 * dt * k2)
+    k4 = rhs(e_full * x + dt * e_half * k3)
+    x = e_full * x + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
-    n_u1 = u1 + (dt / 6.0) * (k1u1 + 2.0 * (k2u1 + k3u1) + k4u1)
-    n_u2 = u2 + (dt / 6.0) * (k1u2 + 2.0 * (k2u2 + k3u2) + k4u2)
-    n_b1 = e_full * b1 + (dt / 6.0) * (e_full * k1b1 + 2.0 * e_half * (k2b1 + k3b1) + k4b1)
-    n_b2 = e_full * b2 + (dt / 6.0) * (e_full * k1b2 + 2.0 * e_half * (k2b2 + k3b2) + k4b2)
-
-    n_u1, n_u2 = project_divergence_free(grid, n_u1, n_u2)
-    n_b1, n_b2 = project_divergence_free(grid, n_b1, n_b2)
-    for arr in (n_u1, n_u2, n_b1, n_b2):
-        arr[0, 0] = 0.0
+    project_pairs(grid.half, x)
     if enforce_class:
-        n_u1 = 0.5 * (n_u1 + _reflect_coeffs(n_u1, PARITY["u1"]))
-        n_u2 = 0.5 * (n_u2 + _reflect_coeffs(n_u2, PARITY["u2"]))
-        n_b1 = 0.5 * (n_b1 + _reflect_coeffs(n_b1, PARITY["b1"]))
-        n_b2 = 0.5 * (n_b2 + _reflect_coeffs(n_b2, PARITY["b2"]))
-    if not all(np.all(np.isfinite(a)) for a in (n_u1, n_u2, n_b1, n_b2)):
+        x = 0.5 * (x + _reflect_coeffs(x, _STACK_PARITY))
+    if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"state became non-finite during step from t={st.t:.6g}")
-    return state_from_arrays(grid, st.t + dt, n_u1, n_u2, n_b1, n_b2)
+    return state_from_arrays(grid, st.t + dt, *to_full(x))
 
 
 def run(
@@ -177,8 +166,11 @@ def run(
     if cfg.t_end <= st.t + _LANDING_TOL:
         return st
     last_emitted = st.t
-    next_sample = (np.floor(st.t / sample_every + 1e-9) + 1) * sample_every
+    # sample times are k * sample_every for an integer k, never a running
+    # sum, so they land exactly; on resume k continues from the start time
+    k = int(np.floor(st.t / sample_every + 1e-9)) + 1
     while st.t < cfg.t_end - _LANDING_TOL:
+        next_sample = k * sample_every
         target = min(next_sample, cfg.t_end)
         try:
             dt = cfl_dt(st, cfg)
@@ -198,7 +190,7 @@ def run(
         if st.t >= next_sample - _LANDING_TOL:
             sink(instantaneous(st, params), st)
             last_emitted = st.t
-            next_sample += sample_every
+            k += 1
     if last_emitted < st.t - _LANDING_TOL:
         sink(instantaneous(st, params), st)
     return st

@@ -85,11 +85,15 @@ class InitialDataSpec:
             raise ValueError(f"spectrum_decay must be > 0, got {self.spectrum_decay}")
 
 
-def _reflect_coeffs(coeffs: np.ndarray, parity: int) -> np.ndarray:
-    """Coefficients of f(x1, -x2), times the parity sign (exact permutation)."""
-    n = coeffs.shape[1]
+def _reflect_coeffs(coeffs: np.ndarray, parity) -> np.ndarray:
+    """Coefficients of f(x1, -x2), times the parity sign (exact permutation).
+
+    Permutes k2 -> -k2 on the last axis, so it applies unchanged to full
+    spectra, to half spectra and to stacks of either; ``parity`` broadcasts.
+    """
+    n = coeffs.shape[-1]
     idx = (-np.arange(n)) % n
-    return parity * coeffs[:, idx]
+    return parity * coeffs[..., idx]
 
 
 def reflect_state(st: MHDState) -> MHDState:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mhd2tor.checkpoint import read_checkpoint
+from mhd2tor.checkpoint import checkpoint_header, read_checkpoint
 from mhd2tor.cli import main
+from mhd2tor.spectral import fft_workers
 
 GOOD = """
 n = 16
@@ -98,6 +99,62 @@ def test_resume_grid_mismatch_exit_4(tmp_path, cfg_path):
         "--checkpoint", str(out / "final.chk"),
     ])
     assert code == 4
+
+
+def test_resume_s_mismatch_exit_4(tmp_path, cfg_path):
+    s3 = tmp_path / "s3.cfg"
+    s3.write_text(GOOD.replace("s = 2", "s = 3"))
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", "--config", str(s3), "--outdir", str(out)]) == 0
+    assert checkpoint_header(out / "final.chk")[1] == 3
+    rest = tmp_path / "rest"
+    code = main([
+        "--quiet", "resume", "--config", str(cfg_path),
+        "--checkpoint", str(out / "final.chk"), "--outdir", str(rest),
+    ])
+    assert code == 4
+    assert not rest.exists()
+
+
+@pytest.fixture
+def fresh_fft_workers():
+    fft_workers.cache_clear()
+    yield
+    fft_workers.cache_clear()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_bad_thread_count_exit_2(tmp_path, cfg_path, monkeypatch, fresh_fft_workers, value):
+    monkeypatch.setenv("MHD2_THREADS", value)
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", "--config", str(cfg_path), "--outdir", str(out)]) == 2
+    assert not out.exists()
+    ic = tmp_path / "ic.chk"
+    assert main(["--quiet", "make-ic", "--config", str(cfg_path), "--out", str(ic)]) == 2
+    assert not ic.exists()
+
+
+def test_sample_times_land_exactly(tmp_path, cfg_path):
+    cfg = tmp_path / "t1.cfg"
+    cfg.write_text(GOOD.replace("t_end = 0.3", "t_end = 1") + "snapshot_every = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", "--config", str(cfg), "--outdir", str(out)]) == 0
+    assert "t_final = 1\n" in (out / "summary.txt").read_text()
+    rows = (out / "diag.csv").read_text().splitlines()
+    assert len(rows) == 1 + 11
+    assert float(rows[-1].split(",")[0]) == 1.0
+    assert sorted(p.name for p in out.glob("state_*.chk")) == [
+        "state_00000.500000.chk", "state_00001.000000.chk",
+    ]
+    # a resume continues the same integer sample counter
+    rest = tmp_path / "rest"
+    code = main([
+        "--quiet", "resume", "--config", str(cfg),
+        "--checkpoint", str(out / "state_00000.500000.chk"), "--outdir", str(rest),
+    ])
+    assert code == 0
+    resumed = (rest / "diag.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in resumed] == [r.split(",")[0] for r in rows[6:]]
 
 
 def test_verify_subcommand(capsys):

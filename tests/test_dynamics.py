@@ -109,10 +109,10 @@ def test_resolution_independence(small_state):
 def test_pressure_closes_leray_residual(grid, small_state):
     """grad p must equal the part of the u tendency removed by projection."""
     from mhd2tor.dynamics import _quadratic_arrays
-    from mhd2tor.spectral import project_divergence_free
+    from mhd2tor.spectral import project_divergence_free, to_full, to_half
 
     u1, u2, b1, b2 = small_state.coeff_arrays()
-    g1, g2, _, _ = _quadratic_arrays(grid, u1, u2, b1, b2)
+    g1, g2, _, _ = to_full(_quadratic_arrays(grid, to_half(np.stack([u1, u2, b1, b2]))))
     g1 += grid.ik2 * b1
     g2 += grid.ik2 * b2
     p1, p2 = project_divergence_free(grid, g1, g2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from mhd2tor.errors import HermitianViolation
 from mhd2tor.spectral import (
@@ -12,6 +14,8 @@ from mhd2tor.spectral import (
     derivative_multiplier,
     divergence_defect,
     forward_transform,
+    half_coeffs,
+    half_samples,
     inverse_transform,
     leray_project,
     mean,
@@ -19,8 +23,11 @@ from mhd2tor.spectral import (
     project_divergence_free,
     resample,
     sobolev_norm,
+    to_full,
+    to_half,
     vorticity,
 )
+from mhd2tor.symmetry import _reflect_coeffs
 
 
 @pytest.fixture
@@ -180,3 +187,49 @@ def test_stacked_transforms(grid):
         assert np.max(np.abs(stacked[i] - single)) == 0.0
     back = ifft_samples(grid, stacked).real
     assert np.max(np.abs(back - batch)) < 1e-13
+
+
+# --- solver-internal half spectra ---------------------------------------------
+
+sizes = hst.sampled_from([8, 10, 16, 32])
+seeds = hst.integers(0, 2**32 - 1)
+
+
+def _random_half(n, seed, stack=()):
+    r = rng(seed)
+    shape = stack + (n // 2 + 1, n)
+    return r.standard_normal(shape) + 1j * r.standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=sizes, seed=seeds)
+def test_half_to_full_is_hermitian_with_real_inverse(n, seed):
+    grid = GridSpec(n)
+    samples = rng(seed).standard_normal((2, n, n))
+    half = half_coeffs(grid, samples)
+    assert half.shape == (2, n // 2 + 1, n)
+    full = to_full(half)
+    flipped = np.conj(full[..., (-np.arange(n)) % n, :][..., (-np.arange(n)) % n])
+    assert np.max(np.abs(full - flipped)) < 1e-14 * np.max(np.abs(full))
+    z = np.fft.ifft2(full) * n**2
+    assert np.max(np.abs(z.imag)) < 1e-13 * np.max(np.abs(z.real))
+    assert np.max(np.abs(z.real - samples)) < 1e-12
+    assert np.max(np.abs(half_samples(grid, half) - samples)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=sizes, seed=seeds)
+def test_half_slice_of_full_returns_input(n, seed):
+    half = _random_half(n, seed, stack=(3,))
+    assert np.array_equal(to_half(to_full(half)), half)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=sizes, seed=seeds, parity=hst.sampled_from([1, -1]))
+def test_reflection_commutes_with_half_layout(n, seed, parity):
+    half = _random_half(n, seed)
+    assert np.array_equal(
+        to_full(_reflect_coeffs(half, parity)), _reflect_coeffs(to_full(half), parity)
+    )
+    full = to_full(half)
+    assert np.array_equal(to_half(_reflect_coeffs(full, parity)), _reflect_coeffs(half, parity))

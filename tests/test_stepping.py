@@ -3,7 +3,7 @@ import pytest
 
 from mhd2tor.errors import StepTooSmall
 from mhd2tor.spectral import GridSpec, forward_transform, ScalarField
-from mhd2tor.stepping import StepperConfig, cfl_dt, run, step_ifrk4
+from mhd2tor.stepping import StepperConfig, _heat_factors, cfl_dt, run, step_ifrk4
 from mhd2tor.symmetry import (
     InitialDataSpec,
     make_initial_data,
@@ -100,6 +100,21 @@ def test_run_lands_on_sample_times(grid):
     assert times[0] == 0.0
     assert np.allclose(times[1:6], [0.1, 0.2, 0.3, 0.4, 0.5], atol=1e-12)
     assert np.isclose(times[-1], 0.55, atol=1e-12)
+
+
+def test_heat_factor_cache_stays_small(grid):
+    """A CFL-bound dt changes on every step and must not pile up cache
+    entries; a dt_max-bound run repeats one dt and must keep hitting."""
+    st0 = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=5), grid)
+    _heat_factors.cache_clear()
+    run(st0, StepperConfig(t_end=0.5, dt_max=1.0), 0.1, lambda rec, st: None)
+    info = _heat_factors.cache_info()
+    assert info.misses >= 8
+    assert info.currsize <= 4
+    _heat_factors.cache_clear()
+    run(st0, StepperConfig(t_end=0.3), 0.1, lambda rec, st: None)
+    assert _heat_factors.cache_info().hits >= 20
+    assert _heat_factors(grid, 1e-2)[0].shape == (grid.n // 2 + 1, grid.n)
 
 
 def test_run_invalid_sample_spacing(grid):

@@ -57,7 +57,6 @@ from .stepping import StepperConfig, cfl_dt, run, step_ifrk4
 from .symmetry import (
     InitialDataSpec,
     MHDState,
-    SymmetryClass,
     make_initial_data,
     random_class_velocity,
     reflect_state,

@@ -15,6 +15,7 @@ coefficients to roundoff.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 
@@ -38,11 +39,23 @@ def physical_arrays(st: MHDState) -> list[np.ndarray]:
 
 
 def write_checkpoint(st: MHDState, path: str | os.PathLike, s: int) -> None:
+    """Write a state atomically: a failed write leaves ``path`` as it was.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``; on any failure the temporary file is removed.
+    """
     arrays = physical_arrays(st)  # before opening, so a failed transform leaves no file
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, st.grid.n, s, st.t))
-        for arr in arrays:
-            fh.write(arr.astype("<f8", copy=False).tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, st.grid.n, s, st.t))
+            for arr in arrays:
+                fh.write(arr.astype("<f8", copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def checkpoint_header(path: str | os.PathLike) -> tuple[int, int, float]:

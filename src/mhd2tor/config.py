@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import InvalidValue, MissingRequired, UnknownKey
+from .spectral import DEALIAS_FRACTION
 
 _REQUIRED = ("n", "s", "epsilon", "t_end")
 
@@ -51,7 +52,7 @@ class RunConfig:
             bad("dt_min", "requires 0 < dt_min < dt_max")
         if self.spectrum_decay <= 0:
             bad("spectrum_decay", "must be > 0")
-        cutoff = (2.0 / 3.0) * (self.n / 2)
+        cutoff = DEALIAS_FRACTION * (self.n / 2)
         if not 1 <= self.max_wavenumber <= cutoff:
             bad("max_wavenumber", f"must lie in [1, dealias cutoff {cutoff:.2f}]")
         if self.sample_every <= 0:

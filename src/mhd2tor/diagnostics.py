@@ -46,7 +46,7 @@ from .spectral import (
     partial_derivative,
     sobolev_norm,
 )
-from .symmetry import MHDState, PARITY, _reflect_coeffs, symmetry_defect
+from .symmetry import MHDState, PARITY, _reflect_coeffs, gradient_norm, symmetry_defect
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -177,11 +177,7 @@ def poincare_check(u: VectorField, k: int) -> tuple[float, float, float]:
     anti2 = np.max(np.abs(u2 - _reflect_coeffs(u2, PARITY["u2"]))) / 2
     if max(anti1, anti2) / scale > 1e-10:
         raise NotInClass("velocity violates the reflection parities")
-    parts = []
-    for comp in (u.c1, u.c2):
-        for alpha in ((1, 0), (0, 1)):
-            parts.append(sobolev_norm(partial_derivative(comp, alpha), k) ** 2)
-    lhs = float(np.sqrt(sum(parts)))
+    lhs = gradient_norm(u, k)
     d2u = _d2_field(u)
     rhs = sobolev_norm(d2u, k + 1)
     ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else lhs / rhs

@@ -149,19 +149,12 @@ def compute_pressure(st: MHDState) -> ScalarField:
     """
     grid = st.grid
     u1, u2, b1, b2 = st.coeff_arrays()
-    mask = grid.dealias_mask
-    ud1, ud2, bd1, bd2 = u1 * mask, u2 * mask, b1 * mask, b2 * mask
-    U1 = ifft_samples(grid, ud1).real
-    U2 = ifft_samples(grid, ud2).real
-    B1 = ifft_samples(grid, bd1).real
-    B2 = ifft_samples(grid, bd2).real
-    g1 = mask * fft_coeffs(grid, _advect(grid, U1, U2, ud1) - _advect(grid, B1, B2, bd1))
-    g2 = mask * fft_coeffs(grid, _advect(grid, U1, U2, ud2) - _advect(grid, B1, B2, bd2))
-    g1 = g1 - grid.ik2 * b1
-    g2 = g2 - grid.ik2 * b2
-    div_g = grid.k1 * g1 + grid.k2 * g2  # i cancels against 1/i below
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_hat = np.where(grid.ksq > 0, 1j * div_g / np.where(grid.ksq > 0, grid.ksq, 1.0), 0.0)
+    # the u tendency before projection, g = -u.grad u + b.grad b + d2 b
+    q1, q2, _, _ = to_full(_quadratic_arrays(grid, to_half(np.stack([u1, u2, b1, b2]))))
+    g1 = q1 + grid.ik2 * b1
+    g2 = q2 + grid.ik2 * b2
+    # -Lap p = -div g, so p_hat = -i (k.g) / |k|^2, zero at k = 0
+    p_hat = -1j * (grid.k1 * g1 + grid.k2 * g2) * grid.inv_ksq
     return inverse_transform(SpectralScalar(grid, p_hat))
 
 

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -47,6 +46,8 @@ from .errors import HermitianViolation, InvalidValue
 
 DOMAIN_HALF_WIDTH = np.pi
 MEASURE = (2.0 * np.pi) ** 2
+# 2/3 rule: products keep max(|k1|, |k2|) <= DEALIAS_FRACTION * n/2
+DEALIAS_FRACTION = 2.0 / 3.0
 
 
 @functools.cache
@@ -86,20 +87,13 @@ class GridSpec:
     ----------
     n : int
         Points per dimension; even, at least 8.
-    dealias_fraction : Fraction
-        Cutoff fraction for the sharp dealiasing rule, in (0, 1].
     """
 
     n: int
-    dealias_fraction: Fraction = Fraction(2, 3)
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid size must be an even integer >= 8, got {self.n}")
-        frac = Fraction(self.dealias_fraction)
-        if not 0 < frac <= 1:
-            raise ValueError(f"dealias_fraction must lie in (0, 1], got {frac}")
-        object.__setattr__(self, "dealias_fraction", frac)
 
     @property
     def domain_half_width(self) -> float:
@@ -165,8 +159,7 @@ class GridSpec:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        cutoff = float(self.dealias_fraction) * (self.n / 2)
-        return np.maximum(np.abs(self.k1), np.abs(self.k2)) <= cutoff
+        return np.maximum(np.abs(self.k1), np.abs(self.k2)) <= self.dealias_cutoff
 
     @cached_property
     def half(self) -> HalfGrid:
@@ -179,7 +172,7 @@ class GridSpec:
 
     @property
     def dealias_cutoff(self) -> float:
-        return float(self.dealias_fraction) * (self.n / 2)
+        return DEALIAS_FRACTION * (self.n / 2)
 
     def sobolev_multiplier(self, m: int) -> np.ndarray:
         """mu_m(k) = sum over |alpha| <= m of k1^(2a1) k2^(2a2)."""
@@ -262,8 +255,12 @@ def ifft_samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Complex physical samples of a coefficient array (caller handles imag part).
 
     Accepts stacked inputs of shape (..., n, n); transforms the last two axes.
+    The phased copy is the only temporary: the transform overwrites it and is
+    scaled in place, since fresh stack-sized arrays cost more than the math.
     """
-    return scipy.fft.ifft2(coeffs * grid.phase, workers=fft_workers()) * grid.n**2
+    out = scipy.fft.ifft2(coeffs * grid.phase, workers=fft_workers(), overwrite_x=True)
+    out *= grid.n**2
+    return out
 
 
 def half_samples(grid: GridSpec, half: np.ndarray) -> np.ndarray:
@@ -415,9 +412,7 @@ def leray_project(v: VectorField) -> VectorField:
 
 def vorticity(u: VectorField) -> ScalarField:
     """omega = d1 u2 - d2 u1 as a physical field."""
-    grid, (u1, u2) = _coeff_arrays(u)
-    w = derivative_multiplier(grid, (1, 0)) * u2 - derivative_multiplier(grid, (0, 1)) * u1
-    return inverse_transform(SpectralScalar(grid, w))
+    return inverse_transform(vorticity_spectral(u))
 
 
 def vorticity_spectral(u: VectorField) -> SpectralScalar:

@@ -3,10 +3,16 @@
 The diffusion Lap b is diagonal in Fourier space, so the b equation is
 integrated in the transformed variable w_k = exp(|k|^2 t) b_k: pure
 diffusion is reproduced exactly (to roundoff), and classical RK4 handles
-the remaining terms at fourth order.  Every step ends with a Leray
-projection, zeroing of the k = 0 mode, and, when the run started inside
-the symmetry class, re-symmetrization; all three are projections the exact
-flow already satisfies, so they only suppress roundoff drift.
+the remaining terms at fourth order.
+
+The invariants of the exact flow are carried by the step itself, not
+restored after it.  Every stage tendency is Leray-projected with its k = 0
+mode zeroed (``dynamics``), the integrating factor is diagonal and equal on
+both components of b, and the discrete step commutes with the x2
+reflection, an exact index permutation.  So divergence-free fields stay
+divergence-free to roundoff, the k = 0 modes (means) are conserved
+exactly, and a state in the symmetry class stays in it to roundoff; the
+diagnostics measure all three.
 
 Inside a step the state is one stacked array of half spectra (u1, u2, b1,
 b2), shape (4, n//2+1, n), in the solver-internal convention of
@@ -19,23 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .dynamics import _rhs_arrays, _rhs_total_arrays
 from .errors import NonFiniteState, StepTooSmall
-from .spectral import ifft_samples, project_pairs, to_full, to_half
-from .symmetry import (
-    MHDState,
-    _reflect_coeffs,
-    PARITY,
-    state_from_arrays,
-    symmetry_defect,
-)
+from .spectral import ifft_samples, to_full, to_half
+from .symmetry import MHDState, state_from_arrays
+from .symmetry import symmetry_defect  # noqa: F401  bound for bench/spans.py tracing
 
 _LANDING_TOL = 1e-12
-_STACK_PARITY = np.array([PARITY[c] for c in ("u1", "u2", "b1", "b2")], dtype=float)[:, None, None]
 
 
 @lru_cache(maxsize=4)
@@ -106,18 +106,11 @@ def step_ifrk4(
     nonlinear: bool = True,
     coupling: bool = True,
     rhs_mode: str = "perturbation",
-    enforce_class: Optional[bool] = None,
 ) -> MHDState:
-    """Advance one step of size dt with integrating-factor RK4.
-
-    ``enforce_class=None`` re-symmetrizes only if the input state is already
-    in the class (defect below 1e-12).
-    """
+    """Advance one step of size dt with integrating-factor RK4."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = st.grid
-    if enforce_class is None:
-        enforce_class = symmetry_defect(st) < 1e-12
     rhs = _soft_rhs(grid, nonlinear, coupling, rhs_mode)
     # only b diffuses: the factors are 1 on the u rows of the stack
     heat = _heat_factors(grid, dt)
@@ -131,9 +124,6 @@ def step_ifrk4(
     k4 = rhs(e_full * x + dt * e_half * k3)
     x = e_full * x + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
-    project_pairs(grid.half, x)
-    if enforce_class:
-        x = 0.5 * (x + _reflect_coeffs(x, _STACK_PARITY))
     if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"state became non-finite during step from t={st.t:.6g}")
     return state_from_arrays(grid, st.t + dt, *to_full(x))
@@ -159,7 +149,6 @@ def run(
     if sample_every <= 0:
         raise ValueError(f"sample_every must be positive, got {sample_every}")
     params = energy_params if energy_params is not None else EnergyParams(s=2)
-    enforce = symmetry_defect(st0) < 1e-12
 
     st = st0
     sink(instantaneous(st, params), st)
@@ -174,17 +163,13 @@ def run(
         target = min(next_sample, cfg.t_end)
         try:
             dt = cfl_dt(st, cfg)
-            if st.t + dt >= target - _LANDING_TOL:
-                st = step_ifrk4(
-                    st, target - st.t, nonlinear=nonlinear, coupling=coupling,
-                    rhs_mode=rhs_mode, enforce_class=enforce,
-                )
+            landing = st.t + dt >= target - _LANDING_TOL
+            st = step_ifrk4(
+                st, target - st.t if landing else dt,
+                nonlinear=nonlinear, coupling=coupling, rhs_mode=rhs_mode,
+            )
+            if landing:
                 st.t = target  # exact landing
-            else:
-                st = step_ifrk4(
-                    st, dt, nonlinear=nonlinear, coupling=coupling,
-                    rhs_mode=rhs_mode, enforce_class=enforce,
-                )
         except (NonFiniteState, StepTooSmall) as exc:
             raise type(exc)(f"{exc} (last good t={st.t:.6g})") from exc
         if st.t >= next_sample - _LANDING_TOL:

@@ -31,13 +31,8 @@ from .spectral import (
 # Parity under x2 reflection, per component.  Data only, so diagnostics can
 # name which component violated which parity.
 PARITY = {"u1": +1, "u2": -1, "b1": -1, "b2": +1}
-
-
-@dataclass(frozen=True)
-class SymmetryClass:
-    """The fixed reflection-parity table of the preserved class."""
-
-    parity: tuple[tuple[str, int], ...] = tuple(sorted(PARITY.items()))
+# the same signs for a stack (u1, u2, b1, b2) of spectra, broadcasting
+_STACK_PARITY = np.array([PARITY[c] for c in ("u1", "u2", "b1", "b2")], dtype=float)[:, None, None]
 
 
 @dataclass
@@ -64,9 +59,7 @@ class InitialDataSpec:
     """Parameters of the seeded random small-data family.
 
     epsilon is the total norm budget ||u0||_{H^{2s+1}} + ||grad b0||_{H^{2s}},
-    split evenly between the two terms.  alpha is the total magnetic flux of
-    B; the solver always works after the normalization alpha = (2*pi)^2, so
-    it is recorded for documentation only.
+    split evenly between the two terms.
     """
 
     epsilon: float
@@ -74,7 +67,6 @@ class InitialDataSpec:
     seed: int
     spectrum_decay: float = 3.0
     max_wavenumber: int = 4
-    alpha: float = (2.0 * np.pi) ** 2
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -91,9 +83,11 @@ def _reflect_coeffs(coeffs: np.ndarray, parity) -> np.ndarray:
     Permutes k2 -> -k2 on the last axis, so it applies unchanged to full
     spectra, to half spectra and to stacks of either; ``parity`` broadcasts.
     """
-    n = coeffs.shape[-1]
-    idx = (-np.arange(n)) % n
-    return parity * coeffs[..., idx]
+    out = np.empty_like(coeffs)
+    out[..., 0] = coeffs[..., 0]
+    out[..., 1:] = coeffs[..., :0:-1]  # column j takes column n - j
+    out *= parity
+    return out
 
 
 def reflect_state(st: MHDState) -> MHDState:
@@ -120,18 +114,47 @@ def symmetrize(st: MHDState) -> MHDState:
 
 def symmetry_defect(st: MHDState) -> float:
     """Relative sup-norm of the anti-class part, max over the four components."""
-    grid = st.grid
-    names = ("u1", "u2", "b1", "b2")
-    defect = 0.0
-    scale = 0.0
-    for name, c in zip(names, st.coeff_arrays()):
-        phys = ifft_samples(grid, c).real
-        anti = ifft_samples(grid, 0.5 * (c - _reflect_coeffs(c, PARITY[name]))).real
-        defect = max(defect, float(np.max(np.abs(anti))))
-        scale = max(scale, float(np.max(np.abs(phys))))
+    c = np.stack(st.coeff_arrays())
+    scale = float(np.max(np.abs(ifft_samples(st.grid, c).real)))
     if scale == 0.0:
         return 0.0
-    return defect / scale
+    c -= _reflect_coeffs(c, _STACK_PARITY)  # in place: c is a fresh stack
+    c *= 0.5
+    return float(np.max(np.abs(ifft_samples(st.grid, c).real))) / scale
+
+
+def _philox(seed: int, attempt: int = 0) -> np.random.Generator:
+    """Counter-based Philox generator keyed by (seed, attempt) through a
+    SeedSequence, so draws are bit-reproducible across platforms."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def _draw_modes(
+    grid: GridSpec, rng: np.random.Generator, kmax: int, decay: float, count: int
+) -> list[np.ndarray]:
+    """``count`` random real zero-mean fields band-limited to |k| <= kmax.
+
+    Coefficient magnitudes fall off like |k|^(-decay).  Each half-plane mode
+    draws 2 * count normals, in a fixed order over modes, so results are
+    reproducible for a given generator state.
+    """
+    n = grid.n
+    out = [np.zeros((n, n), dtype=np.complex128) for _ in range(count)]
+    for k1 in range(-kmax, kmax + 1):
+        for k2 in range(-kmax, kmax + 1):
+            if (k1, k2) == (0, 0) or k1 * k1 + k2 * k2 > kmax * kmax:
+                continue
+            # half-plane draw; conjugate mode set below
+            if k1 < 0 or (k1 == 0 and k2 < 0):
+                continue
+            g = rng.standard_normal(2 * count)
+            amp = (k1 * k1 + k2 * k2) ** (-decay / 2.0)
+            for c, re, im in zip(out, g[0::2], g[1::2]):
+                z = amp * (re + 1j * im) / np.sqrt(2.0)
+                c[k1 % n, k2 % n] = z
+                c[(-k1) % n, (-k2) % n] = np.conj(z)
+    return out
 
 
 def _draw_class_pair(
@@ -142,29 +165,8 @@ def _draw_class_pair(
     parities: tuple[int, int] = (PARITY["u1"], PARITY["u2"]),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random divergence-free zero-mean pair with the given x2 parities,
-    band-limited to kmax.
-
-    Coefficient magnitudes fall off like |k|^(-decay).  Draw order over modes
-    is fixed, so results are reproducible for a given generator state.
-    """
-    n = grid.n
-    c1 = np.zeros((n, n), dtype=np.complex128)
-    c2 = np.zeros((n, n), dtype=np.complex128)
-    for k1 in range(-kmax, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
-            if (k1, k2) == (0, 0) or k1 * k1 + k2 * k2 > kmax * kmax:
-                continue
-            # half-plane draw; conjugate mode set below
-            if k1 < 0 or (k1 == 0 and k2 < 0):
-                continue
-            g = rng.standard_normal(4)
-            amp = (k1 * k1 + k2 * k2) ** (-decay / 2.0)
-            z1 = amp * (g[0] + 1j * g[1]) / np.sqrt(2.0)
-            z2 = amp * (g[2] + 1j * g[3]) / np.sqrt(2.0)
-            c1[k1 % n, k2 % n] = z1
-            c2[k1 % n, k2 % n] = z2
-            c1[(-k1) % n, (-k2) % n] = np.conj(z1)
-            c2[(-k1) % n, (-k2) % n] = np.conj(z2)
+    band-limited to kmax (see ``_draw_modes``)."""
+    c1, c2 = _draw_modes(grid, rng, kmax, decay, 2)
     # the vector reflection (possibly composed with a sign flip) commutes
     # with the Leray projection, so symmetrizing first is safe
     c1 = 0.5 * (c1 + _reflect_coeffs(c1, parities[0]))
@@ -188,8 +190,8 @@ def gradient_norm(v: VectorField, m: int) -> float:
 def make_initial_data(spec: InitialDataSpec, grid: GridSpec) -> MHDState:
     """Seeded random state in the class, rescaled to the smallness budget.
 
-    The draw uses the counter-based Philox generator keyed by (seed, attempt)
-    through a SeedSequence, so results are bit-reproducible across platforms.
+    The draw uses the Philox generator keyed by (seed, attempt), so results
+    are bit-reproducible across platforms (see ``_philox``).
     u and b are rescaled separately so that each contributes epsilon/2 to
     ||u0||_{H^{2s+1}} + ||grad b0||_{H^{2s}}.
 
@@ -206,8 +208,7 @@ def make_initial_data(spec: InitialDataSpec, grid: GridSpec) -> MHDState:
         )
     order = 2 * spec.s + 1
     for attempt in range(10):
-        seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(attempt,))
-        rng = np.random.Generator(np.random.Philox(seq))
+        rng = _philox(spec.seed, attempt)
         u1, u2 = _draw_class_pair(grid, rng, spec.max_wavenumber, spec.spectrum_decay)
         b1, b2 = _draw_class_pair(
             grid, rng, spec.max_wavenumber, spec.spectrum_decay,
@@ -230,9 +231,7 @@ def random_class_velocity(
     grid: GridSpec, seed: int, kmax: int = 4, decay: float = 2.0
 ) -> VectorField:
     """Random divergence-free zero-mean velocity in the class (test helper)."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-    rng = np.random.Generator(np.random.Philox(seq))
-    u1, u2 = _draw_class_pair(grid, rng, kmax, decay)
+    u1, u2 = _draw_class_pair(grid, _philox(seed), kmax, decay)
     return VectorField(SpectralScalar(grid, u1), SpectralScalar(grid, u2))
 
 

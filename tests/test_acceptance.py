@@ -121,7 +121,7 @@ def persistence_runs():
         for dt, t_stop, check_every in ((1e-3, 5.0, 500), (5e-3, 20.0, 100)):
             n_steps = int(round((t_stop - t) / dt))
             for i in range(1, n_steps + 1):
-                st = step_ifrk4(st, dt, enforce_class=True)
+                st = step_ifrk4(st, dt)
                 ts.append(t + i * dt)
                 es.append(l2_energy(st))
                 ds.append(grad_b_l2_sq(st))

@@ -1,6 +1,9 @@
+import builtins
+
 import numpy as np
 import pytest
 
+from mhd2tor import checkpoint
 from mhd2tor.checkpoint import (
     MAGIC,
     checkpoint_header,
@@ -103,3 +106,37 @@ def test_non_finite_samples_rejected(tmp_path, state):
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCheckpoint):
         read_checkpoint(path)
+
+
+def test_failed_write_keeps_previous_file(tmp_path, state, monkeypatch):
+    """A write that fails partway leaves the previous checkpoint intact and
+    no temporary file behind."""
+    path = tmp_path / "final.chk"
+    write_checkpoint(state, path, s=2)
+    before = path.read_bytes()
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(
+        checkpoint, "open", lambda *a, **kw: FailingFile(builtins.open(*a, **kw)),
+        raising=False,
+    )
+    later = type(state)(state.grid, 1.0, state.u, state.b)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(later, path, s=2)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final.chk"]

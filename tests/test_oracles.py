@@ -110,7 +110,7 @@ def test_fd_run_agrees_with_spectral():
     t_end, dt = 0.2, 2e-3
     spectral = st0
     for _ in range(int(t_end / dt)):
-        spectral = step_ifrk4(spectral, dt, enforce_class=True)
+        spectral = step_ifrk4(spectral, dt)
 
     def l2_diff(a, b):
         return np.sqrt(

@@ -44,8 +44,6 @@ def test_grid_validation():
         GridSpec(7)
     with pytest.raises(ValueError):
         GridSpec(6)
-    with pytest.raises(ValueError):
-        GridSpec(16, dealias_fraction=0)
 
 
 def test_grid_coordinates(grid):

@@ -59,7 +59,7 @@ def test_pure_diffusion_exact(grid):
     st = state_from_arrays(grid, 0.0, zero, zero.copy(), b1.copy(), zero.copy())
     dt, n_steps = 0.05, 20
     for _ in range(n_steps):
-        st = step_ifrk4(st, dt, nonlinear=False, coupling=False, enforce_class=False)
+        st = step_ifrk4(st, dt, nonlinear=False, coupling=False)
     expected = b1 * np.exp(-4.0 * dt * n_steps)
     got = st.coeff_arrays()[2]
     idx = np.abs(b1) > 1e-6 * np.max(np.abs(b1))
@@ -71,6 +71,22 @@ def test_step_preserves_class(grid):
     for _ in range(20):
         st = step_ifrk4(st, 5e-3)
     assert symmetry_defect(st) < 1e-12
+
+
+@pytest.mark.parametrize("rhs_mode", ["perturbation", "total"])
+def test_step_conserves_means_bitwise(grid, rhs_mode):
+    """The exact flow conserves the mean of every component; every stage
+    tendency has a zero k = 0 mode, so the step keeps it bit for bit."""
+    st = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=6), grid)
+    arrays = [c.copy() for c in st.coeff_arrays()]
+    means = (0.3, -0.2, 0.1, 0.25)
+    for c, m in zip(arrays, means):
+        c[0, 0] = m
+    st = state_from_arrays(grid, 0.0, *arrays)
+    for _ in range(10):
+        st = step_ifrk4(st, 5e-3, rhs_mode=rhs_mode)
+    assert [c[0, 0] for c in st.coeff_arrays()] == list(means)
+    assert np.max(np.abs(st.coeff_arrays()[0] - arrays[0])) > 0  # it did move
 
 
 def test_step_deterministic(grid):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from mhd2tor.spectral import GridSpec, divergence_defect, sobolev_norm
+from mhd2tor.spectral import (
+    GridSpec,
+    ScalarField,
+    divergence_defect,
+    forward_transform,
+    sobolev_norm,
+)
 from mhd2tor.symmetry import (
     InitialDataSpec,
     MHDState,
@@ -46,6 +52,21 @@ def test_symmetrize_idempotent_and_projects(grid):
     again = symmetrize(sym)
     for a, b in zip(sym.coeff_arrays(), again.coeff_arrays()):
         assert np.max(np.abs(a - b)) < 1e-16
+
+
+def test_symmetry_defect_measures_anti_class_part(grid):
+    """u1 = cos(x2) and b2 = sin(x1) are in the class; u2 = cos(x1)/2 is
+    even in x2 where the class wants it odd, so the defect is 0.5 / 1."""
+    def coeffs(samples):
+        return forward_transform(ScalarField(grid, samples)).coeffs
+
+    zero = np.zeros((grid.n, grid.n))
+    st = state_from_arrays(
+        grid, 0.0, coeffs(np.cos(grid.x2)), coeffs(0.5 * np.cos(grid.x1)),
+        coeffs(zero), coeffs(np.sin(grid.x1)),
+    )
+    assert symmetry_defect(st) == pytest.approx(0.5, rel=1e-12)
+    assert symmetry_defect(symmetrize(st)) < 1e-15
 
 
 def test_initial_data_postconditions(grid):

@@ -29,7 +29,6 @@ from .driver import initial_state, resume, simulate
 from .dynamics import (
     Tendency,
     compute_pressure,
-    energy_balance_residual,
     energy_balance_series,
     grad_b_l2_sq,
     l2_energy,

@@ -8,9 +8,10 @@ Layout (little-endian):
     bytes 16..23  f64 t            (simulation time)
     then four n*n f64 arrays, row-major physical samples: u1, u2, b1, b2.
 
-Physical samples are the canonical on-disk representation; writing and
-re-reading a state reproduces its samples bit-exactly and its spectral
-coefficients to roundoff.
+Physical samples on the grid anchored at -pi (the state's samples on the
+grid anchored at 0, rolled by n/2 points) are the canonical on-disk
+representation; writing and re-reading a state reproduces its samples
+bit-exactly and its spectral coefficients to roundoff.
 """
 
 from __future__ import annotations
@@ -22,20 +23,19 @@ import struct
 import numpy as np
 
 from .errors import CorruptCheckpoint, GridMismatch
-from .spectral import GridSpec, fft_coeffs, ifft_samples
-from .symmetry import MHDState, state_from_arrays
+from .spectral import MAX_S, GridSpec, half_coeffs, half_samples
+from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in bench/spans.py
+from .symmetry import MHDState
 
 MAGIC = b"MHD2TOR1"
 _HEADER = struct.Struct("<8sIId")
 _MAX_N = 16384
 
 
-def physical_arrays(st: MHDState) -> list[np.ndarray]:
-    """Row-major physical samples (u1, u2, b1, b2) of a state."""
-    return [
-        np.ascontiguousarray(ifft_samples(st.grid, c).real)
-        for c in st.coeff_arrays()
-    ]
+def physical_arrays(st: MHDState) -> np.ndarray:
+    """Row-major physical samples (u1, u2, b1, b2) of a state, shape (4, n, n)."""
+    h = st.grid.n // 2
+    return np.roll(half_samples(st.grid, st.x), (h, h), axis=(-2, -1))
 
 
 def write_checkpoint(st: MHDState, path: str | os.PathLike, s: int) -> None:
@@ -49,8 +49,7 @@ def write_checkpoint(st: MHDState, path: str | os.PathLike, s: int) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, st.grid.n, s, st.t))
-            for arr in arrays:
-                fh.write(arr.astype("<f8", copy=False).tobytes())
+            fh.write(arrays.astype("<f8", copy=False).tobytes())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -69,6 +68,8 @@ def checkpoint_header(path: str | os.PathLike) -> tuple[int, int, float]:
         raise CorruptCheckpoint(f"bad magic {magic!r}", offset=0)
     if n < 8 or n % 2 != 0 or n > _MAX_N:
         raise CorruptCheckpoint(f"implausible grid size n={n}", offset=8)
+    if not 2 <= s <= MAX_S:
+        raise CorruptCheckpoint(f"regularity index s={s} outside [2, {MAX_S}]", offset=12)
     if not np.isfinite(t):
         raise CorruptCheckpoint(f"non-finite time {t}", offset=16)
     return n, s, t
@@ -98,10 +99,10 @@ def read_checkpoint(
                 raise CorruptCheckpoint(
                     f"non-finite samples in array {i + 1} of 4", offset=offset
                 )
-            arrays.append(arr.astype(np.float64))
+            arrays.append(arr)
         if fh.read(1):
             raise CorruptCheckpoint(
                 "trailing bytes after final array", offset=_HEADER.size + 4 * nbytes
             )
-    coeffs = [fft_coeffs(grid, a) for a in arrays]
-    return state_from_arrays(grid, t, *coeffs)
+    samples = np.roll(np.stack(arrays), (n // 2, n // 2), axis=(-2, -1))
+    return MHDState(grid, t, half_coeffs(grid, samples))

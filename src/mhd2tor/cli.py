@@ -110,7 +110,7 @@ def _cmd_verify(args, say) -> int:
 def _cmd_diagnose(args, say) -> int:
     n, s, t = checkpoint_header(args.checkpoint)
     st = read_checkpoint(args.checkpoint)
-    rec = instantaneous(st, EnergyParams(max(s, 2)))
+    rec = instantaneous(st, EnergyParams(s))
     say(f"n = {n}")
     say(f"s = {s}")
     say(f"t = {t:.17g}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import InvalidValue, MissingRequired, UnknownKey
-from .spectral import DEALIAS_FRACTION
+from .spectral import DEALIAS_FRACTION, MAX_S
 
 _REQUIRED = ("n", "s", "epsilon", "t_end")
 
@@ -40,8 +40,8 @@ class RunConfig:
 
         if self.n < 8 or self.n % 2 != 0:
             bad("n", "must be an even integer >= 8")
-        if self.s < 2:
-            bad("s", "must be an integer >= 2 (small-data theory needs s >= 2)")
+        if not 2 <= self.s <= MAX_S:
+            bad("s", f"must be an integer in [2, {MAX_S}] (small-data theory needs s >= 2)")
         if self.epsilon < 0:
             bad("epsilon", "must be >= 0")
         if self.t_end < 0:

@@ -11,11 +11,10 @@ integrating factor.  Quadratic products are formed pseudo-spectrally from
 dealiased inputs and dealiased again; linear terms are not dealiased.
 The k = 0 mode of every tendency is forced to zero.
 
-The private ``_*_arrays`` kernels work on the solver-internal convention
-of ``spectral``: stacked half spectra (u1, u2, b1, b2) of shape
-(4, n//2+1, n), transformed without phase or scaling on the grid anchored
-at 0.  The public ``rhs_perturbation``/``rhs_total`` take and return full
-spectra anchored at -pi, like every other public function.
+The private ``_*_arrays`` kernels work on the state's own array: stacked
+half spectra (u1, u2, b1, b2) of shape (4, n//2+1, n), transformed without
+phase or scaling on the grid anchored at 0 (see ``spectral``).  The public
+``rhs_perturbation``/``rhs_total`` return a ``Tendency`` of full spectra.
 """
 
 from __future__ import annotations
@@ -99,21 +98,15 @@ def _rhs_total_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:
     return project_pairs(grid.half, _quadratic_arrays(grid, x))
 
 
-def _as_tendency(grid: GridSpec, soft: np.ndarray, b1, b2) -> Tendency:
-    """Full-spectrum Tendency from a half-spectrum soft part and the field b."""
-    du1, du2, ds1, ds2 = to_full(soft)
-    st1 = -grid.ksq * b1
-    st2 = -grid.ksq * b2
-    st1[0, 0] = st2[0, 0] = 0.0
-    if not all(np.all(np.isfinite(a)) for a in (soft, st1, st2)):
+def _as_tendency(grid: GridSpec, soft: np.ndarray, b: np.ndarray) -> Tendency:
+    """Full-spectrum Tendency from the half spectra of the soft part and of b."""
+    stiff = -grid.half.ksq * b
+    stiff[:, 0, 0] = 0.0
+    both = np.concatenate([soft, stiff])
+    if not np.all(np.isfinite(both)):
         raise NonFiniteTendency("tendency contains non-finite coefficients")
-    wrap = lambda a: SpectralScalar(grid, a)
-    return Tendency(
-        du=VectorField(wrap(du1), wrap(du2)),
-        db_stiff=VectorField(wrap(st1), wrap(st2)),
-        db_soft=VectorField(wrap(ds1), wrap(ds2)),
-        grid=grid,
-    )
+    du1, du2, ds1, ds2, st1, st2 = (SpectralScalar(grid, a) for a in to_full(both))
+    return Tendency(VectorField(du1, du2), VectorField(st1, st2), VectorField(ds1, ds2), grid)
 
 
 def rhs_perturbation(st: MHDState, nonlinear: bool = True, coupling: bool = True) -> Tendency:
@@ -123,10 +116,8 @@ def rhs_perturbation(st: MHDState, nonlinear: bool = True, coupling: bool = True
     and the d2 exchange terms respectively; both are part of the public test
     surface (the linearized limit has a closed-form per-mode solution).
     """
-    grid = st.grid
-    arrays = st.coeff_arrays()
-    soft = _rhs_arrays(grid, to_half(np.stack(arrays)), nonlinear, coupling)
-    return _as_tendency(grid, soft, *arrays[2:])
+    soft = _rhs_arrays(st.grid, st.x, nonlinear, coupling)
+    return _as_tendency(st.grid, soft, st.x[2:])
 
 
 def rhs_total(u: VectorField, B: VectorField) -> Tendency:
@@ -137,8 +128,8 @@ def rhs_total(u: VectorField, B: VectorField) -> Tendency:
     """
     grid, (u1, u2) = _coeff_arrays(u)
     _, (B1, B2) = _coeff_arrays(B)
-    soft = _rhs_total_arrays(grid, to_half(np.stack([u1, u2, B1, B2])))
-    return _as_tendency(grid, soft, B1, B2)
+    x = to_half(np.stack([u1, u2, B1, B2]))
+    return _as_tendency(grid, _rhs_total_arrays(grid, x), x[2:])
 
 
 def compute_pressure(st: MHDState) -> ScalarField:
@@ -147,15 +138,12 @@ def compute_pressure(st: MHDState) -> ScalarField:
     Mean-zero convention (p_hat at k = 0 is zero).  The gradient of the
     result equals the Leray-removed part of the u tendency.
     """
-    grid = st.grid
-    u1, u2, b1, b2 = st.coeff_arrays()
+    grid, half = st.grid, st.grid.half
     # the u tendency before projection, g = -u.grad u + b.grad b + d2 b
-    q1, q2, _, _ = to_full(_quadratic_arrays(grid, to_half(np.stack([u1, u2, b1, b2]))))
-    g1 = q1 + grid.ik2 * b1
-    g2 = q2 + grid.ik2 * b2
+    g = _quadratic_arrays(grid, st.x)[:2] + half.ik2 * st.x[2:]
     # -Lap p = -div g, so p_hat = -i (k.g) / |k|^2, zero at k = 0
-    p_hat = -1j * (grid.k1 * g1 + grid.k2 * g2) * grid.inv_ksq
-    return inverse_transform(SpectralScalar(grid, p_hat))
+    p_hat = -1j * (half.k1 * g[0] + half.k2 * g[1]) * half.inv_ksq
+    return inverse_transform(SpectralScalar(grid, to_full(p_hat)))
 
 
 def transport_skew_defect(u: VectorField, f: ScalarField | SpectralScalar) -> float:
@@ -177,14 +165,15 @@ def transport_skew_defect(u: VectorField, f: ScalarField | SpectralScalar) -> fl
 
 def l2_energy(st: MHDState) -> float:
     """Half the total L2 energy of (u, b)."""
-    total = sum(float(np.sum(np.abs(c) ** 2)) for c in st.coeff_arrays())
-    return 0.5 * MEASURE * total
+    sq = st.x.real**2 + st.x.imag**2
+    return 0.5 * MEASURE * float(np.sum(st.grid.half.weight * sq))
 
 
 def grad_b_l2_sq(st: MHDState) -> float:
     """Squared L2 norm of grad b (the exact dissipation rate of l2_energy)."""
-    _, _, b1, b2 = st.coeff_arrays()
-    return MEASURE * float(np.sum(st.grid.ksq * (np.abs(b1) ** 2 + np.abs(b2) ** 2)))
+    b = st.x[2:]
+    half = st.grid.half
+    return MEASURE * float(np.sum(half.weight * half.ksq * (b.real**2 + b.imag**2)))
 
 
 def energy_balance_series(
@@ -202,13 +191,3 @@ def energy_balance_series(
     defect = np.abs(energies - energies[0] + integral)
     denom = energies[0] if energies[0] > 0 else 1.0
     return float(np.max(defect) / denom)
-
-
-def energy_balance_residual(history: list[tuple[float, MHDState]]) -> float:
-    """Energy-law residual over a densely sampled trajectory."""
-    if len(history) < 2:
-        raise InsufficientSamples("need at least 2 records for the energy balance")
-    ts = np.array([t for t, _ in history])
-    energies = np.array([l2_energy(s) for _, s in history])
-    dissipations = np.array([grad_b_l2_sq(s) for _, s in history])
-    return energy_balance_series(ts, energies, dissipations)

@@ -3,25 +3,24 @@
 Conventions
 -----------
 Fields are expanded as ``f(x) = sum_k fhat_k exp(i k.x)`` over integer
-wavevectors ``k in {-n/2, ..., n/2 - 1}^2``.  Two storage conventions are
-in use:
+wavevectors ``k in {-n/2, ..., n/2 - 1}^2``, in one of two storage forms:
 
-* Public and on disk: full spectra, shape ``(n, n)``, anchored at ``-pi``.
-  The forward transform is the scaled DFT
+* State: half spectra of real fields, shape ``(..., n//2+1, n)``, holding
+  the rows ``k1 = 0..n/2`` (the Nyquist row ``k1 = -n/2`` last); ``k2``
+  keeps its full FFT-ordered axis, so the x2 reflection stays an index
+  permutation.  ``MHDState`` holds one stack of four, which the solver,
+  the diagnostics and the checkpoint read directly.  ``half_samples``/
+  ``half_coeffs`` transform it with ``norm="forward"`` on the grid
+  anchored at 0: the grid below shifted by n/2 points along each axis.
+  Pointwise products give the same coefficients on either grid, so the
+  solver needs neither the phase nor the ``n^2`` scaling.  Sums over all
+  modes weight the stored rows by ``HalfGrid.weight``.
+* Public view: full spectra, shape ``(n, n)``, in standard FFT order,
+  built on demand (``to_full``/``to_half`` convert).  The forward
+  transform is the scaled DFT
   ``fhat_k = n^-2 sum_ij f(x_ij) exp(-i k.x_ij)`` on the collocation grid
-  ``x_ij = (-pi + 2*pi*i/n, -pi + 2*pi*j/n)``.  Coefficient arrays are
-  stored in standard FFT order (non-negative frequencies first); the grid
-  offset at ``-pi`` is absorbed into a ``(-1)^(k1+k2)`` phase
-  (``fft_coeffs``/``ifft_samples``).  ``MHDState``, checkpoints, oracles
-  and diagnostics use this form.
-* Solver-internal: half spectra of real fields, shape ``(..., n//2+1, n)``,
-  holding the rows ``k1 = 0..n/2`` (the Nyquist row ``k1 = -n/2`` last);
-  ``k2`` keeps its full FFT-ordered axis, so the x2 reflection stays an
-  index permutation on the last axis.  ``half_samples``/``half_coeffs``
-  transform them with ``norm="forward"`` on the grid anchored at 0.  The
-  right-hand side only forms pointwise products, and those give the same
-  coefficients on any uniform grid of even size, so the phase and the
-  ``n^2`` scaling drop out exactly.  ``to_half``/``to_full`` convert.
+  ``x_ij = (-pi + 2*pi*i/n, -pi + 2*pi*j/n)``; the offset at ``-pi`` is a
+  ``(-1)^(k1+k2)`` phase (``fft_coeffs``/``ifft_samples``).
 
 Sobolev norms use the full ``(2*pi)^2`` measure, evaluated exactly through
 the Fourier multiplier ``mu_m(k) = sum_{|alpha| <= m} k1^(2a1) k2^(2a2)``,
@@ -48,27 +47,31 @@ DOMAIN_HALF_WIDTH = np.pi
 MEASURE = (2.0 * np.pi) ** 2
 # 2/3 rule: products keep max(|k1|, |k2|) <= DEALIAS_FRACTION * n/2
 DEALIAS_FRACTION = 2.0 / 3.0
+# largest regularity index s: mu_{2s+2} stays finite in float64 for n <= 16384
+MAX_S = 16
 
 
 @functools.cache
 def fft_workers() -> int:
     """Worker count for scipy.fft from the MHD2_THREADS env var, read once.
 
-    Unset, empty or 0 means one worker per core.
+    Unset or empty means one worker; 0 means one worker per core.
 
     Raises
     ------
     InvalidValue
         If MHD2_THREADS is not a non-negative integer.
     """
-    raw = os.environ.get("MHD2_THREADS", "").strip() or "0"
+    raw = os.environ.get("MHD2_THREADS", "").strip() or "1"
     if not raw.isdecimal():
         raise InvalidValue(f"MHD2_THREADS = {raw!r}: must be a non-negative integer")
     return int(raw) or os.cpu_count() or 1
 
 
 class HalfGrid(NamedTuple):
-    """GridSpec multipliers restricted to the half-spectrum rows k1 = 0..n/2."""
+    """GridSpec multipliers on the half-spectrum rows k1 = 0..n/2, and the
+    row weights that sum them as the full spectrum: 1 on rows 0 and n/2,
+    2 on the rows that also stand for their conjugates."""
 
     k1: np.ndarray
     k2: np.ndarray
@@ -77,6 +80,7 @@ class HalfGrid(NamedTuple):
     dealias_mask: np.ndarray
     ik2: np.ndarray
     ik_stack: np.ndarray
+    weight: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -153,22 +157,19 @@ class GridSpec:
         return out
 
     @cached_property
-    def ik_stack(self) -> np.ndarray:
-        """First-derivative multipliers stacked as shape (2, n, n)."""
-        return np.stack([self.ik1, self.ik2])
-
-    @cached_property
     def dealias_mask(self) -> np.ndarray:
         return np.maximum(np.abs(self.k1), np.abs(self.k2)) <= self.dealias_cutoff
 
     @cached_property
     def half(self) -> HalfGrid:
         """The multipliers above on the half spectrum (see ``to_half``)."""
-        rows = slice(0, self.n // 2 + 1)
-        return HalfGrid(*(
-            np.ascontiguousarray(getattr(self, name)[..., rows, :])
-            for name in HalfGrid._fields
-        ))
+        cut = lambda a: np.ascontiguousarray(a[: self.n // 2 + 1])
+        weight = np.full((self.n // 2 + 1, 1), 2.0)
+        weight[[0, -1]] = 1.0
+        k1, k2, ksq, inv_ksq, mask, ik2 = map(
+            cut, (self.k1, self.k2, self.ksq, self.inv_ksq, self.dealias_mask, self.ik2)
+        )
+        return HalfGrid(k1, k2, ksq, inv_ksq, mask, ik2, np.stack([cut(self.ik1), ik2]), weight)
 
     @property
     def dealias_cutoff(self) -> float:
@@ -329,13 +330,21 @@ def project_pairs(grid: GridSpec | HalfGrid, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def divergence_defect(grid: GridSpec, v1: np.ndarray, v2: np.ndarray) -> float:
-    """Max-abs spectral divergence, relative to the field's gradient magnitude."""
-    div = np.abs(grid.k1 * v1 + grid.k2 * v2)
+def divergence_defect(grid: GridSpec | HalfGrid, v1: np.ndarray, v2: np.ndarray) -> float:
+    """Max-abs spectral divergence, relative to the field's gradient magnitude.
+
+    Pass ``grid.half`` for half spectra.  A stored mode's conjugate mirror
+    has the same magnitudes, except on the Nyquist column k2 = -n/2, which
+    the mirror keeps: there it also takes |k1 v1 - k2 v2| (rows 1..n/2-1).
+    """
+    div = np.max(np.abs(grid.k1 * v1 + grid.k2 * v2))
+    if isinstance(grid, HalfGrid):
+        c = (slice(1, -1), v1.shape[-1] // 2)
+        div = max(div, np.max(np.abs(grid.k1[c] * v1[c] - grid.k2[c] * v2[c])))
     scale = np.max(np.sqrt(grid.ksq) * np.sqrt(np.abs(v1) ** 2 + np.abs(v2) ** 2))
     if scale == 0.0:
         return 0.0
-    return float(np.max(div) / scale)
+    return float(div / scale)
 
 
 # --- public operations -------------------------------------------------------

@@ -14,11 +14,10 @@ divergence-free to roundoff, the k = 0 modes (means) are conserved
 exactly, and a state in the symmetry class stays in it to roundoff; the
 diagnostics measure all three.
 
-Inside a step the state is one stacked array of half spectra (u1, u2, b1,
-b2), shape (4, n//2+1, n), in the solver-internal convention of
-``spectral`` (rows k1 = 0..n/2, grid anchored at 0, ``norm="forward"``).
-The state passed in and returned is an ``MHDState`` of full spectra
-anchored at -pi; the half spectrum is filled back to full once per step.
+The step works on the state's own array: the stacked half spectra of
+(u1, u2, b1, b2), shape (4, n//2+1, n), in the convention of ``spectral``
+(rows k1 = 0..n/2, grid anchored at 0, ``norm="forward"``).  Nothing is
+converted to full spectra inside the run loop.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ import numpy as np
 
 from .dynamics import _rhs_arrays, _rhs_total_arrays
 from .errors import NonFiniteState, StepTooSmall
-from .spectral import ifft_samples, to_full, to_half
-from .symmetry import MHDState, state_from_arrays
-from .symmetry import symmetry_defect  # noqa: F401  bound for bench/spans.py tracing
+from .spectral import half_samples
+from .symmetry import MHDState
+from .symmetry import ifft_samples, symmetry_defect  # noqa: F401  traced by name in bench/spans.py
 
 _LANDING_TOL = 1e-12
 
@@ -70,10 +69,10 @@ class StepperConfig:
 
 
 def cfl_dt(st: MHDState, cfg: StepperConfig) -> float:
-    """Advective CFL step from the pointwise speed |u| + |b + e2|."""
+    """Advective CFL step from the pointwise speed |u| + |b + e2|, sampled on
+    the grid anchored at 0: the same points as the one anchored at -pi."""
     grid = st.grid
-    phys = ifft_samples(grid, np.stack(st.coeff_arrays())).real
-    U1, U2, B1, B2 = phys
+    U1, U2, B1, B2 = half_samples(grid, st.x)
     B2 = B2 + 1.0  # total field includes e2
     speed = float(np.max(np.sqrt(U1**2 + U2**2) + np.sqrt(B1**2 + B2**2)))
     dt = min(cfg.dt_max, cfg.cfl * grid.spacing / (speed + 1e-12))
@@ -117,7 +116,7 @@ def step_ifrk4(
     one = np.ones_like(heat[0])
     e_half, e_full = (np.stack([one, one, e, e]) for e in heat)
 
-    x = to_half(np.stack(st.coeff_arrays()))
+    x = st.x
     k1 = rhs(x)
     k2 = rhs(e_half * (x + 0.5 * dt * k1))
     k3 = rhs(e_half * x + 0.5 * dt * k2)
@@ -126,7 +125,7 @@ def step_ifrk4(
 
     if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"state became non-finite during step from t={st.t:.6g}")
-    return state_from_arrays(grid, st.t + dt, *to_full(x))
+    return MHDState(grid, st.t + dt, x)
 
 
 def run(

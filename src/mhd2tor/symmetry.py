@@ -6,6 +6,9 @@ field B = b + e2.  The collocation grid is reflection-closed (x2 = -pi maps
 to itself, +pi is identified with -pi), so reflection is the exact index map
 j -> (n - j) mod n; in coefficient space this is the permutation
 k2 -> -k2, which is what the implementation applies.
+
+A state is one stacked half spectrum of (u1, u2, b1, b2), see ``spectral``;
+its full spectra (``coeff_arrays``, ``u``, ``b``) are a view built on demand.
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ from .spectral import (
     VectorField,
     derivative_multiplier,
     divergence_defect,
-    ifft_samples,
+    half_samples,
     project_divergence_free,
     sobolev_norm,
+    to_full,
+    to_half,
 )
+from .spectral import ifft_samples  # noqa: F401  traced by name in bench/spans.py
 
 # Parity under x2 reflection, per component.  Data only, so diagnostics can
 # name which component violated which parity.
@@ -37,21 +43,39 @@ _STACK_PARITY = np.array([PARITY[c] for c in ("u1", "u2", "b1", "b2")], dtype=fl
 
 @dataclass
 class MHDState:
-    """Velocity / magnetic-perturbation pair at one time, spectral storage."""
+    """Velocity / magnetic-perturbation pair at one time; ``x`` stacks the
+    half spectra of (u1, u2, b1, b2), shape (4, n//2+1, n)."""
 
     grid: GridSpec
     t: float
-    u: VectorField
-    b: VectorField
+    x: np.ndarray
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=np.complex128)
+        shape = (4, self.grid.n // 2 + 1, self.grid.n)
+        if self.x.shape != shape:
+            raise ValueError(f"state shape {self.x.shape} does not match {shape}")
 
     def coeff_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.u.c1.coeffs, self.u.c2.coeffs, self.b.c1.coeffs, self.b.c2.coeffs)
+        """Full spectra (u1, u2, b1, b2), built on demand."""
+        return tuple(to_full(self.x))
+
+    def _vector(self, i: int) -> VectorField:
+        c1, c2 = to_full(self.x[i : i + 2])
+        return VectorField(SpectralScalar(self.grid, c1), SpectralScalar(self.grid, c2))
+
+    @property
+    def u(self) -> VectorField:
+        return self._vector(0)
+
+    @property
+    def b(self) -> VectorField:
+        return self._vector(2)
 
 
 def state_from_arrays(grid: GridSpec, t: float, u1, u2, b1, b2) -> MHDState:
-    u = VectorField(SpectralScalar(grid, u1), SpectralScalar(grid, u2))
-    b = VectorField(SpectralScalar(grid, b1), SpectralScalar(grid, b2))
-    return MHDState(grid, t, u, b)
+    """State from the full spectra of real fields (rows k1 < 0 are dropped)."""
+    return MHDState(grid, t, np.stack([to_half(c) for c in (u1, u2, b1, b2)]))
 
 
 @dataclass(frozen=True)
@@ -92,35 +116,22 @@ def _reflect_coeffs(coeffs: np.ndarray, parity) -> np.ndarray:
 
 def reflect_state(st: MHDState) -> MHDState:
     """Apply the x2 reflection with the class parities; an exact involution."""
-    u1, u2, b1, b2 = st.coeff_arrays()
-    return state_from_arrays(
-        st.grid,
-        st.t,
-        _reflect_coeffs(u1, PARITY["u1"]),
-        _reflect_coeffs(u2, PARITY["u2"]),
-        _reflect_coeffs(b1, PARITY["b1"]),
-        _reflect_coeffs(b2, PARITY["b2"]),
-    )
+    return MHDState(st.grid, st.t, _reflect_coeffs(st.x, _STACK_PARITY))
 
 
 def symmetrize(st: MHDState) -> MHDState:
     """Project onto the symmetry class: (st + reflect(st)) / 2."""
-    refl = reflect_state(st)
-    arrays = [
-        0.5 * (a + b) for a, b in zip(st.coeff_arrays(), refl.coeff_arrays())
-    ]
-    return state_from_arrays(st.grid, st.t, *arrays)
+    return MHDState(st.grid, st.t, 0.5 * (st.x + _reflect_coeffs(st.x, _STACK_PARITY)))
 
 
 def symmetry_defect(st: MHDState) -> float:
     """Relative sup-norm of the anti-class part, max over the four components."""
-    c = np.stack(st.coeff_arrays())
-    scale = float(np.max(np.abs(ifft_samples(st.grid, c).real)))
+    scale = float(np.max(np.abs(half_samples(st.grid, st.x))))
     if scale == 0.0:
         return 0.0
-    c -= _reflect_coeffs(c, _STACK_PARITY)  # in place: c is a fresh stack
-    c *= 0.5
-    return float(np.max(np.abs(ifft_samples(st.grid, c).real))) / scale
+    anti = st.x - _reflect_coeffs(st.x, _STACK_PARITY)
+    anti *= 0.5
+    return float(np.max(np.abs(half_samples(st.grid, anti)))) / scale
 
 
 def _philox(seed: int, attempt: int = 0) -> np.random.Generator:
@@ -243,18 +254,17 @@ class CheckResult(NamedTuple):
 
 def validate_state(st: MHDState) -> list[CheckResult]:
     """Evaluate all state invariants; failures are reported, never raised."""
-    grid = st.grid
-    u1, u2, b1, b2 = st.coeff_arrays()
-    div_u = divergence_defect(grid, u1, u2)
-    div_b = divergence_defect(grid, b1, b2)
+    half, x = st.grid.half, st.x
+    div_u = divergence_defect(half, x[0], x[1])
+    div_b = divergence_defect(half, x[2], x[3])
     results = [
         CheckResult("div_defect_u", div_u, div_u < 1e-10),
         CheckResult("div_defect_b", div_b, div_b < 1e-10),
     ]
-    for name, c in zip(("u1", "u2", "b1", "b2"), st.coeff_arrays()):
+    for name, c in zip(("u1", "u2", "b1", "b2"), x):
         m = abs(MEASURE * c[0, 0].real)
         results.append(CheckResult(f"mean_{name}", float(m), m < 1e-12))
-    finite = all(np.all(np.isfinite(c)) for c in st.coeff_arrays())
+    finite = bool(np.all(np.isfinite(x)))
     results.append(CheckResult("coeffs_finite", 0.0 if finite else float("nan"), finite))
     d = symmetry_defect(st)
     results.append(CheckResult("symmetry_defect", d, d < 1e-10))

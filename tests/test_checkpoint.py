@@ -12,8 +12,8 @@ from mhd2tor.checkpoint import (
     write_checkpoint,
 )
 from mhd2tor.errors import CorruptCheckpoint, GridMismatch
-from mhd2tor.spectral import GridSpec
-from mhd2tor.symmetry import InitialDataSpec, make_initial_data
+from mhd2tor.spectral import GridSpec, ScalarField, forward_transform
+from mhd2tor.symmetry import InitialDataSpec, make_initial_data, state_from_arrays
 
 
 @pytest.fixture
@@ -43,6 +43,24 @@ def test_round_trip_stable(tmp_path, state):
     scale = max(np.max(np.abs(a)) for a in physical_arrays(first))
     for a, b in zip(physical_arrays(first), physical_arrays(second)):
         assert np.max(np.abs(a - b)) < 1e-14 * scale
+
+
+def test_on_disk_samples_sit_on_the_grid_from_minus_pi(tmp_path):
+    """The stored arrays are the field at grid.x1/grid.x2 (first point -pi).
+    Every field has odd k1 + k2, so samples on a grid shifted by n/2 points
+    would have the opposite sign."""
+    grid = GridSpec(16)
+    x1, x2 = grid.x1, grid.x2
+    fields = np.stack([
+        np.sin(x1 + 2 * x2), np.cos(3 * x1), np.sin(x2) + np.cos(x1 - 2 * x2), np.cos(5 * x2),
+    ])
+    coeffs = [forward_transform(ScalarField(grid, f)).coeffs for f in fields]
+    path = tmp_path / "a.chk"
+    write_checkpoint(state_from_arrays(grid, 0.5, *coeffs), path, s=2)
+    raw = np.frombuffer(path.read_bytes()[24:], dtype="<f8").reshape(fields.shape)
+    assert np.max(np.abs(raw - fields)) < 1e-14
+    for c, back in zip(coeffs, read_checkpoint(path).coeff_arrays()):
+        assert np.max(np.abs(c - back)) < 1e-14
 
 
 def test_header(tmp_path, state):
@@ -135,7 +153,7 @@ def test_failed_write_keeps_previous_file(tmp_path, state, monkeypatch):
         checkpoint, "open", lambda *a, **kw: FailingFile(builtins.open(*a, **kw)),
         raising=False,
     )
-    later = type(state)(state.grid, 1.0, state.u, state.b)
+    later = type(state)(state.grid, 1.0, state.x)
     with pytest.raises(OSError, match="disk full"):
         write_checkpoint(later, path, s=2)
     assert path.read_bytes() == before

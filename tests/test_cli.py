@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,30 @@ def test_bad_thread_count_exit_2(tmp_path, cfg_path, monkeypatch, fresh_fft_work
     ic = tmp_path / "ic.chk"
     assert main(["--quiet", "make-ic", "--config", str(cfg_path), "--out", str(ic)]) == 2
     assert not ic.exists()
+
+
+@pytest.mark.parametrize(
+    "value, expected", [(None, 1), ("", 1), ("2", 2), ("0", os.cpu_count() or 1)]
+)
+def test_default_thread_count(monkeypatch, fresh_fft_workers, value, expected):
+    """Unset or empty MHD2_THREADS means one FFT worker; 0 means one per core."""
+    if value is None:
+        monkeypatch.delenv("MHD2_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MHD2_THREADS", value)
+    assert fft_workers() == expected
+
+
+@pytest.mark.parametrize("s", [0, 1, 17])
+def test_diagnose_rejects_header_s(tmp_path, cfg_path, s):
+    """An s outside [2, MAX_S] in a checkpoint header is an I/O error (exit 4),
+    not a silent s = 2 or a multiplier loop that does not end."""
+    ic = tmp_path / "ic.chk"
+    assert main(["--quiet", "make-ic", "--config", str(cfg_path), "--out", str(ic)]) == 0
+    raw = bytearray(ic.read_bytes())
+    raw[12:16] = s.to_bytes(4, "little")
+    ic.write_bytes(bytes(raw))
+    assert main(["--quiet", "diagnose", "--checkpoint", str(ic)]) == 4
 
 
 def test_sample_times_land_exactly(tmp_path, cfg_path):

@@ -28,6 +28,13 @@ def test_comments_and_blank_lines():
     assert cfg.seed == 7
 
 
+def test_s_bounds():
+    assert RunConfig(n=16, s=16, epsilon=0.0, t_end=0.0).s == 16
+    for s in (1, 17):
+        with pytest.raises(InvalidValue):
+            RunConfig(n=16, s=s, epsilon=0.0, t_end=0.0)
+
+
 def test_unknown_key():
     with pytest.raises(UnknownKey):
         parse_config(MINIMAL + "viscosity = 0.1\n")

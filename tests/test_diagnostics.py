@@ -16,12 +16,16 @@ from mhd2tor.errors import (
     NonPositiveValue,
     NotInClass,
 )
+from mhd2tor.dynamics import grad_b_l2_sq, l2_energy
 from mhd2tor.spectral import (
+    MEASURE,
     GridSpec,
     ScalarField,
     SpectralScalar,
     VectorField,
+    divergence_defect,
     forward_transform,
+    partial_derivative,
     sobolev_norm,
 )
 from mhd2tor.symmetry import InitialDataSpec, make_initial_data, random_class_velocity, state_from_arrays
@@ -46,6 +50,34 @@ def test_instantaneous_orders(grid):
     assert rec.norm_u[5] == pytest.approx(sobolev_norm(st.u, 5), rel=1e-14)
     # Sobolev norms are monotone in the order
     assert rec.norm_u[2] <= rec.norm_u[3] <= rec.norm_u[4] <= rec.norm_u[5]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_half_spectrum_row_weights(seed):
+    """Norms, energies and defects read from the stored half spectrum equal
+    the full-spectrum route on a state whose Nyquist row and column are
+    nonzero (rows 0 and n/2 count once, every other stored row twice)."""
+    grid = GridSpec(16)
+    samples = np.random.default_rng(seed).standard_normal((4, 16, 16))
+    st = state_from_arrays(grid, 0.0, *np.fft.fft2(samples) / 256)
+    # fft2 output is Hermitian to roundoff; the state's full view exactly
+    full = st.coeff_arrays()
+    assert all(np.min(np.abs(c[8, 1:])) > 0 and np.min(np.abs(c[1:, 8])) > 0 for c in full)
+    u = VectorField(SpectralScalar(grid, full[0]), SpectralScalar(grid, full[1]))
+    b = VectorField(SpectralScalar(grid, full[2]), SpectralScalar(grid, full[3]))
+    d2u = VectorField(partial_derivative(u.c1, (0, 1)), partial_derivative(u.c2, (0, 1)))
+    rec = instantaneous(st, EnergyParams(2))
+    for norms, v in ((rec.norm_u, u), (rec.norm_b, b), (rec.norm_d2u, d2u)):
+        for m, value in norms.items():
+            assert value == pytest.approx(sobolev_norm(v, m), rel=1e-13)
+    energy = 0.5 * (sobolev_norm(u, 0) ** 2 + sobolev_norm(b, 0) ** 2)
+    assert rec.l2_energy == l2_energy(st) == pytest.approx(energy, rel=1e-13)
+    # mu_1 - mu_0 = |k|^2
+    grad_b = sobolev_norm(b, 1) ** 2 - sobolev_norm(b, 0) ** 2
+    assert rec.grad_b_l2_sq == grad_b_l2_sq(st) == pytest.approx(grad_b, rel=1e-13)
+    assert rec.div_defect_u == divergence_defect(grid, full[0], full[1])
+    assert rec.div_defect_b == divergence_defect(grid, full[2], full[3])
+    assert rec.mean_abs_max == MEASURE * max(abs(c[0, 0].real) for c in full)
 
 
 def test_ledger_single_record(grid):

@@ -21,7 +21,7 @@ from mhd2tor.spectral import (
     forward_transform,
     resample,
 )
-from mhd2tor.symmetry import InitialDataSpec, MHDState, make_initial_data, state_from_arrays
+from mhd2tor.symmetry import InitialDataSpec, make_initial_data, state_from_arrays
 
 
 @pytest.fixture
@@ -97,9 +97,7 @@ def test_resolution_independence(small_state):
     big = GridSpec(48)
     arrays = [resample(c, big) for c in (small_state.u.c1, small_state.u.c2,
                                          small_state.b.c1, small_state.b.c2)]
-    st_big = MHDState(big, 0.0,
-                      VectorField(arrays[0], arrays[1]),
-                      VectorField(arrays[2], arrays[3]))
+    st_big = state_from_arrays(big, 0.0, *(a.coeffs for a in arrays))
     td_small = rhs_perturbation(small_state)
     td_big = rhs_perturbation(st_big)
     shrunk = resample(td_big.du.c1, small_state.grid)

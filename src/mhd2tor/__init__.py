@@ -27,7 +27,6 @@ from .diagnostics import (
 )
 from .driver import initial_state, resume, simulate
 from .dynamics import (
-    Tendency,
     compute_pressure,
     energy_balance_series,
     grad_b_l2_sq,

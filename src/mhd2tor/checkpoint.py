@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .errors import CorruptCheckpoint, GridMismatch
-from .spectral import MAX_S, GridSpec, half_coeffs, half_samples
+from .spectral import MAX_S, GridSpec, half_coeffs, half_samples, roll_anchor
 from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in bench/spans.py
 from .symmetry import MHDState
 
@@ -34,8 +34,7 @@ _MAX_N = 16384
 
 def physical_arrays(st: MHDState) -> np.ndarray:
     """Row-major physical samples (u1, u2, b1, b2) of a state, shape (4, n, n)."""
-    h = st.grid.n // 2
-    return np.roll(half_samples(st.grid, st.x), (h, h), axis=(-2, -1))
+    return roll_anchor(half_samples(st.grid, st.x))
 
 
 def write_checkpoint(st: MHDState, path: str | os.PathLike, s: int) -> None:
@@ -104,5 +103,4 @@ def read_checkpoint(
             raise CorruptCheckpoint(
                 "trailing bytes after final array", offset=_HEADER.size + 4 * nbytes
             )
-    samples = np.roll(np.stack(arrays), (n // 2, n // 2), axis=(-2, -1))
-    return MHDState(grid, t, half_coeffs(grid, samples))
+    return MHDState(grid, t, half_coeffs(grid, roll_anchor(np.stack(arrays))))

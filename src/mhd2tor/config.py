@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidValue, MissingRequired, UnknownKey
@@ -27,7 +28,6 @@ class RunConfig:
     sample_every: float = 0.1
     snapshot_every: float = 0.0
     outdir: str = "out"
-    formulation: str = "perturbation"
     nonlinearity: bool = True
     coupling: bool = True
 
@@ -38,10 +38,16 @@ class RunConfig:
         def bad(key, constraint):
             raise InvalidValue(f"{key} = {getattr(self, key)!r}: {constraint}")
 
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                bad(f.name, "must be finite")
         if self.n < 8 or self.n % 2 != 0:
             bad("n", "must be an even integer >= 8")
         if not 2 <= self.s <= MAX_S:
             bad("s", f"must be an integer in [2, {MAX_S}] (small-data theory needs s >= 2)")
+        if self.seed < 0:
+            bad("seed", "must be >= 0")
         if self.epsilon < 0:
             bad("epsilon", "must be >= 0")
         if self.t_end < 0:
@@ -63,8 +69,6 @@ class RunConfig:
             ratio = self.snapshot_every / self.sample_every
             if abs(ratio - round(ratio)) > 1e-9:
                 bad("snapshot_every", "must be an integer multiple of sample_every")
-        if self.formulation not in ("perturbation", "total"):
-            bad("formulation", "must be 'perturbation' or 'total'")
 
 
 _BOOL_WORDS = {
@@ -102,7 +106,7 @@ def parse_config(text: str) -> RunConfig:
         "epsilon": float, "t_end": float, "spectrum_decay": float,
         "cfl": float, "dt_max": float, "dt_min": float,
         "sample_every": float, "snapshot_every": float,
-        "outdir": str, "formulation": str,
+        "outdir": str,
         "nonlinearity": bool, "coupling": bool,
     }
     values = {}

@@ -42,7 +42,9 @@ from .errors import (
 from .spectral import (
     MEASURE,
     GridSpec,
+    SpectralScalar,
     VectorField,
+    _coeff_arrays,
     divergence_defect,
     partial_derivative,
     sobolev_norm,
@@ -177,11 +179,12 @@ def ledger_update(led: EnergyLedger, rec: DiagnosticsRecord) -> EnergyLedger:
 def poincare_check(u: VectorField, k: int) -> tuple[float, float, float]:
     """(lhs, rhs, ratio) for ||grad u||_{H^k} vs ||d2 u||_{H^{k+1}}.
 
-    Preconditions (divergence-free, zero mean, class parities) are validated;
-    the ratio is asserted against the exact spectral bound sqrt(2).
+    ``u`` may be physical or spectral.  Preconditions (divergence-free, zero
+    mean, class parities) are validated; the ratio is asserted against the
+    exact spectral bound sqrt(2).
     """
-    grid = u.grid
-    u1, u2 = u.c1.coeffs, u.c2.coeffs
+    grid, (u1, u2) = _coeff_arrays(u)
+    u = VectorField(SpectralScalar(grid, u1), SpectralScalar(grid, u2))
     if divergence_defect(grid, u1, u2) > 1e-10:
         raise NotInClass("velocity is not divergence-free")
     if MEASURE * max(abs(u1[0, 0]), abs(u2[0, 0])) > 1e-12:

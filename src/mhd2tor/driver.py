@@ -123,7 +123,6 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
             st0, stepper, cfg.sample_every, sink,
             energy_params=params,
             nonlinear=cfg.nonlinearity, coupling=cfg.coupling,
-            rhs_mode=cfg.formulation,
         )
     except (NonFiniteState, StepTooSmall) as exc:
         status, reason, code = "failed", f"{type(exc).__name__}: {exc}", EXIT_NUMERICAL
@@ -146,7 +145,6 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
         ("s", s),
         ("epsilon", _FLOAT_FMT % cfg.epsilon),
         ("seed", cfg.seed),
-        ("formulation", cfg.formulation),
         ("t_start", _FLOAT_FMT % st0.t),
         ("t_final", _FLOAT_FMT % final.t),
         ("samples", len(ts)),

@@ -5,21 +5,20 @@ Perturbation form (B = b + e2):
     u_t = P(-u.grad u + b.grad b + d2 b)
     b_t = -u.grad b + b.grad u + d2 u + Lap b
 
-with P the Leray projection.  The diffusive part Lap b is returned
-separately (``db_stiff``) so the stepper can treat it with an exact
-integrating factor.  Quadratic products are formed pseudo-spectrally from
-dealiased inputs and dealiased again; linear terms are not dealiased.
-The k = 0 mode of every tendency is forced to zero.
+with P the Leray projection.  Quadratic products are formed
+pseudo-spectrally from dealiased inputs and dealiased again; linear terms
+are not dealiased.  The k = 0 mode of every tendency is forced to zero.
 
-The private ``_*_arrays`` kernels work on the state's own array: stacked
-half spectra (u1, u2, b1, b2) of shape (4, n//2+1, n), transformed without
-phase or scaling on the grid anchored at 0 (see ``spectral``).  The public
-``rhs_perturbation``/``rhs_total`` return a ``Tendency`` of full spectra.
+Everything works on the state's own array: stacked half spectra
+(u1, u2, b1, b2) of shape (4, n//2+1, n), transformed without phase or
+scaling on the grid anchored at 0 (see ``spectral``).  The private
+``_rhs_arrays`` kernel returns the non-stiff part, without the diffusion
+Lap b, which the stepper applies through an exact integrating factor; the
+public ``rhs_perturbation``/``rhs_total`` return the whole dx/dt in the
+same layout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,34 +30,15 @@ from .spectral import (
     SpectralScalar,
     VectorField,
     _coeff_arrays,
-    fft_coeffs,
     half_coeffs,
     half_samples,
-    ifft_samples,
-    inverse_transform,
     project_pairs,
+    roll_anchor,
     sobolev_norm,
-    to_full,
     to_half,
 )
+from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in bench/spans.py
 from .symmetry import MHDState
-
-
-@dataclass
-class Tendency:
-    """Time derivative split into stiff diffusion and everything else."""
-
-    du: VectorField
-    db_stiff: VectorField
-    db_soft: VectorField
-    grid: GridSpec
-
-
-def _advect(grid: GridSpec, v1p, v2p, f_hat):
-    """Physical samples of (v . grad f) from dealiased spectral f."""
-    d1 = ifft_samples(grid, grid.ik1 * f_hat).real
-    d2 = ifft_samples(grid, grid.ik2 * f_hat).real
-    return v1p * d1 + v2p * d2
 
 
 def _quadratic_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:
@@ -84,7 +64,7 @@ def _quadratic_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _rhs_arrays(grid: GridSpec, x: np.ndarray, nonlinear: bool, coupling: bool) -> np.ndarray:
-    """Non-stiff tendency (du, db_soft) of the perturbation form, half spectra."""
+    """dx/dt of the perturbation form without the diffusion Lap b, half spectra."""
     out = _quadratic_arrays(grid, x) if nonlinear else np.zeros_like(x)
     if coupling:
         ik2 = grid.half.ik2
@@ -94,42 +74,39 @@ def _rhs_arrays(grid: GridSpec, x: np.ndarray, nonlinear: bool, coupling: bool) 
 
 
 def _rhs_total_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:
-    """Non-stiff tendency of the total-field form; x holds (u1, u2, B1, B2)."""
+    """dx/dt of the total-field form without Lap b; x holds (u1, u2, B1, B2)."""
     return project_pairs(grid.half, _quadratic_arrays(grid, x))
 
 
-def _as_tendency(grid: GridSpec, soft: np.ndarray, b: np.ndarray) -> Tendency:
-    """Full-spectrum Tendency from the half spectra of the soft part and of b."""
-    stiff = -grid.half.ksq * b
-    stiff[:, 0, 0] = 0.0
-    both = np.concatenate([soft, stiff])
-    if not np.all(np.isfinite(both)):
+def _with_diffusion(grid: GridSpec, soft: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dx/dt from the non-stiff part and b: adds Lap b to the b rows, in place."""
+    soft[2:] -= grid.half.ksq * b
+    soft[:, 0, 0] = 0.0
+    if not np.all(np.isfinite(soft)):
         raise NonFiniteTendency("tendency contains non-finite coefficients")
-    du1, du2, ds1, ds2, st1, st2 = (SpectralScalar(grid, a) for a in to_full(both))
-    return Tendency(VectorField(du1, du2), VectorField(st1, st2), VectorField(ds1, ds2), grid)
+    return soft
 
 
-def rhs_perturbation(st: MHDState, nonlinear: bool = True, coupling: bool = True) -> Tendency:
-    """Tendency of the perturbation system at the given state.
+def rhs_perturbation(st: MHDState, nonlinear: bool = True, coupling: bool = True) -> np.ndarray:
+    """dx/dt of the perturbation system, diffusion included, in the layout of ``st.x``.
 
     The ``nonlinear`` and ``coupling`` hooks disable the quadratic products
     and the d2 exchange terms respectively; both are part of the public test
     surface (the linearized limit has a closed-form per-mode solution).
     """
-    soft = _rhs_arrays(st.grid, st.x, nonlinear, coupling)
-    return _as_tendency(st.grid, soft, st.x[2:])
+    return _with_diffusion(st.grid, _rhs_arrays(st.grid, st.x, nonlinear, coupling), st.x[2:])
 
 
-def rhs_total(u: VectorField, B: VectorField) -> Tendency:
-    """Tendency of the total-field system, formed directly from (u, B).
+def rhs_total(st: MHDState) -> np.ndarray:
+    """dx/dt of the total-field system, formed directly from (u, B = b + e2).
 
-    Provided to validate that the two formulations agree: for band-limited
-    states it matches ``rhs_perturbation`` applied to b = B - e2 to roundoff.
+    Takes the perturbation state and returns the layout of ``st.x``.  A
+    reference for ``rhs_perturbation``: for band-limited states the two
+    agree to roundoff, since the e2 terms are exactly the coupling terms.
     """
-    grid, (u1, u2) = _coeff_arrays(u)
-    _, (B1, B2) = _coeff_arrays(B)
-    x = to_half(np.stack([u1, u2, B1, B2]))
-    return _as_tendency(grid, _rhs_total_arrays(grid, x), x[2:])
+    x = st.x.copy()
+    x[3, 0, 0] += 1.0
+    return _with_diffusion(st.grid, _rhs_total_arrays(st.grid, x), st.x[2:])
 
 
 def compute_pressure(st: MHDState) -> ScalarField:
@@ -143,7 +120,7 @@ def compute_pressure(st: MHDState) -> ScalarField:
     g = _quadratic_arrays(grid, st.x)[:2] + half.ik2 * st.x[2:]
     # -Lap p = -div g, so p_hat = -i (k.g) / |k|^2, zero at k = 0
     p_hat = -1j * (half.k1 * g[0] + half.k2 * g[1]) * half.inv_ksq
-    return inverse_transform(SpectralScalar(grid, to_full(p_hat)))
+    return ScalarField(grid, roll_anchor(half_samples(grid, p_hat)))
 
 
 def transport_skew_defect(u: VectorField, f: ScalarField | SpectralScalar) -> float:
@@ -152,14 +129,17 @@ def transport_skew_defect(u: VectorField, f: ScalarField | SpectralScalar) -> fl
     With dealiased products the value is roundoff-level for divergence-free u.
     """
     grid, (u1, u2) = _coeff_arrays(u)
-    _, (f_hat,) = _coeff_arrays(f)
-    mask = grid.dealias_mask
-    U1 = ifft_samples(grid, u1 * mask).real
-    U2 = ifft_samples(grid, u2 * mask).real
-    g_hat = mask * fft_coeffs(grid, _advect(grid, U1, U2, f_hat * mask))
-    integral = MEASURE * float(np.sum(g_hat * np.conj(f_hat)).real)
-    norm_u = np.sqrt(MEASURE * float(np.sum(np.abs(u1) ** 2 + np.abs(u2) ** 2)))
-    norm_f_h1 = sobolev_norm(SpectralScalar(grid, f_hat), 1)
+    _, (f_full,) = _coeff_arrays(f)
+    half = grid.half
+    u_hat, f_hat = to_half(np.stack([u1, u2])), to_half(f_full)
+    # dealiased samples of u1, u2, d1 f and d2 f in one stacked transform
+    U1, U2, D1, D2 = half_samples(
+        grid, half.dealias_mask * np.concatenate([u_hat, half.ik_stack * f_hat])
+    )
+    g_hat = half.dealias_mask * half_coeffs(grid, U1 * D1 + U2 * D2)
+    integral = MEASURE * float(np.sum(half.weight * (g_hat * np.conj(f_hat)).real))
+    norm_u = np.sqrt(MEASURE * float(np.sum(half.weight * np.abs(u_hat) ** 2)))
+    norm_f_h1 = sobolev_norm(SpectralScalar(grid, f_full), 1)
     return abs(integral) / (norm_u * norm_f_h1**2 + 1e-30)
 
 

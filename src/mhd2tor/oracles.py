@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridTooLarge, NonFiniteState, ZeroWavevector
-from .spectral import GridSpec, ScalarField, ifft_samples, resample
+from .spectral import GridSpec, ScalarField, fft_coeffs, ifft_samples, resample
 from .symmetry import MHDState, state_from_arrays
 
 
@@ -153,7 +153,7 @@ def fd_run(
     grid = GridSpec(n_fd)
     dx = grid.spacing
     fields = [
-        ifft_samples(grid, resample(c, grid).coeffs).real
+        ifft_samples(grid, resample(c, grid).coeffs)
         for c in (st0.u.c1, st0.u.c2, st0.b.c1, st0.b.c2)
     ]
 
@@ -198,8 +198,6 @@ def fd_run(
         ]
         if not all(np.all(np.isfinite(a)) for a in y):
             raise NonFiniteState("finite-difference trajectory became non-finite")
-
-    from .spectral import fft_coeffs
 
     coeffs = [fft_coeffs(grid, a) for a in y]
     return state_from_arrays(grid, st0.t + n_steps * dt, *coeffs)

@@ -9,18 +9,20 @@ wavevectors ``k in {-n/2, ..., n/2 - 1}^2``, in one of two storage forms:
   the rows ``k1 = 0..n/2`` (the Nyquist row ``k1 = -n/2`` last); ``k2``
   keeps its full FFT-ordered axis, so the x2 reflection stays an index
   permutation.  ``MHDState`` holds one stack of four, which the solver,
-  the diagnostics and the checkpoint read directly.  ``half_samples``/
-  ``half_coeffs`` transform it with ``norm="forward"`` on the grid
-  anchored at 0: the grid below shifted by n/2 points along each axis.
-  Pointwise products give the same coefficients on either grid, so the
-  solver needs neither the phase nor the ``n^2`` scaling.  Sums over all
-  modes weight the stored rows by ``HalfGrid.weight``.
+  the diagnostics and the checkpoint read directly.  Sums over all modes
+  weight the stored rows by ``HalfGrid.weight``.
 * Public view: full spectra, shape ``(n, n)``, in standard FFT order,
-  built on demand (``to_full``/``to_half`` convert).  The forward
-  transform is the scaled DFT
-  ``fhat_k = n^-2 sum_ij f(x_ij) exp(-i k.x_ij)`` on the collocation grid
-  ``x_ij = (-pi + 2*pi*i/n, -pi + 2*pi*j/n)``; the offset at ``-pi`` is a
-  ``(-1)^(k1+k2)`` phase (``fft_coeffs``/``ifft_samples``).
+  built on demand (``to_full``/``to_half`` convert).
+
+Every transform is the one real pair ``half_samples``/``half_coeffs``
+(``irfft2``/``rfft2`` with ``norm="forward"``, so ``fhat_k`` is the scaled
+DFT ``n^-2 sum_ij f(y_ij) exp(-i k.y_ij)``) on the grid anchored at 0,
+``y_ij = (2*pi*i/n, 2*pi*j/n)``.  The public collocation grid
+``x_ij = (-pi + 2*pi*i/n, -pi + 2*pi*j/n)`` is the same point set shifted
+by n/2 points along each axis; ``roll_anchor`` maps samples between the
+two, so the offset lives in that one function.  Pointwise products give
+the same coefficients on either grid, so the run loop never rolls; the
+public transforms ``fft_coeffs``/``ifft_samples`` and the checkpoint do.
 
 Sobolev norms use the full ``(2*pi)^2`` measure, evaluated exactly through
 the Fourier multiplier ``mu_m(k) = sum_{|alpha| <= m} k1^(2a1) k2^(2a2)``,
@@ -135,21 +137,6 @@ class GridSpec:
         return self.k1**2 + self.k2**2
 
     @cached_property
-    def phase(self) -> np.ndarray:
-        """(-1)^(k1+k2) factor mapping the DFT to the grid anchored at -pi."""
-        return np.where((self.k1 + self.k2) % 2 == 0, 1.0, -1.0)
-
-    @cached_property
-    def ik1(self) -> np.ndarray:
-        """First-order d/dx1 multiplier (Nyquist zeroed)."""
-        return derivative_multiplier(self, (1, 0))
-
-    @cached_property
-    def ik2(self) -> np.ndarray:
-        """First-order d/dx2 multiplier (Nyquist zeroed)."""
-        return derivative_multiplier(self, (0, 1))
-
-    @cached_property
     def inv_ksq(self) -> np.ndarray:
         """1 / |k|^2 with the k = 0 entry set to zero."""
         out = np.zeros_like(self.ksq)
@@ -166,10 +153,11 @@ class GridSpec:
         cut = lambda a: np.ascontiguousarray(a[: self.n // 2 + 1])
         weight = np.full((self.n // 2 + 1, 1), 2.0)
         weight[[0, -1]] = 1.0
-        k1, k2, ksq, inv_ksq, mask, ik2 = map(
-            cut, (self.k1, self.k2, self.ksq, self.inv_ksq, self.dealias_mask, self.ik2)
+        k1, k2, ksq, inv_ksq, mask = map(
+            cut, (self.k1, self.k2, self.ksq, self.inv_ksq, self.dealias_mask)
         )
-        return HalfGrid(k1, k2, ksq, inv_ksq, mask, ik2, np.stack([cut(self.ik1), ik2]), weight)
+        ik = np.stack([cut(derivative_multiplier(self, a)) for a in ((1, 0), (0, 1))])
+        return HalfGrid(k1, k2, ksq, inv_ksq, mask, ik[1], ik, weight)
 
     @property
     def dealias_cutoff(self) -> float:
@@ -245,23 +233,20 @@ class VectorField:
 
 
 def fft_coeffs(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """Scaled forward DFT of physical samples; returns FFT-ordered coefficients.
+    """Scaled forward DFT of real physical samples; returns FFT-ordered coefficients.
 
     Accepts stacked inputs of shape (..., n, n); transforms the last two axes.
     """
-    return grid.phase * scipy.fft.fft2(samples, workers=fft_workers()) / grid.n**2
+    return to_full(half_coeffs(grid, roll_anchor(samples)))
 
 
 def ifft_samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Complex physical samples of a coefficient array (caller handles imag part).
+    """Real physical samples of the rows k1 = 0..n/2 of full coefficient arrays.
 
     Accepts stacked inputs of shape (..., n, n); transforms the last two axes.
-    The phased copy is the only temporary: the transform overwrites it and is
-    scaled in place, since fresh stack-sized arrays cost more than the math.
+    Rows k1 < 0 are not read: they are taken as the conjugate mirror.
     """
-    out = scipy.fft.ifft2(coeffs * grid.phase, workers=fft_workers(), overwrite_x=True)
-    out *= grid.n**2
-    return out
+    return roll_anchor(half_samples(grid, to_half(coeffs)))
 
 
 def half_samples(grid: GridSpec, half: np.ndarray) -> np.ndarray:
@@ -279,6 +264,13 @@ def half_samples(grid: GridSpec, half: np.ndarray) -> np.ndarray:
 def half_coeffs(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
     """Half spectra (..., n//2+1, n) of real samples on the grid anchored at 0."""
     return scipy.fft.rfft2(samples, axes=(-1, -2), norm="forward", workers=fft_workers())
+
+
+def roll_anchor(samples: np.ndarray) -> np.ndarray:
+    """Samples (..., n, n) moved between the grid anchored at 0 and the grid
+    anchored at -pi: a roll by n/2 points on both axes, its own inverse."""
+    h = samples.shape[-1] // 2
+    return np.roll(samples, (h, h), axis=(-2, -1))
 
 
 def to_half(coeffs: np.ndarray) -> np.ndarray:
@@ -358,20 +350,27 @@ def forward_transform(f: ScalarField) -> SpectralScalar:
 def inverse_transform(g: SpectralScalar, imag_tol: float = 1e-10) -> ScalarField:
     """Transform coefficients to real samples.
 
+    The coefficients c split into a Hermitian part (c + m)/2 and an
+    anti-Hermitian part over i, (c - m)/2i, with m_k = conj(c_-k); the
+    samples of the two are the real and the imaginary part of the field.
+
     Raises
     ------
     HermitianViolation
         If the imaginary residue exceeds ``imag_tol`` relative to the field
         magnitude (the coefficients do not represent a real field).
     """
-    z = ifft_samples(g.grid, g.coeffs)
-    scale = np.max(np.abs(z))
-    residue = np.max(np.abs(z.imag))
+    c = g.coeffs
+    neg = (-np.arange(g.grid.n)) % g.grid.n
+    m = np.conj(c[np.ix_(neg, neg)])
+    re, im = ifft_samples(g.grid, np.stack([c + m, (c - m) / 1j]) * 0.5)
+    scale = np.max(np.hypot(re, im))
+    residue = np.max(np.abs(im))
     if scale > 0 and residue > imag_tol * scale:
         raise HermitianViolation(
             f"imaginary residue {residue:.3e} exceeds {imag_tol:.1e} of magnitude {scale:.3e}"
         )
-    return ScalarField(g.grid, z.real)
+    return ScalarField(g.grid, re)
 
 
 def partial_derivative(g: SpectralScalar, alpha: tuple[int, int]) -> SpectralScalar:

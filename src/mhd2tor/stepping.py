@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _rhs_arrays, _rhs_total_arrays
+from .dynamics import _rhs_arrays
+from .dynamics import _rhs_total_arrays  # noqa: F401  traced by name in bench/spans.py
 from .errors import NonFiniteState, StepTooSmall
 from .spectral import half_samples
 from .symmetry import MHDState
@@ -81,36 +82,15 @@ def cfl_dt(st: MHDState, cfg: StepperConfig) -> float:
     return dt
 
 
-def _soft_rhs(grid, nonlinear: bool, coupling: bool, rhs_mode: str):
-    """Non-stiff tendency (du, db_soft) as a function of stacked half spectra.
-
-    The kernels are looked up in this module at call time.
-    """
-    if rhs_mode == "perturbation":
-        return lambda x: _rhs_arrays(grid, x, nonlinear, coupling)
-    if rhs_mode == "total":
-
-        def rhs(x):
-            total = x.copy()
-            total[3, 0, 0] += 1.0  # B2 = b2 + 1
-            return _rhs_total_arrays(grid, total)
-
-        return rhs
-    raise ValueError(f"unknown rhs_mode {rhs_mode!r}")
-
-
-def step_ifrk4(
-    st: MHDState,
-    dt: float,
-    nonlinear: bool = True,
-    coupling: bool = True,
-    rhs_mode: str = "perturbation",
-) -> MHDState:
+def step_ifrk4(st: MHDState, dt: float, nonlinear: bool = True, coupling: bool = True) -> MHDState:
     """Advance one step of size dt with integrating-factor RK4."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = st.grid
-    rhs = _soft_rhs(grid, nonlinear, coupling, rhs_mode)
+
+    def rhs(x):
+        return _rhs_arrays(grid, x, nonlinear, coupling)
+
     # only b diffuses: the factors are 1 on the u rows of the stack
     heat = _heat_factors(grid, dt)
     one = np.ones_like(heat[0])
@@ -136,7 +116,6 @@ def run(
     energy_params=None,
     nonlinear: bool = True,
     coupling: bool = True,
-    rhs_mode: str = "perturbation",
 ) -> MHDState:
     """Advance to t_end with CFL steps, landing exactly on sample times.
 
@@ -164,8 +143,7 @@ def run(
             dt = cfl_dt(st, cfg)
             landing = st.t + dt >= target - _LANDING_TOL
             st = step_ifrk4(
-                st, target - st.t if landing else dt,
-                nonlinear=nonlinear, coupling=coupling, rhs_mode=rhs_mode,
+                st, target - st.t if landing else dt, nonlinear=nonlinear, coupling=coupling
             )
             if landing:
                 st.t = target  # exact landing

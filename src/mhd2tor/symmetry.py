@@ -24,6 +24,7 @@ from .spectral import (
     GridSpec,
     SpectralScalar,
     VectorField,
+    _coeff_arrays,
     derivative_multiplier,
     divergence_defect,
     half_samples,
@@ -189,12 +190,13 @@ def _draw_class_pair(
 
 
 def gradient_norm(v: VectorField, m: int) -> float:
-    """H^m norm of the full gradient of a (spectral) vector field."""
-    parts = []
-    for comp in (v.c1, v.c2):
-        for alpha in ((1, 0), (0, 1)):
-            d = comp.coeffs * derivative_multiplier(v.grid, alpha)
-            parts.append(SpectralScalar(v.grid, d))
+    """H^m norm of the full gradient of a vector field in either representation."""
+    grid, comps = _coeff_arrays(v)
+    parts = [
+        SpectralScalar(grid, c * derivative_multiplier(grid, alpha))
+        for c in comps
+        for alpha in ((1, 0), (0, 1))
+    ]
     return float(np.sqrt(sum(sobolev_norm(p, m) ** 2 for p in parts)))
 
 

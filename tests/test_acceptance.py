@@ -31,6 +31,8 @@ from mhd2tor.verify import (
     verify_skew,
 )
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(num: int, name: str, ok: bool, detail: str):
     line = f"[{num:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})"

@@ -41,6 +41,18 @@ def test_config_error_exit_2(tmp_path):
     assert main(["--quiet", "simulate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("line", ["seed = -1", "sample_every = nan"])
+def test_bad_value_exit_2_without_output(tmp_path, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD.replace("seed = 4", "").replace("sample_every = 0.1", "") + line + "\n")
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", "--config", str(bad), "--outdir", str(out)]) == 2
+    assert not out.exists()
+    ic = tmp_path / "ic.chk"
+    assert main(["--quiet", "make-ic", "--config", str(bad), "--out", str(ic)]) == 2
+    assert not ic.exists()
+
+
 def test_missing_config_exit_4(tmp_path):
     assert main(["--quiet", "simulate", "--config", str(tmp_path / "none.cfg")]) == 4
 

@@ -19,7 +19,6 @@ def test_minimal_config_defaults():
     assert cfg.cfl == 0.4
     assert cfg.sample_every == 0.1
     assert cfg.snapshot_every == 0.0
-    assert cfg.formulation == "perturbation"
     assert cfg.nonlinearity and cfg.coupling
 
 
@@ -57,9 +56,23 @@ def test_invalid_values():
     with pytest.raises(InvalidValue):
         parse_config(MINIMAL + "seed = not_an_int\n")
     with pytest.raises(InvalidValue):
-        parse_config(MINIMAL + "formulation = vorticity\n")
-    with pytest.raises(InvalidValue):
         parse_config(MINIMAL + "just a line without equals\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "t_end = inf", "t_end = nan", "sample_every = nan", "epsilon = nan",
+        "epsilon = inf", "spectrum_decay = nan", "dt_max = inf", "seed = -1",
+    ],
+)
+def test_non_finite_and_negative_seed_rejected(line):
+    key = line.split(" =")[0]
+    text = "\n".join(
+        row for row in MINIMAL.splitlines() if not row.startswith(key + " ")
+    )
+    with pytest.raises(InvalidValue, match=key):
+        parse_config(text + "\n" + line + "\n")
 
 
 def test_snapshot_must_align_with_samples():

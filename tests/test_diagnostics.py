@@ -25,6 +25,7 @@ from mhd2tor.spectral import (
     VectorField,
     divergence_defect,
     forward_transform,
+    inverse_transform,
     partial_derivative,
     sobolev_norm,
 )
@@ -140,6 +141,16 @@ def test_poincare_bound_and_cz(grid):
             worst = max(worst, ratio)
             assert lhs <= SQRT2 * rhs * (1 + 1e-12)
     assert worst <= SQRT2 + 1e-8
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_poincare_accepts_physical_fields(grid, seed):
+    """A physical VectorField gives the spectral field's (lhs, rhs, ratio)."""
+    u = random_class_velocity(grid, seed=seed)
+    phys = VectorField(inverse_transform(u.c1), inverse_transform(u.c2))
+    for k in (0, 2):
+        for got, want in zip(poincare_check(phys, k), poincare_check(u, k)):
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_poincare_rejects_out_of_class(grid):

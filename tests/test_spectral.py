@@ -78,6 +78,22 @@ def test_hermitian_violation(grid):
         inverse_transform(SpectralScalar(grid, c))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_hermitian_violation_threshold(grid, seed):
+    """imag_tol bounds max |Im f| / max |f| of the complex synthesis, taken
+    here from a complex inverse DFT on the grid anchored at -pi."""
+    r = rng(10 + seed)
+    c = r.standard_normal((16, 16)) + 1j * r.standard_normal((16, 16))
+    k = np.fft.fftfreq(16, 1.0 / 16)
+    phase = (-1.0) ** (k[:, None] + k[None, :])
+    z = np.fft.ifft2(c * phase) * 16**2
+    ratio = np.max(np.abs(z.imag)) / np.max(np.abs(z))
+    with pytest.raises(HermitianViolation):
+        inverse_transform(SpectralScalar(grid, c), imag_tol=0.99 * ratio)
+    got = inverse_transform(SpectralScalar(grid, c), imag_tol=1.01 * ratio)
+    assert np.max(np.abs(got.samples - z.real)) < 1e-12 * np.max(np.abs(z))
+
+
 def test_derivative_exact_on_trig(grid):
     f = ScalarField(grid, np.sin(3 * grid.x1) * np.cos(grid.x2))
     F = forward_transform(f)
@@ -183,7 +199,7 @@ def test_stacked_transforms(grid):
     for i in range(3):
         single = fft_coeffs(grid, batch[i])
         assert np.max(np.abs(stacked[i] - single)) == 0.0
-    back = ifft_samples(grid, stacked).real
+    back = ifft_samples(grid, stacked)
     assert np.max(np.abs(back - batch)) < 1e-13
 
 

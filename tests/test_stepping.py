@@ -73,8 +73,7 @@ def test_step_preserves_class(grid):
     assert symmetry_defect(st) < 1e-12
 
 
-@pytest.mark.parametrize("rhs_mode", ["perturbation", "total"])
-def test_step_conserves_means_bitwise(grid, rhs_mode):
+def test_step_conserves_means_bitwise(grid):
     """The exact flow conserves the mean of every component; every stage
     tendency has a zero k = 0 mode, so the step keeps it bit for bit."""
     st = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=6), grid)
@@ -84,7 +83,7 @@ def test_step_conserves_means_bitwise(grid, rhs_mode):
         c[0, 0] = m
     st = state_from_arrays(grid, 0.0, *arrays)
     for _ in range(10):
-        st = step_ifrk4(st, 5e-3, rhs_mode=rhs_mode)
+        st = step_ifrk4(st, 5e-3)
     assert [c[0, 0] for c in st.coeff_arrays()] == list(means)
     assert np.max(np.abs(st.coeff_arrays()[0] - arrays[0])) > 0  # it did move
 
@@ -95,18 +94,6 @@ def test_step_deterministic(grid):
     b = step_ifrk4(st0, 1e-2)
     for x, y in zip(a.coeff_arrays(), b.coeff_arrays()):
         assert np.array_equal(x, y)
-
-
-def test_total_formulation_agrees(grid):
-    st0 = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=4), grid)
-    a = st0
-    b = st0
-    for _ in range(10):
-        a = step_ifrk4(a, 2e-3, rhs_mode="perturbation")
-        b = step_ifrk4(b, 2e-3, rhs_mode="total")
-    scale = max(np.max(np.abs(c)) for c in a.coeff_arrays())
-    for x, y in zip(a.coeff_arrays(), b.coeff_arrays()):
-        assert np.max(np.abs(x - y)) < 1e-12 * max(scale, 1.0)
 
 
 def test_run_lands_on_sample_times(grid):

@@ -5,20 +5,37 @@ Perturbation form (B = b + e2):
     u_t = P(-u.grad u + b.grad b + d2 b)
     b_t = -u.grad b + b.grad u + d2 u + Lap b
 
-with P the Leray projection.  Quadratic products are formed
-pseudo-spectrally from dealiased inputs and dealiased again; linear terms
-are not dealiased.  The k = 0 mode of every tendency is forced to zero.
+with P the Leray projection.  The quadratic terms are formed in
+divergence form, which for divergence-free u and b is the same flow:
+
+    -u.grad u + b.grad b = -div(u u - b b)
+                         = -(d1 A + d2 C, d1 C - d2 A) - grad (|u|^2 - |b|^2)/2
+    -u.grad b + b.grad u = curl(u x b) = (d2 E, -d1 E)
+
+with A = (u1^2 - u2^2 - b1^2 + b2^2)/2, C = u1 u2 - b1 b2 and
+E = u1 b2 - u2 b1.  The gradient is removed by P, so the kernel drops it.
+This assumes divergence-free input, which every state the solver steps,
+draws as initial data or writes to a checkpoint satisfies; for such fields
+the two forms agree to roundoff after dealiasing (the test suite checks
+them against direct-sum advective products).  The three products are formed
+pseudo-spectrally from dealiased inputs and dealiased again: one stacked
+inverse transform of 4 fields and one forward transform of 3 per
+evaluation.  Linear terms are not dealiased.  The k = 0 mode of every
+tendency is forced to zero.
 
 Everything works on the state's own array: stacked half spectra
 (u1, u2, b1, b2) of shape (4, n//2+1, n), transformed without phase or
 scaling on the grid anchored at 0 (see ``spectral``).  The private
 ``_rhs_arrays`` kernel returns the non-stiff part, without the diffusion
-Lap b, which the stepper applies through an exact integrating factor; the
-public ``rhs_perturbation``/``rhs_total`` return the whole dx/dt in the
-same layout.
+Lap b, which the stepper applies through an exact integrating factor; it
+works in per-grid buffers and can write into a caller's array.  The public
+``rhs_perturbation``/``rhs_total`` return the whole dx/dt in the same
+layout, in a new array.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,41 +58,84 @@ from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in 
 from .symmetry import MHDState
 
 
-def _quadratic_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:
-    """Dealiased products (-u.grad u + b.grad b, -u.grad b + b.grad u).
-
-    ``x`` holds the half spectra of (u1, u2, b1, b2); one stacked inverse
-    transform of 12 fields and one forward transform of 4 per evaluation.
-    """
+@lru_cache(maxsize=4)
+def _workspace(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Arrays that ``_rhs_arrays`` overwrites on every call, one set per grid:
+    four half spectra, the samples of A, C, E and two half spectra of
+    scratch."""
     n = grid.n
+    shape = (n // 2 + 1, n)
+    return (
+        np.empty((4,) + shape, dtype=np.complex128),
+        np.empty((3, n, n)),
+        np.empty((2,) + shape, dtype=np.complex128),
+    )
+
+
+def _quadratic_arrays(grid: GridSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Dealiased (-(d1 A + d2 C), d2 A - d1 C, d2 E, -d1 E) into ``out``.
+
+    ``x`` holds the half spectra of divergence-free (u1, u2, b1, b2); see
+    the module docstring for A, C, E.  One stacked inverse transform of 4
+    fields and one forward transform of 3 per evaluation.
+    """
     half = grid.half
-    stacked = np.empty((12,) + x.shape[1:], dtype=np.complex128)
-    spec = stacked[:4]
+    spec, prods, scratch = _workspace(grid)
     np.multiply(x, half.dealias_mask, out=spec)
-    # gradients of all four fields via one broadcast multiply
-    np.multiply(spec[:, None], half.ik_stack[None], out=stacked[4:].reshape((4, 2) + x.shape[1:]))
-    phys = half_samples(grid, stacked)
-    U1, U2, B1, B2 = phys[:4]
-    grads = phys[4:].reshape(4, 2, n, n)  # grads[i, j] = d_j of field i
-    u_grad = U1 * grads[:, 0] + U2 * grads[:, 1]
-    b_grad = B1 * grads[:, 0] + B2 * grads[:, 1]
-    products = b_grad[[2, 3, 0, 1]] - u_grad
-    return half.dealias_mask * half_coeffs(grid, products)
+    phys = half_samples(grid, spec)
+    U1, U2, B1, B2 = phys
+    A, C, E = prods
+    # A holds the second factors of C and E until A itself is formed
+    np.multiply(U1, U2, out=C)
+    C -= np.multiply(B1, B2, out=A)
+    np.multiply(U1, B2, out=E)
+    E -= np.multiply(U2, B1, out=A)
+    np.square(phys, out=phys)
+    np.subtract(U1, U2, out=A)
+    A -= B1
+    A += B2
+    A *= 0.5
+    hat = half_coeffs(grid, prods)
+    hat *= half.dealias_mask
+    A_hat, C_hat, E_hat = hat
+    d1, d2 = half.ik_stack
+    t = scratch[0]
+    np.multiply(d1, A_hat, out=out[0])
+    out[0] += np.multiply(d2, C_hat, out=t)
+    np.negative(out[0], out=out[0])
+    np.multiply(d2, A_hat, out=out[1])
+    out[1] -= np.multiply(d1, C_hat, out=t)
+    np.multiply(d2, E_hat, out=out[2])
+    np.multiply(d1, E_hat, out=out[3])
+    np.negative(out[3], out=out[3])
+    return out
 
 
-def _rhs_arrays(grid: GridSpec, x: np.ndarray, nonlinear: bool, coupling: bool) -> np.ndarray:
-    """dx/dt of the perturbation form without the diffusion Lap b, half spectra."""
-    out = _quadratic_arrays(grid, x) if nonlinear else np.zeros_like(x)
+def _rhs_arrays(
+    grid: GridSpec, x: np.ndarray, nonlinear: bool, coupling: bool, out: np.ndarray | None = None
+) -> np.ndarray:
+    """dx/dt of the perturbation form without the diffusion Lap b, half spectra.
+
+    Written into ``out`` when given, else into a new array.
+    """
+    if out is None:
+        out = np.empty_like(x)
+    if nonlinear:
+        _quadratic_arrays(grid, x, out)
+    else:
+        out[...] = 0.0
+    scratch = _workspace(grid)[2]
     if coupling:
         ik2 = grid.half.ik2
-        out[:2] += ik2 * x[2:]
-        out[2:] += ik2 * x[:2]
-    return project_pairs(grid.half, out)
+        out[:2] += np.multiply(ik2, x[2:], out=scratch)
+        out[2:] += np.multiply(ik2, x[:2], out=scratch)
+    return project_pairs(grid.half, out, scratch)
 
 
 def _rhs_total_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:
-    """dx/dt of the total-field form without Lap b; x holds (u1, u2, B1, B2)."""
-    return project_pairs(grid.half, _quadratic_arrays(grid, x))
+    """dx/dt of the total-field form without Lap b; x holds (u1, u2, B1, B2),
+    so the products bring in the coupling terms."""
+    return _rhs_arrays(grid, x, nonlinear=True, coupling=False)
 
 
 def _with_diffusion(grid: GridSpec, soft: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,6 +163,8 @@ def rhs_total(st: MHDState) -> np.ndarray:
     Takes the perturbation state and returns the layout of ``st.x``.  A
     reference for ``rhs_perturbation``: for band-limited states the two
     agree to roundoff, since the e2 terms are exactly the coupling terms.
+    The unit background enters the products (B2^2 in A) at order 1, so that
+    roundoff is absolute, about 1e-16 |B|^2 per unit wavenumber.
     """
     x = st.x.copy()
     x[3, 0, 0] += 1.0
@@ -113,13 +175,17 @@ def compute_pressure(st: MHDState) -> ScalarField:
     """Diagnostic pressure: solves -Lap p = div(u.grad u - b.grad b - d2 b).
 
     Mean-zero convention (p_hat at k = 0 is zero).  The gradient of the
-    result equals the Leray-removed part of the u tendency.
+    result equals the Leray-removed part of the u tendency.  For
+    divergence-free fields the right side is div div T with the stress
+    T = u u - b b (d2 b has no divergence), so p_hat = -k.T_hat.k / |k|^2,
+    with T formed from dealiased samples and dealiased again.
     """
     grid, half = st.grid, st.grid.half
-    # the u tendency before projection, g = -u.grad u + b.grad b + d2 b
-    g = _quadratic_arrays(grid, st.x)[:2] + half.ik2 * st.x[2:]
-    # -Lap p = -div g, so p_hat = -i (k.g) / |k|^2, zero at k = 0
-    p_hat = -1j * (half.k1 * g[0] + half.k2 * g[1]) * half.inv_ksq
+    U1, U2, B1, B2 = half_samples(grid, half.dealias_mask * st.x)
+    stress = np.stack([U1 * U1 - B1 * B1, U1 * U2 - B1 * B2, U2 * U2 - B2 * B2])
+    T11, T12, T22 = half.dealias_mask * half_coeffs(grid, stress)
+    k1, k2 = half.k1, half.k2
+    p_hat = -(k1 * k1 * T11 + 2.0 * k1 * k2 * T12 + k2 * k2 * T22) * half.inv_ksq
     return ScalarField(grid, roll_anchor(half_samples(grid, p_hat)))
 
 

@@ -303,21 +303,38 @@ def derivative_multiplier(grid: GridSpec, alpha: tuple[int, int]) -> np.ndarray:
     return (1j * k1) ** a1 * (1j * k2) ** a2
 
 
+def _project_in_place(
+    grid: GridSpec | HalfGrid, v1: np.ndarray, v2: np.ndarray, work: np.ndarray
+) -> None:
+    """v -> v - k (k.v) / |k|^2 per mode, in place; ``work`` holds two
+    complex arrays of the shape of ``v1`` as scratch."""
+    factor, t = work
+    np.multiply(grid.k1, v1, out=factor)
+    factor += np.multiply(grid.k2, v2, out=t)
+    factor *= grid.inv_ksq
+    v1 -= np.multiply(grid.k1, factor, out=t)
+    v2 -= np.multiply(grid.k2, factor, out=t)
+
+
 def project_divergence_free(
     grid: GridSpec | HalfGrid, v1: np.ndarray, v2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leray projection per mode: v -> v - k (k.v) / |k|^2; k = 0 untouched.
 
-    Pass ``grid.half`` for half spectra.
+    Pass ``grid.half`` for half spectra.  Returns new arrays.
     """
-    factor = (grid.k1 * v1 + grid.k2 * v2) * grid.inv_ksq
-    return v1 - grid.k1 * factor, v2 - grid.k2 * factor
+    p = np.array([v1, v2], dtype=np.complex128)
+    _project_in_place(grid, p[0], p[1], np.empty_like(p))
+    return p[0], p[1]
 
 
-def project_pairs(grid: GridSpec | HalfGrid, x: np.ndarray) -> np.ndarray:
-    """Leray-project (x[0], x[1]) and (x[2], x[3]) and zero k = 0, in place."""
+def project_pairs(grid: GridSpec | HalfGrid, x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Leray-project (x[0], x[1]) and (x[2], x[3]) and zero k = 0, in place.
+
+    ``work`` (shape ``(2,) + x.shape[1:]``, complex) is scratch.
+    """
     for i in (0, 2):
-        x[i], x[i + 1] = project_divergence_free(grid, x[i], x[i + 1])
+        _project_in_place(grid, x[i], x[i + 1], work)
     x[..., 0, 0] = 0.0
     return x
 

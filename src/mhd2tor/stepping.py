@@ -59,6 +59,9 @@ class StepperConfig:
     dt_min: float = 1e-8
 
     def __post_init__(self):
+        for name in ("t_end", "cfl", "dt_max", "dt_min"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.dt_max <= 0 or self.dt_min <= 0:
@@ -82,30 +85,65 @@ def cfl_dt(st: MHDState, cfg: StepperConfig) -> float:
     return dt
 
 
+@lru_cache(maxsize=4)
+def _stage_buffers(grid) -> np.ndarray:
+    """Two stacked half spectra that ``step_ifrk4`` overwrites on every step."""
+    return np.empty((2, 4, grid.n // 2 + 1, grid.n), dtype=np.complex128)
+
+
 def step_ifrk4(st: MHDState, dt: float, nonlinear: bool = True, coupling: bool = True) -> MHDState:
-    """Advance one step of size dt with integrating-factor RK4."""
+    """Advance one step of size dt with integrating-factor RK4.
+
+    x_new = e_full x + dt/6 (e_full k1 + 2 e_half k2 + 2 e_half k3 + k4),
+    with e_half = exp(-|k|^2 dt/2) and e_full = exp(-|k|^2 dt) on the b rows
+    alone (only b diffuses).  The weighted sum of the stage tendencies
+    accumulates in one per-grid buffer and each tendency lands in a second;
+    the stage inputs are formed in the new state's array, which the
+    returned state owns.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = st.grid
-
-    def rhs(x):
-        return _rhs_arrays(grid, x, nonlinear, coupling)
-
-    # only b diffuses: the factors are 1 on the u rows of the stack
-    heat = _heat_factors(grid, dt)
-    one = np.ones_like(heat[0])
-    e_half, e_full = (np.stack([one, one, e, e]) for e in heat)
-
+    e_half, e_full = _heat_factors(grid, dt)
+    acc, k = _stage_buffers(grid)
     x = st.x
-    k1 = rhs(x)
-    k2 = rhs(e_half * (x + 0.5 * dt * k1))
-    k3 = rhs(e_half * x + 0.5 * dt * k2)
-    k4 = rhs(e_full * x + dt * e_half * k3)
-    x = e_full * x + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    y = np.empty_like(x)
 
-    if not np.all(np.isfinite(x)):
+    def rhs(stage_input, out):
+        return _rhs_arrays(grid, stage_input, nonlinear, coupling, out=out)
+
+    rhs(x, acc)
+    # y = e_half (x + dt/2 k1); acc = e_full k1
+    np.multiply(acc, 0.5 * dt, out=y)
+    y += x
+    y[2:] *= e_half
+    acc[2:] *= e_full
+    rhs(y, k)
+    # y = e_half x + dt/2 k2; acc += 2 e_half k2
+    np.multiply(k, 0.5 * dt, out=y)
+    y[:2] += x[:2]
+    k[2:] *= e_half
+    k *= 2.0
+    acc += k
+    y[2:] += np.multiply(x[2:], e_half, out=k[2:])
+    rhs(y, k)
+    # y = e_full x + dt e_half k3; acc += 2 e_half k3
+    k[2:] *= e_half
+    np.multiply(k, dt, out=y)
+    k *= 2.0
+    acc += k
+    y[:2] += x[:2]
+    y[2:] += np.multiply(x[2:], e_full, out=k[2:])
+    rhs(y, k)
+    # y = e_full x + dt/6 (acc + k4)
+    acc += k
+    np.multiply(acc, dt / 6.0, out=y)
+    y[:2] += x[:2]
+    y[2:] += np.multiply(x[2:], e_full, out=k[2:])
+
+    if not np.all(np.isfinite(y)):
         raise NonFiniteState(f"state became non-finite during step from t={st.t:.6g}")
-    return MHDState(grid, st.t + dt, x)
+    return MHDState(grid, st.t + dt, y)
 
 
 def run(
@@ -124,8 +162,8 @@ def run(
     """
     from .diagnostics import EnergyParams, instantaneous
 
-    if sample_every <= 0:
-        raise ValueError(f"sample_every must be positive, got {sample_every}")
+    if not (np.isfinite(sample_every) and sample_every > 0):
+        raise ValueError(f"sample_every must be positive and finite, got {sample_every}")
     params = energy_params if energy_params is not None else EnergyParams(s=2)
 
     st = st0

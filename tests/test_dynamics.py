@@ -19,7 +19,9 @@ from mhd2tor.spectral import (
     VectorField,
     derivative_multiplier,
     divergence_defect,
+    fft_coeffs,
     forward_transform,
+    ifft_samples,
     project_divergence_free,
     resample,
     to_full,
@@ -107,20 +109,50 @@ def test_resolution_independence(small_state):
     assert np.max(np.abs(shrunk.coeffs - du1_small)) < 1e-8
 
 
+def _advective_u_tendency(grid, st):
+    """-u.grad u + b.grad b + d2 b before projection, full spectra, formed in
+    advective form from dealiased samples with the public transforms."""
+    mask = grid.dealias_mask
+    ik = [derivative_multiplier(grid, a) for a in ((1, 0), (0, 1))]
+    fields = [mask * c for c in st.coeff_arrays()]
+    U1, U2, B1, B2 = (ifft_samples(grid, c) for c in fields)
+    grads = [[ifft_samples(grid, d * c) for d in ik] for c in fields]
+    g = [
+        -(U1 * grads[i][0] + U2 * grads[i][1]) + B1 * grads[i + 2][0] + B2 * grads[i + 2][1]
+        for i in (0, 1)
+    ]
+    return [mask * fft_coeffs(grid, gi) + ik[1] * c for gi, c in zip(g, fields[2:])]
+
+
 def test_pressure_closes_leray_residual(grid, small_state):
     """grad p must equal the part of the u tendency removed by projection."""
-    from mhd2tor.dynamics import _quadratic_arrays
-
-    u1, u2, b1, b2 = small_state.coeff_arrays()
     ik1, ik2 = (derivative_multiplier(grid, a) for a in ((1, 0), (0, 1)))
-    g1, g2, _, _ = to_full(_quadratic_arrays(grid, small_state.x))
-    g1 += ik2 * b1
-    g2 += ik2 * b2
+    g1, g2 = _advective_u_tendency(grid, small_state)
     p1, p2 = project_divergence_free(grid, g1, g2)
     resid1, resid2 = g1 - p1, g2 - p2
+    assert np.max(np.abs(resid1)) > 1e-8  # well above the bounds below
     p_hat = forward_transform(compute_pressure(small_state)).coeffs
     assert np.max(np.abs(ik1 * p_hat - resid1)) < 1e-10
     assert np.max(np.abs(ik2 * p_hat - resid2)) < 1e-10
+
+
+def _taylor_green(grid):
+    s1 = forward_transform(ScalarField(grid, np.sin(grid.x1) * np.cos(grid.x2))).coeffs
+    s2 = forward_transform(ScalarField(grid, -np.cos(grid.x1) * np.sin(grid.x2))).coeffs
+    return s1, s2
+
+
+@pytest.mark.parametrize("field, sign", [("u", 1.0), ("b", -1.0)])
+def test_pressure_taylor_green(field, sign):
+    """u = (sin x1 cos x2, -cos x1 sin x2) with b = 0 has the pressure
+    (cos 2x1 + cos 2x2)/4; the same field as b with u = 0 has its negative."""
+    grid = GridSpec(16)
+    zero = np.zeros((16, 16), dtype=np.complex128)
+    tg = _taylor_green(grid)
+    arrays = (*tg, zero, zero.copy()) if field == "u" else (zero, zero.copy(), *tg)
+    st = state_from_arrays(grid, 0.0, *arrays)
+    expected = sign * (np.cos(2 * grid.x1) + np.cos(2 * grid.x2)) / 4
+    assert np.max(np.abs(compute_pressure(st).samples - expected)) < 1e-12
 
 
 def test_skew_defect_analytic(grid):
@@ -133,8 +165,6 @@ def test_skew_defect_analytic(grid):
 
 
 def test_l2_energy_matches_quadrature(grid, small_state):
-    from mhd2tor.spectral import ifft_samples
-
     total = 0.0
     for c in small_state.coeff_arrays():
         phys = ifft_samples(grid, c)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from mhd2tor.errors import GridTooLarge, ZeroWavevector
 from mhd2tor.oracles import (
@@ -169,16 +171,18 @@ def _direct_samples(coeffs):
     return (e @ coeffs @ e.T).real
 
 
-def test_dealiased_products_match_direct_dft():
-    """The nonlinear tendency equals direct-sum products, dealiased and
-    Leray-projected with centered wavenumbers, built without the FFT kernel."""
-    from mhd2tor.dynamics import rhs_perturbation
+def _direct_tendency(st, total):
+    """Non-stiff dx/dt from direct-sum advective products, dealiased and
+    Leray-projected with centered wavenumbers, built without the FFT kernel.
 
-    n = 16
-    grid = GridSpec(n)
-    st = make_initial_data(InitialDataSpec(epsilon=2.0, s=2, seed=8), grid)
+    ``total`` forms it from (u, B = b + e2), which brings in the coupling
+    terms; otherwise it is the products of (u, b) alone."""
+    n = st.grid.n
+    grid = st.grid
     fields = [ScalarField(grid, _direct_samples(c)) for c in st.coeff_arrays()]
     u1, u2, b1, b2 = (f.samples for f in fields)
+    if total:
+        b2 = b2 + 1.0
     d = [[dft_derivative(f, a).samples for a in ((1, 0), (0, 1))] for f in fields]
 
     def grad_along(v1, v2, i):
@@ -201,11 +205,63 @@ def test_dealiased_products_match_direct_dft():
         expected += [g1 - k1 * kdotg, g2 - k2 * kdotg]
     for e in expected:
         e[n // 2, n // 2] = 0.0
+    return expected
 
+
+def _assert_matches_direct(st, dx, expected, atol=0.0, min_scale=1e-6):
+    """dx (half spectra) equals the centered full spectra ``expected`` to
+    1e-12 of their largest coefficient, plus ``atol``; that coefficient must
+    exceed ``min_scale``, so near-zero products cannot pass."""
+    n = st.grid.n
+    scale = max(np.max(np.abs(e)) for e in expected)
+    assert scale > min_scale
+    for g, e in zip(to_full(dx), expected):
+        assert np.max(np.abs(_centered(g, n) - e)) < 1e-12 * scale + atol
+
+
+def _with_direct_diffusion(st, expected):
+    """``expected`` plus the diffusion -|k|^2 b on the b rows, centered."""
+    n = st.grid.n
+    k = np.arange(-n // 2, n // 2)
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    b = [_centered(c, n) for c in st.coeff_arrays()[2:]]
+    return expected[:2] + [e - ksq * c for e, c in zip(expected[2:], b)]
+
+
+def test_dealiased_products_match_direct_dft():
+    """The nonlinear tendency equals direct-sum advective products, dealiased
+    and Leray-projected, built without the FFT kernel."""
+    from mhd2tor.dynamics import rhs_perturbation
+
+    st = make_initial_data(InitialDataSpec(epsilon=2.0, s=2, seed=8), GridSpec(16))
     # the diffusion Lap b is linear: take it out of dx/dt to leave the products
     dx = rhs_perturbation(st, nonlinear=True, coupling=False)
-    dx[2:] += grid.half.ksq * st.x[2:]
-    scale = max(np.max(np.abs(e)) for e in expected)
-    assert scale > 1e-6
-    for g, e in zip(to_full(dx), expected):
-        assert np.max(np.abs(_centered(g, n) - e)) < 1e-12 * scale
+    dx[2:] += st.grid.half.ksq * st.x[2:]
+    _assert_matches_direct(st, dx, _direct_tendency(st, False))
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=hst.integers(0, 2**31 - 1),
+    n=hst.sampled_from([16, 24, 32]),
+    epsilon=hst.floats(1e-3, 2.0),
+)
+def test_rhs_matches_direct_advective_products(seed, n, epsilon):
+    """The divergence-form kernel agrees with the advective form on
+    divergence-free states: its products alone, and the public
+    rhs_perturbation (coupling off) and rhs_total (products of (u, b + e2),
+    which bring in the coupling), diffusion included."""
+    from mhd2tor.dynamics import _rhs_arrays, rhs_perturbation, rhs_total
+
+    st = make_initial_data(InitialDataSpec(epsilon=epsilon, s=2, seed=seed), GridSpec(n))
+    # the products are quadratic in epsilon: over 300 seeds at n=16 their
+    # largest coefficient is at least 3.7e-7 epsilon^2
+    min_scale = 1e-8 * epsilon**2
+    products = _direct_tendency(st, False)
+    _assert_matches_direct(st, _rhs_arrays(st.grid, st.x, True, False), products, min_scale=min_scale)
+    dx = rhs_perturbation(st, nonlinear=True, coupling=False)
+    _assert_matches_direct(st, dx, _with_direct_diffusion(st, products), min_scale=min_scale)
+    # the unit background e2 enters the total-form products (b2 + 1)^2 at
+    # order 1, so their roundoff is absolute: about 1e-16 per unit wavenumber
+    total = _with_direct_diffusion(st, _direct_tendency(st, True))
+    _assert_matches_direct(st, rhs_total(st), total, atol=1e-15, min_scale=min_scale)

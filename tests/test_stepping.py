@@ -31,6 +31,23 @@ def test_config_validation():
         StepperConfig(t_end=-1.0)
 
 
+@pytest.mark.parametrize("field", ["t_end", "cfl", "dt_max", "dt_min"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_rejects_non_finite(field, value):
+    kwargs = {"t_end": 1.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        StepperConfig(**kwargs)
+
+
+@pytest.mark.parametrize("sample_every", [np.nan, np.inf])
+def test_run_rejects_non_finite_sample_spacing(grid, sample_every):
+    rows = []
+    cfg = StepperConfig(t_end=0.2)
+    with pytest.raises(ValueError, match="sample_every"):
+        run(zero_state(grid), cfg, sample_every, lambda rec, st: rows.append(rec))
+    assert rows == []
+
+
 def test_cfl_uses_total_field(grid):
     # zero perturbation still advects against the background e2 at speed 1
     cfg = StepperConfig(t_end=1.0, cfl=0.4, dt_max=1.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, fields
 
 from .errors import InvalidValue, MissingRequired, UnknownKey
@@ -100,15 +101,7 @@ def parse_config(text: str) -> RunConfig:
     ------
     UnknownKey, InvalidValue, MissingRequired
     """
-    schema = {f.name: f.type for f in fields(RunConfig)}
-    types = {
-        "n": int, "s": int, "seed": int, "max_wavenumber": int,
-        "epsilon": float, "t_end": float, "spectrum_decay": float,
-        "cfl": float, "dt_max": float, "dt_min": float,
-        "sample_every": float, "snapshot_every": float,
-        "outdir": str,
-        "nonlinearity": bool, "coupling": bool,
-    }
+    types = typing.get_type_hints(RunConfig)
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -117,7 +110,7 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise InvalidValue(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in schema:
+        if key not in types:
             raise UnknownKey(f"line {lineno}: unknown key {key!r}")
         values[key] = _convert(key, raw, types[key])
     missing = [k for k in _REQUIRED if k not in values]

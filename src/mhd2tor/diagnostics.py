@@ -45,11 +45,13 @@ from .spectral import (
     SpectralScalar,
     VectorField,
     _coeff_arrays,
+    derivative_multiplier,
     divergence_defect,
+    half_sobolev_multiplier,
     partial_derivative,
     sobolev_norm,
 )
-from .symmetry import MHDState, PARITY, _reflect_coeffs, gradient_norm, symmetry_defect
+from .symmetry import MHDState, PARITY, _reflect_coeffs, symmetry_defect
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -96,7 +98,7 @@ def _norm_weights(grid: GridSpec, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared-norm multipliers on the half spectrum, times its row weights:
     the u orders, then the d2 u orders, act on |u|^2; the b orders on |b|^2."""
     half = grid.half
-    mu = lambda m: half.weight * grid.sobolev_multiplier(m)[: grid.n // 2 + 1]
+    mu = lambda m: half.weight * half_sobolev_multiplier(grid, m)
     u, b, d2u = _orders(s)
     d2 = half.ik2.imag**2
     wu = np.stack([mu(m) for m in u] + [d2 * mu(m) for m in d2u])
@@ -174,6 +176,17 @@ def ledger_update(led: EnergyLedger, rec: DiagnosticsRecord) -> EnergyLedger:
     led.last_integrand0 = integrand0
     led.last_integrand1 = integrand1
     return led
+
+
+def gradient_norm(v: VectorField, m: int) -> float:
+    """H^m norm of the full gradient of a vector field in either representation."""
+    grid, comps = _coeff_arrays(v)
+    parts = [
+        SpectralScalar(grid, c * derivative_multiplier(grid, alpha))
+        for c in comps
+        for alpha in ((1, 0), (0, 1))
+    ]
+    return float(np.sqrt(sum(sobolev_norm(p, m) ** 2 for p in parts)))
 
 
 def poincare_check(u: VectorField, k: int) -> tuple[float, float, float]:

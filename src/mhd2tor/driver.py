@@ -21,6 +21,7 @@ from .diagnostics import (
     DiagnosticsRecord,
     EnergyLedger,
     EnergyParams,
+    _orders,
     decay_fit,
     ledger_update,
 )
@@ -45,11 +46,11 @@ _FLOAT_FMT = "%.17g"
 
 
 def csv_header(s: int) -> list[str]:
-    orders = (2 * s - 2, 2 * s - 1, 2 * s, 2 * s + 1)
+    u_orders, b_orders, d2u_orders = _orders(s)
     cols = ["t"]
-    cols += [f"u_H{m}" for m in orders]
-    cols += [f"b_H{m}" for m in orders + (2 * s + 2,)]
-    cols += [f"d2u_H{m}" for m in (2 * s - 2, 2 * s)]
+    cols += [f"u_H{m}" for m in u_orders]
+    cols += [f"b_H{m}" for m in b_orders]
+    cols += [f"d2u_H{m}" for m in d2u_orders]
     cols += [
         "l2_energy", "grad_b_l2_sq", "symmetry_defect",
         "div_defect_u", "div_defect_b", "mean_abs_max", "e0", "e1",
@@ -58,12 +59,11 @@ def csv_header(s: int) -> list[str]:
 
 
 def _csv_row(rec: DiagnosticsRecord, led: EnergyLedger) -> list[float]:
-    s = led.s
-    orders = (2 * s - 2, 2 * s - 1, 2 * s, 2 * s + 1)
+    u_orders, b_orders, d2u_orders = _orders(led.s)
     vals = [rec.t]
-    vals += [rec.norm_u[m] for m in orders]
-    vals += [rec.norm_b[m] for m in orders + (2 * s + 2,)]
-    vals += [rec.norm_d2u[m] for m in (2 * s - 2, 2 * s)]
+    vals += [rec.norm_u[m] for m in u_orders]
+    vals += [rec.norm_b[m] for m in b_orders]
+    vals += [rec.norm_d2u[m] for m in d2u_orders]
     vals += [
         rec.l2_energy, rec.grad_b_l2_sq, rec.symmetry_defect,
         rec.div_defect_u, rec.div_defect_b, rec.mean_abs_max, led.e0, led.e1,

@@ -21,7 +21,9 @@ them against direct-sum advective products).  The three products are formed
 pseudo-spectrally from dealiased inputs and dealiased again: one stacked
 inverse transform of 4 fields and one forward transform of 3 per
 evaluation.  Linear terms are not dealiased.  The k = 0 mode of every
-tendency is forced to zero.
+tendency is exactly zero with no write to it, since every multiplier
+vanishes there; a non-finite mean mode therefore shows as a non-finite
+tendency.
 
 Everything works on the state's own array: stacked half spectra
 (u1, u2, b1, b2) of shape (4, n//2+1, n), transformed without phase or
@@ -141,7 +143,6 @@ def _rhs_total_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:
 def _with_diffusion(grid: GridSpec, soft: np.ndarray, b: np.ndarray) -> np.ndarray:
     """dx/dt from the non-stiff part and b: adds Lap b to the b rows, in place."""
     soft[2:] -= grid.half.ksq * b
-    soft[:, 0, 0] = 0.0
     if not np.all(np.isfinite(soft)):
         raise NonFiniteTendency("tendency contains non-finite coefficients")
     return soft

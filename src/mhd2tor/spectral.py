@@ -12,7 +12,8 @@ wavevectors ``k in {-n/2, ..., n/2 - 1}^2``, in one of two storage forms:
   the diagnostics and the checkpoint read directly.  Sums over all modes
   weight the stored rows by ``HalfGrid.weight``.
 * Public view: full spectra, shape ``(n, n)``, in standard FFT order,
-  built on demand (``to_full``/``to_half`` convert).
+  built on demand (``to_full``/``to_half`` convert).  Multipliers are
+  built on the stored rows; the full-grid ones mirror them.
 
 Every transform is the one real pair ``half_samples``/``half_coeffs``
 (``irfft2``/``rfft2`` with ``norm="forward"``, so ``fhat_k`` is the scaled
@@ -124,59 +125,69 @@ class GridSpec:
     @cached_property
     def k1(self) -> np.ndarray:
         """Integer wavenumbers along axis 0, FFT order, shape (n, n)."""
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return np.broadcast_to(k[:, None], (self.n, self.n)).copy()
+        return np.concatenate([self.half.k1, -self.half.k1[-2:0:-1]])
 
     @cached_property
     def k2(self) -> np.ndarray:
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return np.broadcast_to(k[None, :], (self.n, self.n)).copy()
+        return _mirror_rows(self.half.k2)
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        return self.k1**2 + self.k2**2
+        return _mirror_rows(self.half.ksq)
 
     @cached_property
     def inv_ksq(self) -> np.ndarray:
         """1 / |k|^2 with the k = 0 entry set to zero."""
-        out = np.zeros_like(self.ksq)
-        np.divide(1.0, self.ksq, out=out, where=self.ksq > 0)
-        return out
+        return _mirror_rows(self.half.inv_ksq)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        return np.maximum(np.abs(self.k1), np.abs(self.k2)) <= self.dealias_cutoff
+        return _mirror_rows(self.half.dealias_mask)
 
     @cached_property
     def half(self) -> HalfGrid:
-        """The multipliers above on the half spectrum (see ``to_half``)."""
-        cut = lambda a: np.ascontiguousarray(a[: self.n // 2 + 1])
-        weight = np.full((self.n // 2 + 1, 1), 2.0)
+        """The wavenumber multipliers on the stored rows k1 = 0..n/2 (see
+        ``to_half``); the full-grid arrays above mirror these rows."""
+        n = self.n
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        k1, k2 = np.meshgrid(k[: n // 2 + 1], k, indexing="ij")
+        ksq = k1**2 + k2**2
+        inv_ksq = np.zeros_like(ksq)
+        np.divide(1.0, ksq, out=inv_ksq, where=ksq > 0)
+        mask = np.maximum(np.abs(k1), np.abs(k2)) <= self.dealias_cutoff
+        weight = np.full((n // 2 + 1, 1), 2.0)
         weight[[0, -1]] = 1.0
-        k1, k2, ksq, inv_ksq, mask = map(
-            cut, (self.k1, self.k2, self.ksq, self.inv_ksq, self.dealias_mask)
-        )
-        ik = np.stack([cut(derivative_multiplier(self, a)) for a in ((1, 0), (0, 1))])
-        return HalfGrid(k1, k2, ksq, inv_ksq, mask, ik[1], ik, weight)
+        half = HalfGrid(k1, k2, ksq, inv_ksq, mask, None, None, weight)
+        ik = np.stack([derivative_multiplier(half, a) for a in ((1, 0), (0, 1))])
+        return half._replace(ik2=ik[1], ik_stack=ik)
 
     @property
     def dealias_cutoff(self) -> float:
         return DEALIAS_FRACTION * (self.n / 2)
 
     def sobolev_multiplier(self, m: int) -> np.ndarray:
-        """mu_m(k) = sum over |alpha| <= m of k1^(2a1) k2^(2a2)."""
-        if m < 0:
-            raise ValueError(f"Sobolev order must be >= 0, got {m}")
-        key = ("_mu", m)
-        cache = self.__dict__.setdefault("_mu_cache", {})
-        if key not in cache:
-            k1sq, k2sq = self.k1**2, self.k2**2
-            mu = np.zeros_like(k1sq)
-            for a1 in range(m + 1):
-                for a2 in range(m + 1 - a1):
-                    mu += k1sq**a1 * k2sq**a2
-            cache[key] = mu
-        return cache[key]
+        """mu_m(k) = sum over |alpha| <= m of k1^(2a1) k2^(2a2), shape (n, n)."""
+        return _mirror_rows(half_sobolev_multiplier(self, m))
+
+
+def _mirror_rows(rows: np.ndarray) -> np.ndarray:
+    """The full (n, n) array of a multiplier even in k1 from its rows
+    k1 = 0..n/2: row n - r repeats row r."""
+    return np.concatenate([rows, rows[-2:0:-1]])
+
+
+@functools.lru_cache(maxsize=32)
+def half_sobolev_multiplier(grid: GridSpec, m: int) -> np.ndarray:
+    """mu_m (see ``GridSpec.sobolev_multiplier``) on the rows k1 = 0..n/2."""
+    if m < 0:
+        raise ValueError(f"Sobolev order must be >= 0, got {m}")
+    half = grid.half
+    k1sq, k2sq = half.k1**2, half.k2**2
+    mu = np.zeros_like(k1sq)
+    for a1 in range(m + 1):
+        for a2 in range(m + 1 - a1):
+            mu += k1sq**a1 * k2sq**a2
+    return mu
 
 
 @dataclass
@@ -292,12 +303,15 @@ def to_full(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def derivative_multiplier(grid: GridSpec, alpha: tuple[int, int]) -> np.ndarray:
-    """(i k1)^a1 (i k2)^a2 with the Nyquist mode zeroed for odd axis orders."""
+def derivative_multiplier(grid: GridSpec | HalfGrid, alpha: tuple[int, int]) -> np.ndarray:
+    """(i k1)^a1 (i k2)^a2 with the Nyquist mode zeroed for odd axis orders.
+
+    Pass ``grid.half`` for half spectra.
+    """
     a1, a2 = alpha
     if a1 < 0 or a2 < 0:
         raise ValueError(f"multi-index must be nonnegative, got {alpha}")
-    nyq = -grid.n // 2
+    nyq = -(grid.k2.shape[-1] // 2)
     k1 = np.where(grid.k1 == nyq, 0.0, grid.k1) if a1 % 2 else grid.k1
     k2 = np.where(grid.k2 == nyq, 0.0, grid.k2) if a2 % 2 else grid.k2
     return (1j * k1) ** a1 * (1j * k2) ** a2
@@ -329,13 +343,12 @@ def project_divergence_free(
 
 
 def project_pairs(grid: GridSpec | HalfGrid, x: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Leray-project (x[0], x[1]) and (x[2], x[3]) and zero k = 0, in place.
+    """Leray-project (x[0], x[1]) and (x[2], x[3]) in place; k = 0 is left as it is.
 
     ``work`` (shape ``(2,) + x.shape[1:]``, complex) is scratch.
     """
     for i in (0, 2):
         _project_in_place(grid, x[i], x[i + 1], work)
-    x[..., 0, 0] = 0.0
     return x
 
 

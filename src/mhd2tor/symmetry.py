@@ -7,8 +7,10 @@ to itself, +pi is identified with -pi), so reflection is the exact index map
 j -> (n - j) mod n; in coefficient space this is the permutation
 k2 -> -k2, which is what the implementation applies.
 
-A state is one stacked half spectrum of (u1, u2, b1, b2), see ``spectral``;
-its full spectra (``coeff_arrays``, ``u``, ``b``) are a view built on demand.
+A state is one stacked half spectrum of (u1, u2, b1, b2), see ``spectral``,
+and the initial data is drawn straight into that layout.  Full spectra
+(``coeff_arrays``, ``u``, ``b``, ``state_from_arrays``,
+``random_class_velocity``) exist only in the public facade, built on demand.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ from .spectral import (
     GridSpec,
     SpectralScalar,
     VectorField,
-    _coeff_arrays,
-    derivative_multiplier,
     divergence_defect,
     half_samples,
-    project_divergence_free,
-    sobolev_norm,
+    half_sobolev_multiplier,
+    project_pairs,
     to_full,
     to_half,
 )
@@ -142,62 +142,51 @@ def _philox(seed: int, attempt: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _mode_list(kmax: int) -> list[tuple[int, int]]:
+    """Half-plane representatives with 0 < |k| <= kmax (k1 > 0, or k1 = 0
+    and k2 > 0), in the order the random draws visit them."""
+    return [
+        (k1, k2)
+        for k1 in range(kmax + 1)
+        for k2 in range(-kmax, kmax + 1)
+        if (k1 > 0 or k2 > 0) and k1 * k1 + k2 * k2 <= kmax * kmax
+    ]
+
+
 def _draw_modes(
     grid: GridSpec, rng: np.random.Generator, kmax: int, decay: float, count: int
-) -> list[np.ndarray]:
-    """``count`` random real zero-mean fields band-limited to |k| <= kmax.
+) -> np.ndarray:
+    """Half spectra (count, n//2+1, n) of ``count`` random real zero-mean
+    fields band-limited to |k| <= kmax; ValueError unless kmax < n/2.
 
-    Coefficient magnitudes fall off like |k|^(-decay).  Each half-plane mode
-    draws 2 * count normals, in a fixed order over modes, so results are
-    reproducible for a given generator state.
+    Coefficient magnitudes fall off like |k|^(-decay).  Each mode of
+    ``_mode_list`` draws 2 * count normals, in that order, so results are
+    reproducible for a given generator state; row k1 = 0 also gets the
+    conjugates.
     """
     n = grid.n
-    out = [np.zeros((n, n), dtype=np.complex128) for _ in range(count)]
-    for k1 in range(-kmax, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
-            if (k1, k2) == (0, 0) or k1 * k1 + k2 * k2 > kmax * kmax:
-                continue
-            # half-plane draw; conjugate mode set below
-            if k1 < 0 or (k1 == 0 and k2 < 0):
-                continue
-            g = rng.standard_normal(2 * count)
-            amp = (k1 * k1 + k2 * k2) ** (-decay / 2.0)
-            for c, re, im in zip(out, g[0::2], g[1::2]):
-                z = amp * (re + 1j * im) / np.sqrt(2.0)
-                c[k1 % n, k2 % n] = z
-                c[(-k1) % n, (-k2) % n] = np.conj(z)
+    if 2 * kmax >= n:
+        raise ValueError(f"kmax {kmax} needs a grid with n > {2 * kmax}, got n={n}")
+    out = np.zeros((count, n // 2 + 1, n), dtype=np.complex128)
+    for k1, k2 in _mode_list(kmax):
+        g = rng.standard_normal(2 * count)
+        amp = (k1 * k1 + k2 * k2) ** (-decay / 2.0)
+        z = amp * (g[0::2] + 1j * g[1::2]) / np.sqrt(2.0)
+        out[:, k1, k2 % n] = z
+        if k1 == 0:
+            out[:, 0, -k2 % n] = np.conj(z)
     return out
 
 
-def _draw_class_pair(
-    grid: GridSpec,
-    rng: np.random.Generator,
-    kmax: int,
-    decay: float,
-    parities: tuple[int, int] = (PARITY["u1"], PARITY["u2"]),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random divergence-free zero-mean pair with the given x2 parities,
-    band-limited to kmax (see ``_draw_modes``)."""
-    c1, c2 = _draw_modes(grid, rng, kmax, decay, 2)
-    # the vector reflection (possibly composed with a sign flip) commutes
-    # with the Leray projection, so symmetrizing first is safe
-    c1 = 0.5 * (c1 + _reflect_coeffs(c1, parities[0]))
-    c2 = 0.5 * (c2 + _reflect_coeffs(c2, parities[1]))
-    c1, c2 = project_divergence_free(grid, c1, c2)
-    c1[0, 0] = 0.0
-    c2[0, 0] = 0.0
-    return c1, c2
-
-
-def gradient_norm(v: VectorField, m: int) -> float:
-    """H^m norm of the full gradient of a vector field in either representation."""
-    grid, comps = _coeff_arrays(v)
-    parts = [
-        SpectralScalar(grid, c * derivative_multiplier(grid, alpha))
-        for c in comps
-        for alpha in ((1, 0), (0, 1))
-    ]
-    return float(np.sqrt(sum(sobolev_norm(p, m) ** 2 for p in parts)))
+def _draw_class(grid: GridSpec, rng: np.random.Generator, kmax: int, decay: float) -> np.ndarray:
+    """Half spectra of a random divergence-free zero-mean (u, b) in the
+    class, band-limited to kmax: the u pair, then the b pair, from
+    ``_draw_modes``."""
+    x = np.concatenate([_draw_modes(grid, rng, kmax, decay, 2) for _ in "ub"])
+    # the vector reflection (composed with a sign flip for b) commutes with
+    # the Leray projection, so symmetrizing first is safe
+    x = 0.5 * (x + _reflect_coeffs(x, _STACK_PARITY))
+    return project_pairs(grid.half, x, np.empty_like(x[:2]))
 
 
 def make_initial_data(spec: InitialDataSpec, grid: GridSpec) -> MHDState:
@@ -219,22 +208,21 @@ def make_initial_data(spec: InitialDataSpec, grid: GridSpec) -> MHDState:
             f"max_wavenumber {spec.max_wavenumber} exceeds dealias cutoff "
             f"{grid.dealias_cutoff:.3f} of n={grid.n}"
         )
-    order = 2 * spec.s + 1
+    # squared-norm weights of u in H^{2s+1} and of grad b in H^{2s}
+    half = grid.half
+    w_u = half.weight * half_sobolev_multiplier(grid, 2 * spec.s + 1)
+    w_gb = half.weight * half_sobolev_multiplier(grid, 2 * spec.s) * half.ksq
     for attempt in range(10):
         rng = _philox(spec.seed, attempt)
-        u1, u2 = _draw_class_pair(grid, rng, spec.max_wavenumber, spec.spectrum_decay)
-        b1, b2 = _draw_class_pair(
-            grid, rng, spec.max_wavenumber, spec.spectrum_decay,
-            parities=(PARITY["b1"], PARITY["b2"]),
-        )
-        st = state_from_arrays(grid, 0.0, u1, u2, b1, b2)
-        norm_u = sobolev_norm(st.u, order)
-        norm_gb = gradient_norm(st.b, order - 1)
+        x = _draw_class(grid, rng, spec.max_wavenumber, spec.spectrum_decay)
+        sq = x.real**2 + x.imag**2
+        norm_u = np.sqrt(MEASURE * np.sum(w_u * (sq[0] + sq[1])))
+        norm_gb = np.sqrt(MEASURE * np.sum(w_gb * (sq[2] + sq[3])))
         if norm_u == 0.0 or norm_gb == 0.0:
             continue
-        su = 0.5 * spec.epsilon / norm_u
-        sb = 0.5 * spec.epsilon / norm_gb
-        return state_from_arrays(grid, 0.0, su * u1, su * u2, sb * b1, sb * b2)
+        x[:2] *= 0.5 * spec.epsilon / norm_u
+        x[2:] *= 0.5 * spec.epsilon / norm_gb
+        return MHDState(grid, 0.0, x)
     raise DegenerateSpectrum(
         f"initial data collapsed to zero after projection (seed {spec.seed})"
     )
@@ -244,7 +232,7 @@ def random_class_velocity(
     grid: GridSpec, seed: int, kmax: int = 4, decay: float = 2.0
 ) -> VectorField:
     """Random divergence-free zero-mean velocity in the class (test helper)."""
-    u1, u2 = _draw_class_pair(grid, _philox(seed), kmax, decay)
+    u1, u2 = to_full(_draw_class(grid, _philox(seed), kmax, decay)[:2])
     return VectorField(SpectralScalar(grid, u1), SpectralScalar(grid, u2))
 
 

@@ -15,7 +15,6 @@ from .diagnostics import SQRT2, poincare_check
 from .dynamics import transport_skew_defect
 from .oracles import dft_coefficients, dft_derivative, linearized_mode_solution
 from .spectral import (
-    MEASURE,
     GridSpec,
     ScalarField,
     SpectralScalar,
@@ -23,6 +22,7 @@ from .spectral import (
     fft_coeffs,
     ifft_samples,
     sobolev_norm,
+    to_full,
     vorticity_spectral,
 )
 from .stepping import step_ifrk4
@@ -30,6 +30,7 @@ from .symmetry import (
     InitialDataSpec,
     MHDState,
     _draw_modes,
+    _mode_list,
     _philox,
     make_initial_data,
     random_class_velocity,
@@ -49,7 +50,7 @@ def _result(name: str, value: float, bound: float) -> VerifyResult:
 
 def _random_scalar(grid: GridSpec, seed: int) -> SpectralScalar:
     """Random band-limited real scalar, kmax 5, |k|^-2 coefficient falloff."""
-    return SpectralScalar(grid, _draw_modes(grid, _philox(seed, attempt=1), 5, 2.0, 1)[0])
+    return SpectralScalar(grid, to_full(_draw_modes(grid, _philox(seed, attempt=1), 5, 2.0, 1)[0]))
 
 
 def verify_poincare(
@@ -81,19 +82,6 @@ def verify_skew(n: int = 32, n_samples: int = 100, seed: int = 0) -> list[Verify
         f = _random_scalar(grid, seed + i)
         worst = max(worst, transport_skew_defect(u, f))
     return [_result("transport_skew_defect_max", worst, 1e-10)]
-
-
-def _mode_list(kmax: int) -> list[tuple[int, int]]:
-    """Half-plane representatives with 0 < |k| <= kmax."""
-    out = []
-    for k1 in range(0, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
-            if (k1, k2) == (0, 0) or k1 * k1 + k2 * k2 > kmax * kmax:
-                continue
-            if k1 == 0 and k2 < 0:
-                continue
-            out.append((k1, k2))
-    return out
 
 
 def multimode_linear_state(grid: GridSpec, kmax: int, seed: int):

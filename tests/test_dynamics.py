@@ -90,9 +90,19 @@ def test_total_matches_perturbation(grid, small_state):
     assert small_state.x[3, 0, 0] == 0.0  # e2 is added to a copy
 
 
-@pytest.mark.parametrize("rhs", [rhs_perturbation, rhs_total])
-def test_non_finite_tendency_raises(small_state, rhs):
-    small_state.x[2, 1, 1] = np.inf
+def _linear_rhs(st):
+    return rhs_perturbation(st, nonlinear=False)
+
+
+@pytest.mark.parametrize(
+    "rhs, mode",
+    [(rhs_perturbation, (2, 1, 1)), (rhs_total, (2, 1, 1)), (_linear_rhs, (3, 0, 0))],
+    ids=["rhs_perturbation", "rhs_total", "linear_mean_mode"],
+)
+def test_non_finite_tendency_raises(small_state, rhs, mode):
+    """An infinite coefficient, the mean mode included, gives a non-finite
+    tendency: no write to k = 0 may turn it into a finite one."""
+    small_state.x[mode] = np.inf
     with np.errstate(all="ignore"), pytest.raises(NonFiniteTendency):
         rhs(small_state)
 

@@ -8,10 +8,10 @@ from mhd2tor.spectral import (
     forward_transform,
     sobolev_norm,
 )
+from mhd2tor.diagnostics import gradient_norm
 from mhd2tor.symmetry import (
     InitialDataSpec,
     MHDState,
-    gradient_norm,
     make_initial_data,
     random_class_velocity,
     reflect_state,
@@ -126,6 +126,12 @@ def test_random_class_velocity_in_class(grid):
                            np.zeros_like(u.c1.coeffs), np.zeros_like(u.c2.coeffs))
     assert symmetry_defect(st) < 1e-14
     assert divergence_defect(grid, u.c1.coeffs, u.c2.coeffs) < 1e-13
+
+
+def test_random_draw_rejects_unstorable_kmax():
+    """At kmax = n/2 the modes (k1, n/2) and (k1, -n/2) share one cell."""
+    with pytest.raises(ValueError):
+        random_class_velocity(GridSpec(8), seed=0, kmax=4)
 
 
 def test_validate_state_flags_bad_fields(grid):

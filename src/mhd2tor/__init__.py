@@ -51,7 +51,7 @@ from .spectral import (
     sobolev_norm,
     vorticity,
 )
-from .stepping import StepperConfig, cfl_dt, run, step_ifrk4
+from .stepping import StepCounts, StepperConfig, cfl_dt, run, step_ifrk4
 from .symmetry import (
     InitialDataSpec,
     MHDState,

@@ -33,8 +33,8 @@ from .errors import (
     NonPositiveValue,
     StepTooSmall,
 )
-from .spectral import GridSpec, fft_workers
-from .stepping import StepperConfig, run
+from .spectral import GridSpec
+from .stepping import StepCounts, StepperConfig, run
 from .symmetry import InitialDataSpec, MHDState, make_initial_data
 
 EXIT_OK = 0
@@ -80,7 +80,6 @@ def _fit_or_nan(series) -> float:
 
 def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
     """Advance st0 to cfg.t_end, streaming diagnostics to outdir."""
-    fft_workers()  # a bad MHD2_THREADS fails here, before any output exists
     os.makedirs(outdir, exist_ok=True)
     s = cfg.s
     stepper = StepperConfig(
@@ -88,6 +87,7 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
     )
     led = EnergyLedger(s)
     params = EnergyParams(s)
+    counts = StepCounts()
     ts, energies, dissipations = [], [], []
     series_u, series_b = [], []
     max_sym = 0.0
@@ -122,7 +122,7 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
         final = run(
             st0, stepper, cfg.sample_every, sink,
             energy_params=params,
-            nonlinear=cfg.nonlinearity, coupling=cfg.coupling,
+            nonlinear=cfg.nonlinearity, coupling=cfg.coupling, counts=counts,
         )
     except (NonFiniteState, StepTooSmall) as exc:
         status, reason, code = "failed", f"{type(exc).__name__}: {exc}", EXIT_NUMERICAL
@@ -148,6 +148,10 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
         ("t_start", _FLOAT_FMT % st0.t),
         ("t_final", _FLOAT_FMT % final.t),
         ("samples", len(ts)),
+        ("steps", counts.steps),
+        ("steps_cfl", counts.cfl),
+        ("steps_dt_max", counts.dt_max),
+        ("steps_landing", counts.landing),
         ("e0", _FLOAT_FMT % led.e0),
         ("e1", _FLOAT_FMT % led.e1),
         ("e_total", _FLOAT_FMT % led.total),

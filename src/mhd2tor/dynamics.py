@@ -30,9 +30,16 @@ Everything works on the state's own array: stacked half spectra
 scaling on the grid anchored at 0 (see ``spectral``).  The private
 ``_rhs_arrays`` kernel returns the non-stiff part, without the diffusion
 Lap b, which the stepper applies through an exact integrating factor; it
-works in per-grid buffers and can write into a caller's array.  The public
-``rhs_perturbation``/``rhs_total`` return the whole dx/dt in the same
-layout, in a new array.
+works in per-grid buffers and can write into a caller's array.  Its
+transforms use the shared ``spectral._transform_workspace``, which
+``cfl_dt`` and ``symmetry_defect`` also use, so it is not reentrant.  On
+request it also returns the CFL speed |u| + |b + e2| of its dealiased
+samples, so the stepper takes dt from stage 1 without a transform of its
+own.  Solver states lie inside the 2/3 band, where dealiasing changes
+nothing, so this speed equals that of ``cfl_dt`` bit for bit; a state read
+from a checkpoint carries roundoff above the band, and there the two differ
+at roundoff.  The public ``rhs_perturbation``/``rhs_total`` return the
+whole dx/dt in the same layout, in a new array.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ from .spectral import (
     SpectralScalar,
     VectorField,
     _coeff_arrays,
+    _forward_into,
+    _inverse_into,
+    _transform_workspace,
     half_coeffs,
     half_samples,
     project_pairs,
@@ -61,30 +71,55 @@ from .symmetry import MHDState
 
 
 @lru_cache(maxsize=4)
-def _workspace(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Arrays that ``_rhs_arrays`` overwrites on every call, one set per grid:
-    four half spectra, the samples of A, C, E and two half spectra of
-    scratch."""
+def _workspace(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays that ``_rhs_arrays`` overwrites on every call, one set per grid,
+    next to the shared ``_transform_workspace``: the samples of A, C, E and
+    two half spectra of scratch."""
     n = grid.n
-    shape = (n // 2 + 1, n)
-    return (
-        np.empty((4,) + shape, dtype=np.complex128),
-        np.empty((3, n, n)),
-        np.empty((2,) + shape, dtype=np.complex128),
-    )
+    return np.empty((3, n, n)), np.empty((2, n // 2 + 1, n), dtype=np.complex128)
 
 
-def _quadratic_arrays(grid: GridSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _max_speed(phys: np.ndarray, work: np.ndarray) -> float:
+    """Max over the grid of |u| + |b + e2| from the samples (u1, u2, b1, b2);
+    ``work`` holds three n x n arrays of scratch.  The one speed formula of
+    the CFL bound."""
+    U1, U2, B1, B2 = phys
+    u, b, t = work
+    np.square(U1, out=u)
+    u += np.square(U2, out=t)
+    np.sqrt(u, out=u)
+    np.add(B2, 1.0, out=b)  # total field includes e2
+    np.square(b, out=b)
+    b += np.square(B1, out=t)
+    np.sqrt(b, out=b)
+    u += b
+    return float(u.max())
+
+
+def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
+    """``_max_speed`` of the samples of ``x`` as stored (not dealiased), from
+    one inverse transform in the shared workspace."""
+    spec, phys = _transform_workspace(grid)
+    np.copyto(spec, x)
+    return _max_speed(_inverse_into(spec, phys), _workspace(grid)[0])
+
+
+def _quadratic_arrays(
+    grid: GridSpec, x: np.ndarray, out: np.ndarray, speed: bool = False
+) -> float | None:
     """Dealiased (-(d1 A + d2 C), d2 A - d1 C, d2 E, -d1 E) into ``out``.
 
     ``x`` holds the half spectra of divergence-free (u1, u2, b1, b2); see
     the module docstring for A, C, E.  One stacked inverse transform of 4
-    fields and one forward transform of 3 per evaluation.
+    fields and one forward transform of 3 per evaluation.  With ``speed``,
+    returns ``_max_speed`` of the dealiased samples, else None.
     """
     half = grid.half
-    spec, prods, scratch = _workspace(grid)
+    spec, phys = _transform_workspace(grid)
+    prods, scratch = _workspace(grid)
     np.multiply(x, half.dealias_mask, out=spec)
-    phys = half_samples(grid, spec)
+    _inverse_into(spec, phys)
+    vmax = _max_speed(phys, prods) if speed else None
     U1, U2, B1, B2 = phys
     A, C, E = prods
     # A holds the second factors of C and E until A itself is formed
@@ -97,7 +132,7 @@ def _quadratic_arrays(grid: GridSpec, x: np.ndarray, out: np.ndarray) -> np.ndar
     A -= B1
     A += B2
     A *= 0.5
-    hat = half_coeffs(grid, prods)
+    hat = _forward_into(prods, spec[:3])
     hat *= half.dealias_mask
     A_hat, C_hat, E_hat = hat
     d1, d2 = half.ik_stack
@@ -110,28 +145,38 @@ def _quadratic_arrays(grid: GridSpec, x: np.ndarray, out: np.ndarray) -> np.ndar
     np.multiply(d2, E_hat, out=out[2])
     np.multiply(d1, E_hat, out=out[3])
     np.negative(out[3], out=out[3])
-    return out
+    return vmax
 
 
 def _rhs_arrays(
-    grid: GridSpec, x: np.ndarray, nonlinear: bool, coupling: bool, out: np.ndarray | None = None
-) -> np.ndarray:
+    grid: GridSpec,
+    x: np.ndarray,
+    nonlinear: bool,
+    coupling: bool,
+    out: np.ndarray | None = None,
+    speed: bool = False,
+) -> np.ndarray | float:
     """dx/dt of the perturbation form without the diffusion Lap b, half spectra.
 
-    Written into ``out`` when given, else into a new array.
+    Written into ``out`` when given, else into a new array, which is
+    returned.  With ``speed``, the max speed |u| + |b + e2| of ``x`` is
+    returned instead: from the dealiased samples that the products use, or
+    from ``_sample_speed`` when ``nonlinear`` is off.
     """
     if out is None:
         out = np.empty_like(x)
     if nonlinear:
-        _quadratic_arrays(grid, x, out)
+        vmax = _quadratic_arrays(grid, x, out, speed)
     else:
         out[...] = 0.0
-    scratch = _workspace(grid)[2]
+        vmax = _sample_speed(grid, x) if speed else None
+    scratch = _workspace(grid)[1]
     if coupling:
         ik2 = grid.half.ik2
         out[:2] += np.multiply(ik2, x[2:], out=scratch)
         out[2:] += np.multiply(ik2, x[:2], out=scratch)
-    return project_pairs(grid.half, out, scratch)
+    project_pairs(grid.half, out, scratch)
+    return vmax if speed else out
 
 
 def _rhs_total_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:

@@ -15,10 +15,21 @@ wavevectors ``k in {-n/2, ..., n/2 - 1}^2``, in one of two storage forms:
   built on demand (``to_full``/``to_half`` convert).  Multipliers are
   built on the stored rows; the full-grid ones mirror them.
 
-Every transform is the one real pair ``half_samples``/``half_coeffs``
-(``irfft2``/``rfft2`` with ``norm="forward"``, so ``fhat_k`` is the scaled
-DFT ``n^-2 sum_ij f(y_ij) exp(-i k.y_ij)``) on the grid anchored at 0,
-``y_ij = (2*pi*i/n, 2*pi*j/n)``.  The public collocation grid
+Every transform is the one real pair ``half_samples``/``half_coeffs``,
+with ``norm="forward"``, so ``fhat_k`` is the scaled DFT
+``n^-2 sum_ij f(y_ij) exp(-i k.y_ij)``, on the grid anchored at 0,
+``y_ij = (2*pi*i/n, 2*pi*j/n)``.  The public pair returns new arrays; the
+run loop calls its kernels ``_inverse_into``/``_forward_into`` on the one
+per-grid ``_transform_workspace`` (shared, so not reentrant).  Each kernel
+is two 1-D ``numpy.fft`` passes that write into the caller's arrays: the
+inverse is a c2c ``ifft`` along k2 in place, then a c2r ``irfft`` along k1
+into real samples; the forward is an ``rfft`` along x1 into half spectra,
+then an in-place ``fft`` along x2.  They allocate nothing, so the run loop
+makes no page faults, and for n a power of 2 they equal
+``scipy.fft.irfft2``/``rfft2`` bit for bit.  ``numpy.fft.irfft2(out=)``
+is not used: on numpy 2.4 it returns wrong samples.
+
+The public collocation grid
 ``x_ij = (-pi + 2*pi*i/n, -pi + 2*pi*j/n)`` is the same point set shifted
 by n/2 points along each axis; ``roll_anchor`` maps samples between the
 two, so the offset lives in that one function.  Pointwise products give
@@ -36,15 +47,13 @@ zeroed by odd-order derivatives along the corresponding axis.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
-from .errors import HermitianViolation, InvalidValue
+from .errors import HermitianViolation
 
 DOMAIN_HALF_WIDTH = np.pi
 MEASURE = (2.0 * np.pi) ** 2
@@ -52,23 +61,6 @@ MEASURE = (2.0 * np.pi) ** 2
 DEALIAS_FRACTION = 2.0 / 3.0
 # largest regularity index s: mu_{2s+2} stays finite in float64 for n <= 16384
 MAX_S = 16
-
-
-@functools.cache
-def fft_workers() -> int:
-    """Worker count for scipy.fft from the MHD2_THREADS env var, read once.
-
-    Unset or empty means one worker; 0 means one worker per core.
-
-    Raises
-    ------
-    InvalidValue
-        If MHD2_THREADS is not a non-negative integer.
-    """
-    raw = os.environ.get("MHD2_THREADS", "").strip() or "1"
-    if not raw.isdecimal():
-        raise InvalidValue(f"MHD2_THREADS = {raw!r}: must be a non-negative integer")
-    return int(raw) or os.cpu_count() or 1
 
 
 class HalfGrid(NamedTuple):
@@ -265,16 +257,41 @@ def half_samples(grid: GridSpec, half: np.ndarray) -> np.ndarray:
 
     Sample (i, j) is the field at (2*pi*i/n, 2*pi*j/n); with ``half_coeffs``
     this is the solver-internal transform pair (no phase, no scaling).
+    Returns a new array and leaves ``half`` as it is.
     """
-    n = grid.n
-    return scipy.fft.irfft2(
-        half, s=(n, n), axes=(-1, -2), norm="forward", workers=fft_workers()
-    )
+    spec = np.array(half, dtype=np.complex128)  # _inverse_into overwrites it
+    return _inverse_into(spec, np.empty(spec.shape[:-2] + (grid.n, grid.n)))
 
 
 def half_coeffs(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
     """Half spectra (..., n//2+1, n) of real samples on the grid anchored at 0."""
-    return scipy.fft.rfft2(samples, axes=(-1, -2), norm="forward", workers=fft_workers())
+    samples = np.asarray(samples)
+    out = np.empty(samples.shape[:-2] + (grid.n // 2 + 1, grid.n), dtype=np.complex128)
+    return _forward_into(samples, out)
+
+
+def _inverse_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Samples of the half spectra ``spec`` (..., n//2+1, n) written into
+    ``out`` (..., n, n), which is returned; ``spec`` is overwritten."""
+    np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
+    return np.fft.irfft(spec, n=out.shape[-1], axis=-2, norm="forward", out=out)
+
+
+def _forward_into(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Half spectra of the real ``samples`` (..., n, n) written into ``out``
+    (..., n//2+1, n), which is returned."""
+    np.fft.rfft(samples, axis=-2, norm="forward", out=out)
+    return np.fft.fft(out, axis=-1, norm="forward", out=out)
+
+
+@functools.lru_cache(maxsize=4)
+def _transform_workspace(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """One complex stack (4, n//2+1, n) and one real stack (4, n, n) per grid,
+    the buffers of every transform in the run loop (the right-hand side,
+    ``cfl_dt``, ``symmetry_defect``).  Shared and not reentrant: a caller
+    owns their contents only until its next call into one of those."""
+    n = grid.n
+    return np.empty((4, n // 2 + 1, n), dtype=np.complex128), np.empty((4, n, n))
 
 
 def roll_anchor(samples: np.ndarray) -> np.ndarray:

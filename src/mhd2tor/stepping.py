@@ -18,6 +18,12 @@ The step works on the state's own array: the stacked half spectra of
 (u1, u2, b1, b2), shape (4, n//2+1, n), in the convention of ``spectral``
 (rows k1 = 0..n/2, grid anchored at 0, ``norm="forward"``).  Nothing is
 converted to full spectra inside the run loop.
+
+``run`` chooses each dt after stage 1 of its step, from the speed of the
+stage-1 samples that the right-hand side makes anyway, so its CFL bound
+costs no transform: a nonlinear step makes 16 inverse and 12 forward field
+transforms.  Solver states lie inside the 2/3 band, so that speed equals
+``cfl_dt``'s on the same state bit for bit (see ``dynamics``).
 """
 
 from __future__ import annotations
@@ -28,10 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _rhs_arrays
+from .dynamics import _rhs_arrays, _sample_speed
 from .dynamics import _rhs_total_arrays  # noqa: F401  traced by name in bench/spans.py
 from .errors import NonFiniteState, StepTooSmall
-from .spectral import half_samples
 from .symmetry import MHDState
 from .symmetry import ifft_samples, symmetry_defect  # noqa: F401  traced by name in bench/spans.py
 
@@ -72,17 +77,18 @@ class StepperConfig:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
 
 
-def cfl_dt(st: MHDState, cfg: StepperConfig) -> float:
-    """Advective CFL step from the pointwise speed |u| + |b + e2|, sampled on
-    the grid anchored at 0: the same points as the one anchored at -pi."""
-    grid = st.grid
-    U1, U2, B1, B2 = half_samples(grid, st.x)
-    B2 = B2 + 1.0  # total field includes e2
-    speed = float(np.max(np.sqrt(U1**2 + U2**2) + np.sqrt(B1**2 + B2**2)))
+def _cfl_limit(speed: float, grid, cfg: StepperConfig) -> float:
+    """The advective CFL step for the max speed ``speed``, capped at dt_max."""
     dt = min(cfg.dt_max, cfg.cfl * grid.spacing / (speed + 1e-12))
     if dt < cfg.dt_min:
         raise StepTooSmall(f"CFL step {dt:.3e} below dt_min {cfg.dt_min:.3e}")
     return dt
+
+
+def cfl_dt(st: MHDState, cfg: StepperConfig) -> float:
+    """Advective CFL step from the pointwise speed |u| + |b + e2|, sampled on
+    the grid anchored at 0: the same points as the one anchored at -pi."""
+    return _cfl_limit(_sample_speed(st.grid, st.x), st.grid, cfg)
 
 
 @lru_cache(maxsize=4)
@@ -91,7 +97,12 @@ def _stage_buffers(grid) -> np.ndarray:
     return np.empty((2, 4, grid.n // 2 + 1, grid.n), dtype=np.complex128)
 
 
-def step_ifrk4(st: MHDState, dt: float, nonlinear: bool = True, coupling: bool = True) -> MHDState:
+def step_ifrk4(
+    st: MHDState,
+    dt: float | Callable[[float], float],
+    nonlinear: bool = True,
+    coupling: bool = True,
+) -> MHDState:
     """Advance one step of size dt with integrating-factor RK4.
 
     x_new = e_full x + dt/6 (e_full k1 + 2 e_half k2 + 2 e_half k3 + k4),
@@ -100,19 +111,27 @@ def step_ifrk4(st: MHDState, dt: float, nonlinear: bool = True, coupling: bool =
     accumulates in one per-grid buffer and each tendency lands in a second;
     the stage inputs are formed in the new state's array, which the
     returned state owns.
+
+    ``dt`` may also be a function that maps the max speed |u| + |b + e2|
+    of the stage-1 samples to the step size (see ``dynamics``): ``run``
+    takes its CFL step this way, with no transform of its own.  An error it
+    raises leaves ``st`` as it was.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     grid = st.grid
-    e_half, e_full = _heat_factors(grid, dt)
     acc, k = _stage_buffers(grid)
     x = st.x
-    y = np.empty_like(x)
 
     def rhs(stage_input, out):
         return _rhs_arrays(grid, stage_input, nonlinear, coupling, out=out)
 
-    rhs(x, acc)
+    if callable(dt):
+        dt = dt(_rhs_arrays(grid, x, nonlinear, coupling, out=acc, speed=True))
+    else:
+        rhs(x, acc)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    e_half, e_full = _heat_factors(grid, dt)
+    y = np.empty_like(x)
     # y = e_half (x + dt/2 k1); acc = e_full k1
     np.multiply(acc, 0.5 * dt, out=y)
     y += x
@@ -146,6 +165,20 @@ def step_ifrk4(st: MHDState, dt: float, nonlinear: bool = True, coupling: bool =
     return MHDState(grid, st.t + dt, y)
 
 
+@dataclass
+class StepCounts:
+    """What set the size of each step ``run`` took: the CFL bound, dt_max,
+    or landing on a sample time or t_end."""
+
+    cfl: int = 0
+    dt_max: int = 0
+    landing: int = 0
+
+    @property
+    def steps(self) -> int:
+        return self.cfl + self.dt_max + self.landing
+
+
 def run(
     st0: MHDState,
     cfg: StepperConfig,
@@ -154,17 +187,22 @@ def run(
     energy_params=None,
     nonlinear: bool = True,
     coupling: bool = True,
+    counts: StepCounts | None = None,
 ) -> MHDState:
     """Advance to t_end with CFL steps, landing exactly on sample times.
 
     ``sink(record, state)`` is invoked at the initial time, at every multiple
     of ``sample_every``, and at t_end.  Deterministic for fixed inputs.
+    Each dt is chosen after stage 1 of its step, from the speed of the
+    stage-1 samples (the speed ``cfl_dt`` would read); ``counts``, when
+    given, tallies what set each dt.
     """
     from .diagnostics import EnergyParams, instantaneous
 
     if not (np.isfinite(sample_every) and sample_every > 0):
         raise ValueError(f"sample_every must be positive and finite, got {sample_every}")
     params = energy_params if energy_params is not None else EnergyParams(s=2)
+    counts = counts if counts is not None else StepCounts()
 
     st = st0
     sink(instantaneous(st, params), st)
@@ -174,19 +212,28 @@ def run(
     # sample times are k * sample_every for an integer k, never a running
     # sum, so they land exactly; on resume k continues from the start time
     k = int(np.floor(st.t / sample_every + 1e-9)) + 1
+    limit = ""
+
+    def choose(speed: float) -> float:
+        """dt of the step from the loop's st towards its target."""
+        nonlocal limit
+        dt = _cfl_limit(speed, st.grid, cfg)
+        if st.t + dt >= target - _LANDING_TOL:
+            limit = "landing"
+            return target - st.t
+        limit = "cfl" if dt < cfg.dt_max else "dt_max"
+        return dt
+
     while st.t < cfg.t_end - _LANDING_TOL:
         next_sample = k * sample_every
         target = min(next_sample, cfg.t_end)
         try:
-            dt = cfl_dt(st, cfg)
-            landing = st.t + dt >= target - _LANDING_TOL
-            st = step_ifrk4(
-                st, target - st.t if landing else dt, nonlinear=nonlinear, coupling=coupling
-            )
-            if landing:
-                st.t = target  # exact landing
+            st = step_ifrk4(st, choose, nonlinear=nonlinear, coupling=coupling)
         except (NonFiniteState, StepTooSmall) as exc:
             raise type(exc)(f"{exc} (last good t={st.t:.6g})") from exc
+        if limit == "landing":
+            st.t = target  # exact landing
+        setattr(counts, limit, getattr(counts, limit) + 1)
         if st.t >= next_sample - _LANDING_TOL:
             sink(instantaneous(st, params), st)
             last_emitted = st.t

@@ -26,8 +26,9 @@ from .spectral import (
     GridSpec,
     SpectralScalar,
     VectorField,
+    _inverse_into,
+    _transform_workspace,
     divergence_defect,
-    half_samples,
     half_sobolev_multiplier,
     project_pairs,
     to_full,
@@ -102,13 +103,15 @@ class InitialDataSpec:
             raise ValueError(f"spectrum_decay must be > 0, got {self.spectrum_decay}")
 
 
-def _reflect_coeffs(coeffs: np.ndarray, parity) -> np.ndarray:
+def _reflect_coeffs(coeffs: np.ndarray, parity, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of f(x1, -x2), times the parity sign (exact permutation).
 
     Permutes k2 -> -k2 on the last axis, so it applies unchanged to full
     spectra, to half spectra and to stacks of either; ``parity`` broadcasts.
+    Written into ``out`` (not ``coeffs`` itself) when given.
     """
-    out = np.empty_like(coeffs)
+    if out is None:
+        out = np.empty_like(coeffs)
     out[..., 0] = coeffs[..., 0]
     out[..., 1:] = coeffs[..., :0:-1]  # column j takes column n - j
     out *= parity
@@ -126,13 +129,21 @@ def symmetrize(st: MHDState) -> MHDState:
 
 
 def symmetry_defect(st: MHDState) -> float:
-    """Relative sup-norm of the anti-class part, max over the four components."""
-    scale = float(np.max(np.abs(half_samples(st.grid, st.x))))
+    """Relative sup-norm of the anti-class part, max over the four components.
+
+    Both inverse transforms run in the shared ``_transform_workspace``.
+    """
+    spec, phys = _transform_workspace(st.grid)
+    np.copyto(spec, st.x)
+    _inverse_into(spec, phys)
+    scale = max(float(phys.max()), -float(phys.min()))
     if scale == 0.0:
         return 0.0
-    anti = st.x - _reflect_coeffs(st.x, _STACK_PARITY)
+    anti = _reflect_coeffs(st.x, _STACK_PARITY, out=spec)
+    np.subtract(st.x, anti, out=anti)
     anti *= 0.5
-    return float(np.max(np.abs(half_samples(st.grid, anti)))) / scale
+    _inverse_into(anti, phys)
+    return max(float(phys.max()), -float(phys.min())) / scale
 
 
 def _philox(seed: int, attempt: int = 0) -> np.random.Generator:

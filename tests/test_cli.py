@@ -1,11 +1,8 @@
-import os
-
 import numpy as np
 import pytest
 
 from mhd2tor.checkpoint import checkpoint_header, read_checkpoint
 from mhd2tor.cli import main
-from mhd2tor.spectral import fft_workers
 
 GOOD = """
 n = 16
@@ -33,6 +30,22 @@ def test_simulate_ok(tmp_path, cfg_path):
     assert "status = ok" in summary
     header = (out / "diag.csv").read_text().splitlines()[0]
     assert header.startswith("t,u_H2,u_H3,u_H4,u_H5,b_H2")
+
+
+def test_summary_counts_what_set_dt(tmp_path):
+    """The config of the sim-n64 benchmark workload: dt_max = 1e-2 binds on
+    every step (the CFL step is about 0.04), so 300 steps, none set by CFL."""
+    cfg = tmp_path / "n64.cfg"
+    cfg.write_text("n = 64\ns = 2\nepsilon = 1e-2\nseed = 1\nt_end = 3.0\nsample_every = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", "--config", str(cfg), "--outdir", str(out)]) == 0
+    summary = dict(
+        line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines()
+    )
+    counts = {key: int(summary[key]) for key in ("steps_cfl", "steps_dt_max", "steps_landing")}
+    assert int(summary["steps"]) == 300
+    assert counts["steps_cfl"] == 0
+    assert sum(counts.values()) == 300
 
 
 def test_config_error_exit_2(tmp_path):
@@ -128,36 +141,6 @@ def test_resume_s_mismatch_exit_4(tmp_path, cfg_path):
     ])
     assert code == 4
     assert not rest.exists()
-
-
-@pytest.fixture
-def fresh_fft_workers():
-    fft_workers.cache_clear()
-    yield
-    fft_workers.cache_clear()
-
-
-@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
-def test_bad_thread_count_exit_2(tmp_path, cfg_path, monkeypatch, fresh_fft_workers, value):
-    monkeypatch.setenv("MHD2_THREADS", value)
-    out = tmp_path / "out"
-    assert main(["--quiet", "simulate", "--config", str(cfg_path), "--outdir", str(out)]) == 2
-    assert not out.exists()
-    ic = tmp_path / "ic.chk"
-    assert main(["--quiet", "make-ic", "--config", str(cfg_path), "--out", str(ic)]) == 2
-    assert not ic.exists()
-
-
-@pytest.mark.parametrize(
-    "value, expected", [(None, 1), ("", 1), ("2", 2), ("0", os.cpu_count() or 1)]
-)
-def test_default_thread_count(monkeypatch, fresh_fft_workers, value, expected):
-    """Unset or empty MHD2_THREADS means one FFT worker; 0 means one per core."""
-    if value is None:
-        monkeypatch.delenv("MHD2_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("MHD2_THREADS", value)
-    assert fft_workers() == expected
 
 
 @pytest.mark.parametrize("s", [0, 1, 17])

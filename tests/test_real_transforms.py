@@ -1,17 +1,37 @@
-"""The package runs on the real transform pair alone: with the complex
-transforms of scipy.fft and numpy.fft (fft, ifft, fft2, ifft2, fftn, ifftn)
-made to raise, a run, a resume, the public transforms, the pressure and the
-verification sweeps still work.  The right-hand side and the step use the
-number of real transforms that the divergence form needs."""
+"""The package runs on one real transform pair, two 1-D numpy.fft passes
+each way: with the complex transforms of scipy.fft, the 2-D and N-D complex
+transforms of numpy.fft, and any other use of numpy.fft.fft/ifft made to
+raise, a run, a resume, the public transforms, the pressure and the
+verification sweeps still work.  The pair equals scipy.fft.irfft2/rfft2 bit
+for bit and writes into caller-owned buffers, so the run loop makes no page
+faults; the right-hand side, the step and a run use the number of
+transforms that the divergence form needs."""
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 
+import mhd2tor
 from mhd2tor.cli import main
+from mhd2tor.diagnostics import EnergyParams, instantaneous
 from mhd2tor.dynamics import _rhs_arrays, compute_pressure
-from mhd2tor.spectral import GridSpec, ScalarField, forward_transform, inverse_transform
-from mhd2tor.stepping import step_ifrk4
+from mhd2tor.spectral import (
+    GridSpec,
+    ScalarField,
+    _forward_into,
+    _inverse_into,
+    forward_transform,
+    half_coeffs,
+    half_samples,
+    inverse_transform,
+)
+from mhd2tor.stepping import StepCounts, StepperConfig, run, step_ifrk4
 from mhd2tor.symmetry import InitialDataSpec, make_initial_data
 from mhd2tor.verify import run_checks
 
@@ -32,9 +52,23 @@ def no_complex_fft(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("complex FFT called")
 
-    for module in (scipy.fft, np.fft):
-        for name in COMPLEX:
-            monkeypatch.setattr(module, name, refuse)
+    def half_spectrum_pass(fn):
+        """fn only as the 1-D pass along k2 (axis -1) of stacked half spectra."""
+
+        def guarded(a, *args, axis=-1, **kwargs):
+            shape = np.shape(a)
+            if args or axis != -1 or len(shape) < 2 or shape[-2] != shape[-1] // 2 + 1:
+                raise AssertionError(f"complex FFT called on shape {shape}, axis {axis}")
+            return fn(a, axis=axis, **kwargs)
+
+        return guarded
+
+    for name in COMPLEX:
+        monkeypatch.setattr(scipy.fft, name, refuse)
+        if name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, half_spectrum_pass(getattr(np.fft, name)))
+        else:
+            monkeypatch.setattr(np.fft, name, refuse)
 
 
 def test_no_complex_fft(tmp_path, no_complex_fft):
@@ -61,11 +95,12 @@ def test_no_complex_fft(tmp_path, no_complex_fft):
 
 @pytest.fixture
 def field_counts(monkeypatch):
-    """Counts of the n x n fields passed through scipy.fft.irfft2/rfft2."""
-    counts = {"irfft2": 0, "rfft2": 0}
+    """Counts of the n x n fields passed through numpy.fft.irfft/rfft, the
+    second inverse pass and the first forward pass."""
+    counts = {"irfft": 0, "rfft": 0}
 
     def counted(name):
-        fn = getattr(scipy.fft, name)
+        fn = getattr(np.fft, name)
 
         def wrapper(a, *args, **kwargs):
             counts[name] += int(np.prod(np.shape(a)[:-2]))
@@ -74,17 +109,98 @@ def field_counts(monkeypatch):
         return wrapper
 
     for name in counts:
-        monkeypatch.setattr(scipy.fft, name, counted(name))
+        monkeypatch.setattr(np.fft, name, counted(name))
     return counts
 
 
 def test_transform_count(field_counts):
     """One rhs: 4 inverse fields (u1, u2, b1, b2) and 3 forward (A, C, E);
-    one IF-RK4 step: four of each."""
+    one IF-RK4 step: four of each; one step of a nonlinear run: the same,
+    since its CFL speed comes from the stage-1 samples."""
     grid = GridSpec(16)
     st = make_initial_data(InitialDataSpec(epsilon=0.1, s=2, seed=3), grid)
     _rhs_arrays(grid, st.x, True, True)
-    assert field_counts == {"irfft2": 4, "rfft2": 3}
-    field_counts.update(irfft2=0, rfft2=0)
+    assert field_counts == {"irfft": 4, "rfft": 3}
+    field_counts.update(irfft=0, rfft=0)
     step_ifrk4(st, 1e-2)
-    assert field_counts == {"irfft2": 16, "rfft2": 12}
+    assert field_counts == {"irfft": 16, "rfft": 12}
+
+    field_counts.update(irfft=0, rfft=0)
+    instantaneous(st, EnergyParams(2))
+    per_sample = dict(field_counts)
+    assert per_sample == {"irfft": 8, "rfft": 0}  # symmetry_defect
+    field_counts.update(irfft=0, rfft=0)
+    counts = StepCounts()
+    run(st, StepperConfig(t_end=0.05, dt_max=1e-2), 0.05, lambda rec, s: None, counts=counts)
+    assert counts.steps == 5
+    assert field_counts == {"irfft": 16 * 5 + 2 * 8, "rfft": 12 * 5}
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_pair_matches_scipy_bitwise(n):
+    """The 1-D passes, in the caller's buffers and through the public
+    functions, equal scipy.fft.irfft2/rfft2 bit for bit."""
+    rng = np.random.default_rng(n)
+    shape = (4, n // 2 + 1, n)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    samples = rng.standard_normal((3, n, n))
+    expected_samples = scipy.fft.irfft2(half, s=(n, n), axes=(-1, -2), norm="forward")
+    expected_half = scipy.fft.rfft2(samples, axes=(-1, -2), norm="forward")
+
+    before = half.copy()
+    assert np.array_equal(half_samples(GridSpec(n), half), expected_samples)
+    assert np.array_equal(half, before)  # the public inverse leaves its input alone
+    assert np.array_equal(half_coeffs(GridSpec(n), samples), expected_half)
+
+    spec, phys = half.copy(), np.empty((4, n, n))
+    assert _inverse_into(spec, phys) is phys
+    assert np.array_equal(phys, expected_samples)
+    out = np.empty((3, n // 2 + 1, n), dtype=np.complex128)
+    assert _forward_into(samples, out) is out
+    assert np.array_equal(out, expected_half)
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_step_makes_no_page_faults(n):
+    """After warm-up, a step writes only into buffers it already owns
+    (the state array it returns is recycled from the one freed before)."""
+    st = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), GridSpec(n))
+    for _ in range(3):
+        st = step_ifrk4(st, 1e-3)
+    before = _minor_faults()
+    for _ in range(4):
+        st = step_ifrk4(st, 1e-3)
+    assert (_minor_faults() - before) / 4 < 50
+
+
+def test_sampled_run_makes_no_page_faults():
+    """A nonlinear run at n=256 that samples every step: its CFL step (about
+    8e-3) overshoots every sample time 5e-3 apart, so each step lands on one."""
+    st = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), GridSpec(256))
+    params = EnergyParams(2)
+    rows = []
+
+    def sink(rec, state):
+        rows.append(rec.t)
+
+    st = run(st, StepperConfig(t_end=0.015), 5e-3, sink, energy_params=params)
+    counts = StepCounts()
+    before = _minor_faults()
+    run(st, StepperConfig(t_end=0.035), 5e-3, sink, energy_params=params, counts=counts)
+    faults = _minor_faults() - before
+    assert counts.steps == counts.landing == 4
+    assert faults / counts.steps < 50
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(mhd2tor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, mhd2tor.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

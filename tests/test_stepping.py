@@ -3,7 +3,14 @@ import pytest
 
 from mhd2tor.errors import StepTooSmall
 from mhd2tor.spectral import GridSpec, forward_transform, ScalarField
-from mhd2tor.stepping import StepperConfig, _heat_factors, cfl_dt, run, step_ifrk4
+from mhd2tor.stepping import (
+    StepCounts,
+    StepperConfig,
+    _heat_factors,
+    cfl_dt,
+    run,
+    step_ifrk4,
+)
 from mhd2tor.symmetry import (
     InitialDataSpec,
     make_initial_data,
@@ -141,3 +148,44 @@ def test_run_invalid_sample_spacing(grid):
     st0 = zero_state(grid)
     with pytest.raises(ValueError):
         run(st0, StepperConfig(t_end=1.0), 0.0, lambda rec, st: None)
+
+
+def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
+    """run() takes dt from the stage-1 samples; on a nonlinear n=64 run bound
+    by the CFL step, that dt equals cfl_dt of the state it steps, bit for bit."""
+    import mhd2tor.stepping as stepping
+
+    st0 = make_initial_data(InitialDataSpec(epsilon=0.5, s=2, seed=2), GridSpec(64))
+    cfg = StepperConfig(t_end=0.3, dt_max=1.0)
+    taken = []
+
+    def spy(st, choose, **kwargs):
+        def record(speed):
+            dt = choose(speed)
+            taken.append((st, dt))
+            return dt
+
+        return step_ifrk4(st, record, **kwargs)
+
+    monkeypatch.setattr(stepping, "step_ifrk4", spy)
+    counts = StepCounts()
+    final = run(st0, cfg, 0.3, lambda rec, st: None, counts=counts)
+    assert final.t == 0.3
+    assert counts.landing == 1 and counts.dt_max == 0 and counts.cfl == len(taken) - 1 >= 5
+    for st, dt in taken[:-1]:
+        assert dt == cfl_dt(st, cfg) < cfg.dt_max
+    st, dt = taken[-1]
+    assert dt == 0.3 - st.t <= cfl_dt(st, cfg) + 1e-12
+
+
+def test_run_step_too_small_keeps_last_good_state():
+    """A CFL step below dt_min, found after stage 1, raises before the state moves."""
+    grid = GridSpec(32)
+    st0 = make_initial_data(InitialDataSpec(epsilon=1e6, s=2, seed=1), grid)
+    x0 = st0.x.copy()
+    seen = []
+    cfg = StepperConfig(t_end=1.0, dt_min=1e-3, dt_max=1e-2)
+    with pytest.raises(StepTooSmall, match="last good t=0"):
+        run(st0, cfg, 0.1, lambda rec, st: seen.append(st))
+    assert seen == [st0] and st0.t == 0.0
+    assert np.array_equal(st0.x, x0)

@@ -23,7 +23,16 @@ import struct
 import numpy as np
 
 from .errors import CorruptCheckpoint, GridMismatch
-from .spectral import MAX_S, GridSpec, half_coeffs, half_samples, roll_anchor
+from .spectral import (
+    MAX_S,
+    GridSpec,
+    _inverse_into,
+    _spec_as_real,
+    _transform_workspace,
+    half_coeffs,
+    half_samples,
+    roll_anchor,
+)
 from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in bench/spans.py
 from .symmetry import MHDState
 
@@ -37,18 +46,35 @@ def physical_arrays(st: MHDState) -> np.ndarray:
     return roll_anchor(half_samples(st.grid, st.x))
 
 
+def _workspace_samples(st: MHDState) -> np.ndarray:
+    """``physical_arrays(st)`` formed in the shared transform workspace, valid
+    until its next use: the samples, then the roll by n/2 points as four
+    block copies into the complex stack viewed as real arrays."""
+    n, h = st.grid.n, st.grid.n // 2
+    spec, phys = _transform_workspace(st.grid)
+    np.copyto(spec, st.x)
+    _inverse_into(spec, phys)
+    rolled = _spec_as_real(st.grid, (4, n, n))
+    rolled[:, :h, :h] = phys[:, h:, h:]
+    rolled[:, :h, h:] = phys[:, h:, :h]
+    rolled[:, h:, :h] = phys[:, :h, h:]
+    rolled[:, h:, h:] = phys[:, :h, :h]
+    return rolled
+
+
 def write_checkpoint(st: MHDState, path: str | os.PathLike, s: int) -> None:
     """Write a state atomically: a failed write leaves ``path`` as it was.
 
     The bytes go to a temporary file in the same directory, which then
     replaces ``path``; on any failure the temporary file is removed.
     """
-    arrays = physical_arrays(st)  # before opening, so a failed transform leaves no file
+    # before opening, so a failed transform leaves no file
+    data = _workspace_samples(st).astype("<f8", copy=False).data
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, st.grid.n, s, st.t))
-            fh.write(arrays.astype("<f8", copy=False).tobytes())
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

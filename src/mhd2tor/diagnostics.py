@@ -31,7 +31,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import grad_b_l2_sq, l2_energy
 from .errors import (
     InsufficientSamples,
     NonMonotoneTime,
@@ -45,6 +44,7 @@ from .spectral import (
     SpectralScalar,
     VectorField,
     _coeff_arrays,
+    _spec_as_real,
     derivative_multiplier,
     divergence_defect,
     half_sobolev_multiplier,
@@ -95,34 +95,54 @@ def _orders(s: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
 
 @lru_cache(maxsize=4)
 def _norm_weights(grid: GridSpec, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-norm multipliers on the half spectrum, times its row weights:
-    the u orders, then the d2 u orders, act on |u|^2; the b orders on |b|^2."""
+    """Squared-norm multipliers on the half spectrum, times its row weights.
+
+    On |u|^2: the u orders, the d2 u orders, then the L2 weight.  On |b|^2:
+    the b orders, the L2 weight, then |k|^2 (the weight of ||grad b||^2).
+    """
     half = grid.half
     mu = lambda m: half.weight * half_sobolev_multiplier(grid, m)
     u, b, d2u = _orders(s)
     d2 = half.ik2.imag**2
-    wu = np.stack([mu(m) for m in u] + [d2 * mu(m) for m in d2u])
-    return wu, np.stack([mu(m) for m in b])
+    l2 = np.broadcast_to(half.weight, half.ksq.shape)
+    wu = np.stack([mu(m) for m in u] + [d2 * mu(m) for m in d2u] + [l2])
+    return wu, np.stack([mu(m) for m in b] + [l2, half.weight * half.ksq])
+
+
+def _squared_sum(v1: np.ndarray, v2: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """|v1|^2 + |v2|^2 per mode, written into ``work[0]`` and returned;
+    ``work`` holds three real arrays of the shape of ``v1``."""
+    s, s2, t = work
+    np.square(v1.real, out=s)
+    s += np.square(v1.imag, out=t)
+    np.square(v2.real, out=s2)
+    s2 += np.square(v2.imag, out=t)
+    s += s2
+    return s
 
 
 def instantaneous(st: MHDState, p: EnergyParams) -> DiagnosticsRecord:
     """All norms entering E0 and E1, plus structural defects.
 
-    The 11 norms come from one pass over |x|^2 against cached multipliers.
+    The 11 norms, the L2 energy and ||grad b||^2 come from one pass over
+    |u|^2 and one over |b|^2 against cached multipliers.  The squares are
+    formed in the shared transform workspace, before ``symmetry_defect``
+    uses it.
     """
     x, half = st.x, st.grid.half
     u_orders, b_orders, d2u_orders = _orders(p.s)
     wu, wb = _norm_weights(st.grid, p.s)
-    sq = x.real**2 + x.imag**2
-    nu = np.sqrt(MEASURE * np.einsum("kij,ij->k", wu, sq[0] + sq[1]))
-    nb = np.sqrt(MEASURE * np.einsum("kij,ij->k", wb, sq[2] + sq[3]))
+    work = _spec_as_real(st.grid, (3,) + x.shape[1:])
+    su = MEASURE * np.einsum("kij,ij->k", wu, _squared_sum(x[0], x[1], work))
+    sb = MEASURE * np.einsum("kij,ij->k", wb, _squared_sum(x[2], x[3], work))
+    nu, nb = np.sqrt(su[:-1]), np.sqrt(sb[:-2])
     return DiagnosticsRecord(
         t=st.t,
         norm_u=dict(zip(u_orders, nu[:4].tolist())),
         norm_b=dict(zip(b_orders, nb.tolist())),
         norm_d2u=dict(zip(d2u_orders, nu[4:].tolist())),
-        l2_energy=l2_energy(st),
-        grad_b_l2_sq=grad_b_l2_sq(st),
+        l2_energy=0.5 * float(su[-1] + sb[-2]),
+        grad_b_l2_sq=float(sb[-1]),
         symmetry_defect=symmetry_defect(st),
         div_defect_u=divergence_defect(half, x[0], x[1]),
         div_defect_b=divergence_defect(half, x[2], x[3]),

@@ -138,6 +138,7 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
         else float("nan")
     )
     rec = last["rec"]
+    dt_min, dt_mean, dt_max = counts.dt_stats()
     lines = [
         ("status", status),
         ("reason", reason),
@@ -152,6 +153,9 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
         ("steps_cfl", counts.cfl),
         ("steps_dt_max", counts.dt_max),
         ("steps_landing", counts.landing),
+        ("step_dt_min", _FLOAT_FMT % dt_min),
+        ("step_dt_mean", _FLOAT_FMT % dt_mean),
+        ("step_dt_max", _FLOAT_FMT % dt_max),
         ("e0", _FLOAT_FMT % led.e0),
         ("e1", _FLOAT_FMT % led.e1),
         ("e_total", _FLOAT_FMT % led.total),

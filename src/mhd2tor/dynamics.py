@@ -13,17 +13,29 @@ divergence form, which for divergence-free u and b is the same flow:
     -u.grad b + b.grad u = curl(u x b) = (d2 E, -d1 E)
 
 with A = (u1^2 - u2^2 - b1^2 + b2^2)/2, C = u1 u2 - b1 b2 and
-E = u1 b2 - u2 b1.  The gradient is removed by P, so the kernel drops it.
-This assumes divergence-free input, which every state the solver steps,
-draws as initial data or writes to a checkpoint satisfies; for such fields
-the two forms agree to roundoff after dealiasing (the test suite checks
-them against direct-sum advective products).  The three products are formed
-pseudo-spectrally from dealiased inputs and dealiased again: one stacked
-inverse transform of 4 fields and one forward transform of 3 per
-evaluation.  Linear terms are not dealiased.  The k = 0 mode of every
-tendency is exactly zero with no write to it, since every multiplier
-vanishes there; a non-finite mean mode therefore shows as a non-finite
-tendency.
+E = u1 b2 - u2 b1.  This assumes divergence-free input, which every state
+the solver steps, draws as initial data or writes to a checkpoint
+satisfies; for such fields the two forms agree to roundoff after
+dealiasing (the test suite checks them against direct-sum advective
+products).  The three products are formed pseudo-spectrally from dealiased
+inputs and dealiased again: one stacked inverse transform of 4 fields and
+one forward transform of 3 per evaluation.  Dealiased, they vanish above
+the band, so the c2c passes of both transforms and all arithmetic after
+the forward one run on the band rows k1 <= n/3 alone.  Linear terms are
+not dealiased.
+
+No projection pass runs.  P is a fixed matrix per mode, so it is folded
+into the multipliers M that map (A_hat, C_hat) to the u tendency:
+
+    M = P [[-d1, -d2], [d2, -d1]] = (i/|k|^2) [[-2 k1 k2^2,  k2 (k1^2 - k2^2)],
+                                               [ 2 k1^2 k2,  k1 (k2^2 - k1^2)]]
+
+The b tendency (d2 E, -d1 E) is a curl, and the coupling terms d2 b, d2 u
+are derivatives of divergence-free fields, so every tendency is
+divergence-free to roundoff by its form, and the step keeps div u and
+div b there without restoring them.  The k = 0 mode of every tendency is
+exactly zero with no write to it, since every multiplier vanishes there;
+a non-finite mean mode therefore shows as a non-finite tendency.
 
 Everything works on the state's own array: stacked half spectra
 (u1, u2, b1, b2) of shape (4, n//2+1, n), transformed without phase or
@@ -58,10 +70,10 @@ from .spectral import (
     _coeff_arrays,
     _forward_into,
     _inverse_into,
+    _spec_as_real,
     _transform_workspace,
     half_coeffs,
     half_samples,
-    project_pairs,
     roll_anchor,
     sobolev_norm,
     to_half,
@@ -70,13 +82,30 @@ from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in 
 from .symmetry import MHDState
 
 
+def _band_rows(grid: GridSpec) -> int:
+    """Number of half-spectrum rows k1 = 0, 1, ... inside the 2/3 band."""
+    return int(grid.dealias_cutoff) + 1
+
+
 @lru_cache(maxsize=4)
-def _workspace(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays that ``_rhs_arrays`` overwrites on every call, one set per grid,
-    next to the shared ``_transform_workspace``: the samples of A, C, E and
-    two half spectra of scratch."""
-    n = grid.n
-    return np.empty((3, n, n)), np.empty((2, n // 2 + 1, n), dtype=np.complex128)
+def _multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The tendency multipliers on the band rows, dealias mask folded in.
+
+    ``M[i, j]`` maps (A_hat, C_hat) to the u tendency: M = P [[-d1, -d2],
+    [d2, -d1]], the Leray projection P folded into the divergence-form
+    derivatives.  ``curl`` = (d2, -d1) maps E_hat to the b tendency.  All
+    are built from the Nyquist-zeroed derivatives and vanish at k = 0.
+    """
+    half, r = grid.half, _band_rows(grid)
+    mask = half.dealias_mask[:r]
+    d1, d2 = half.ik_stack[:, :r]
+    k1, k2 = d1.imag, d2.imag
+    q = 1j * mask * half.inv_ksq[:r]
+    M = q * np.stack([
+        [-2.0 * k1 * k2 * k2, k2 * (k1 * k1 - k2 * k2)],
+        [2.0 * k1 * k1 * k2, k1 * (k2 * k2 - k1 * k1)],
+    ])
+    return M, mask * np.stack([d2, -d1])
 
 
 def _max_speed(phys: np.ndarray, work: np.ndarray) -> float:
@@ -101,50 +130,53 @@ def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
     one inverse transform in the shared workspace."""
     spec, phys = _transform_workspace(grid)
     np.copyto(spec, x)
-    return _max_speed(_inverse_into(spec, phys), _workspace(grid)[0])
+    return _max_speed(_inverse_into(spec, phys), _spec_as_real(grid, (3, grid.n, grid.n)))
 
 
 def _quadratic_arrays(
     grid: GridSpec, x: np.ndarray, out: np.ndarray, speed: bool = False
 ) -> float | None:
-    """Dealiased (-(d1 A + d2 C), d2 A - d1 C, d2 E, -d1 E) into ``out``.
+    """Dealiased P(-(d1 A + d2 C), d2 A - d1 C), then (d2 E, -d1 E), into ``out``.
 
     ``x`` holds the half spectra of divergence-free (u1, u2, b1, b2); see
     the module docstring for A, C, E.  One stacked inverse transform of 4
-    fields and one forward transform of 3 per evaluation.  With ``speed``,
-    returns ``_max_speed`` of the dealiased samples, else None.
+    fields and one forward transform of 3 per evaluation, their c2c passes
+    on the band rows alone; ``out`` is zero on the other rows.
+    With ``speed``, returns ``_max_speed`` of the dealiased samples, else
+    None.
     """
-    half = grid.half
+    r = _band_rows(grid)
+    M, curl = _multipliers(grid)
     spec, phys = _transform_workspace(grid)
-    prods, scratch = _workspace(grid)
-    np.multiply(x, half.dealias_mask, out=spec)
-    _inverse_into(spec, phys)
-    vmax = _max_speed(phys, prods) if speed else None
+    np.multiply(x[:, :r], grid.half.dealias_mask[:r], out=spec[:, :r])
+    _inverse_into(spec, phys, rows=r)
+    # spec is free until the forward transform: scratch for the speed and
+    # for the products
+    work = _spec_as_real(grid, (3, grid.n, grid.n))
+    vmax = _max_speed(phys, work) if speed else None
+    # A, C, E replace U1, U2, B1 in phys; each sample is read before it is
+    # overwritten
     U1, U2, B1, B2 = phys
-    A, C, E = prods
-    # A holds the second factors of C and E until A itself is formed
-    np.multiply(U1, U2, out=C)
-    C -= np.multiply(B1, B2, out=A)
-    np.multiply(U1, B2, out=E)
-    E -= np.multiply(U2, B1, out=A)
-    np.square(phys, out=phys)
-    np.subtract(U1, U2, out=A)
-    A -= B1
-    A += B2
-    A *= 0.5
-    hat = _forward_into(prods, spec[:3])
-    hat *= half.dealias_mask
-    A_hat, C_hat, E_hat = hat
-    d1, d2 = half.ik_stack
-    t = scratch[0]
-    np.multiply(d1, A_hat, out=out[0])
-    out[0] += np.multiply(d2, C_hat, out=t)
-    np.negative(out[0], out=out[0])
-    np.multiply(d2, A_hat, out=out[1])
-    out[1] -= np.multiply(d1, C_hat, out=t)
-    np.multiply(d2, E_hat, out=out[2])
-    np.multiply(d1, E_hat, out=out[3])
-    np.negative(out[3], out=out[3])
+    u2b1, u2sq, b1sq = work
+    np.multiply(U2, B1, out=u2b1)
+    np.square(U2, out=u2sq)
+    U2 *= U1
+    U2 -= np.multiply(B1, B2, out=b1sq)  # C
+    np.square(B1, out=b1sq)
+    np.multiply(U1, B2, out=B1)
+    B1 -= u2b1  # E
+    np.square(U1, out=U1)
+    U1 -= u2sq
+    U1 -= b1sq
+    U1 += np.square(B2, out=B2)
+    U1 *= 0.5  # A
+    A_hat, C_hat, E_hat = _forward_into(phys[:3], spec[:3], rows=r)[:, :r]
+    t = spec[3, :r]
+    for i in (0, 1):
+        np.multiply(M[i, 0], A_hat, out=out[i, :r])
+        out[i, :r] += np.multiply(M[i, 1], C_hat, out=t)
+    np.multiply(curl, E_hat, out=out[2:, :r])
+    out[:, r:] = 0.0
     return vmax
 
 
@@ -165,17 +197,22 @@ def _rhs_arrays(
     """
     if out is None:
         out = np.empty_like(x)
+    vmax = None
+    ik2 = grid.half.ik2
     if nonlinear:
         vmax = _quadratic_arrays(grid, x, out, speed)
+        if coupling:  # the products are in out, so the spectral workspace is free
+            t = _transform_workspace(grid)[0][:2]
+            out[:2] += np.multiply(ik2, x[2:], out=t)
+            out[2:] += np.multiply(ik2, x[:2], out=t)
     else:
-        out[...] = 0.0
-        vmax = _sample_speed(grid, x) if speed else None
-    scratch = _workspace(grid)[1]
-    if coupling:
-        ik2 = grid.half.ik2
-        out[:2] += np.multiply(ik2, x[2:], out=scratch)
-        out[2:] += np.multiply(ik2, x[:2], out=scratch)
-    project_pairs(grid.half, out, scratch)
+        if speed:
+            vmax = _sample_speed(grid, x)
+        if coupling:
+            np.multiply(ik2, x[2:], out=out[:2])
+            np.multiply(ik2, x[:2], out=out[2:])
+        else:
+            out[...] = 0.0
     return vmax if speed else out
 
 

@@ -24,8 +24,9 @@ per-grid ``_transform_workspace`` (shared, so not reentrant).  Each kernel
 is two 1-D ``numpy.fft`` passes that write into the caller's arrays: the
 inverse is a c2c ``ifft`` along k2 in place, then a c2r ``irfft`` along k1
 into real samples; the forward is an ``rfft`` along x1 into half spectra,
-then an in-place ``fft`` along x2.  They allocate nothing, so the run loop
-makes no page faults, and for n a power of 2 they equal
+then an in-place ``fft`` along x2.  The right-hand side runs the c2c pass
+of both on the rows of the 2/3 band alone.  They allocate nothing, so the
+run loop makes no page faults, and for n a power of 2 they equal
 ``scipy.fft.irfft2``/``rfft2`` bit for bit.  ``numpy.fft.irfft2(out=)``
 is not used: on numpy 2.4 it returns wrong samples.
 
@@ -270,28 +271,52 @@ def half_coeffs(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
     return _forward_into(samples, out)
 
 
-def _inverse_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _inverse_into(spec: np.ndarray, out: np.ndarray, rows: int | None = None) -> np.ndarray:
     """Samples of the half spectra ``spec`` (..., n//2+1, n) written into
-    ``out`` (..., n, n), which is returned; ``spec`` is overwritten."""
-    np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
+    ``out`` (..., n, n), which is returned; ``spec`` is overwritten.
+
+    With ``rows``, the rows k1 >= ``rows`` are taken as zero: they are
+    zeroed, and the pass along k2 skips them.
+    """
+    band = spec
+    if rows is not None:
+        spec[..., rows:, :] = 0.0
+        band = spec[..., :rows, :]
+    np.fft.ifft(band, axis=-1, norm="forward", out=band)
     return np.fft.irfft(spec, n=out.shape[-1], axis=-2, norm="forward", out=out)
 
 
-def _forward_into(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _forward_into(samples: np.ndarray, out: np.ndarray, rows: int | None = None) -> np.ndarray:
     """Half spectra of the real ``samples`` (..., n, n) written into ``out``
-    (..., n//2+1, n), which is returned."""
+    (..., n//2+1, n), which is returned.
+
+    With ``rows``, only the rows k1 < ``rows`` are finished; the pass along
+    x2 skips the others, which are left transformed along x1 alone.
+    """
     np.fft.rfft(samples, axis=-2, norm="forward", out=out)
-    return np.fft.fft(out, axis=-1, norm="forward", out=out)
+    band = out if rows is None else out[..., :rows, :]
+    np.fft.fft(band, axis=-1, norm="forward", out=band)
+    return out
 
 
 @functools.lru_cache(maxsize=4)
 def _transform_workspace(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """One complex stack (4, n//2+1, n) and one real stack (4, n, n) per grid,
     the buffers of every transform in the run loop (the right-hand side,
-    ``cfl_dt``, ``symmetry_defect``).  Shared and not reentrant: a caller
-    owns their contents only until its next call into one of those."""
+    ``cfl_dt``, ``symmetry_defect``, the squares of ``instantaneous`` and
+    the samples of ``write_checkpoint``).  Shared and not reentrant: a
+    caller owns their contents only until its next call into one of those."""
     n = grid.n
     return np.empty((4, n // 2 + 1, n), dtype=np.complex128), np.empty((4, n, n))
+
+
+def _spec_as_real(grid: GridSpec, shape: tuple[int, ...]) -> np.ndarray:
+    """A real array of ``shape`` laid over the complex stack of
+    ``_transform_workspace``, whose 4 (n/2+1) n complex values hold four
+    real (n, n) arrays: scratch while that stack holds nothing a caller
+    still needs."""
+    flat = _transform_workspace(grid)[0].reshape(-1).view(np.float64)
+    return flat[: int(np.prod(shape))].reshape(shape)
 
 
 def roll_anchor(samples: np.ndarray) -> np.ndarray:

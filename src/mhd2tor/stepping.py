@@ -6,10 +6,12 @@ diffusion is reproduced exactly (to roundoff), and classical RK4 handles
 the remaining terms at fourth order.
 
 The invariants of the exact flow are carried by the step itself, not
-restored after it.  Every stage tendency is Leray-projected with its k = 0
-mode zeroed (``dynamics``), the integrating factor is diagonal and equal on
-both components of b, and the discrete step commutes with the x2
-reflection, an exact index permutation.  So divergence-free fields stay
+restored after it.  Every stage tendency is divergence-free to roundoff
+by the form of its multipliers, which have the Leray projection folded in,
+so no projection pass runs, and it is exactly zero at k = 0
+(``dynamics``); the integrating factor is diagonal and equal on both
+components of b, and the discrete step commutes with the x2 reflection,
+an exact index permutation.  So divergence-free fields stay
 divergence-free to roundoff, the k = 0 modes (means) are conserved
 exactly, and a state in the symmetry class stays in it to roundoff; the
 diagnostics measure all three.
@@ -44,14 +46,25 @@ _LANDING_TOL = 1e-12
 
 
 @lru_cache(maxsize=4)
-def _heat_factors(grid, dt: float):
-    """exp(-|k|^2 dt/2) and exp(-|k|^2 dt) on the half spectrum, per (grid, dt).
+def _heat_buffer(grid) -> np.ndarray:
+    """The one real pair of half spectra per grid that ``_heat_factors`` fills."""
+    return np.empty((2, grid.n // 2 + 1, grid.n))
 
-    A run bound by dt_max repeats one dt, so a few entries keep it hitting;
-    a CFL-bound run never repeats one, so more entries would only hold memory.
+
+@lru_cache(maxsize=1)
+def _heat_factors(grid, dt: float):
+    """exp(-|k|^2 dt/2) and exp(-|k|^2 dt) on the half spectrum, written into
+    the grid's ``_heat_buffer`` and valid until the next call for that grid.
+
+    Only a miss writes the buffer, and the cache keeps one entry, so a hit
+    (the same grid and dt as the call before) finds the factors that call
+    left there.  A run bound by dt_max repeats one dt between landings and
+    keeps hitting; a CFL-bound run misses on every step, and a miss
+    allocates nothing.
     """
-    e_half = np.exp(-grid.half.ksq * (0.5 * dt))
-    return e_half, e_half * e_half
+    e_half, e_full = _heat_buffer(grid)
+    np.exp(np.multiply(grid.half.ksq, -0.5 * dt, out=e_half), out=e_half)
+    return e_half, np.square(e_half, out=e_full)
 
 
 @dataclass(frozen=True)
@@ -167,16 +180,32 @@ def step_ifrk4(
 
 @dataclass
 class StepCounts:
-    """What set the size of each step ``run`` took: the CFL bound, dt_max,
-    or landing on a sample time or t_end."""
+    """What set the size of each step ``run`` took (the CFL bound, dt_max,
+    or landing on a sample time or t_end), and the sizes themselves."""
 
     cfl: int = 0
     dt_max: int = 0
     landing: int = 0
+    dt_sum: float = 0.0
+    dt_smallest: float = np.inf
+    dt_largest: float = 0.0
 
     @property
     def steps(self) -> int:
         return self.cfl + self.dt_max + self.landing
+
+    def add(self, limit: str, dt: float) -> None:
+        """Tally one step of size dt, set by ``limit``."""
+        setattr(self, limit, getattr(self, limit) + 1)
+        self.dt_sum += dt
+        self.dt_smallest = min(self.dt_smallest, dt)
+        self.dt_largest = max(self.dt_largest, dt)
+
+    def dt_stats(self) -> tuple[float, float, float]:
+        """Smallest, mean and largest dt taken; nan for each with no step."""
+        if not self.steps:
+            return (np.nan,) * 3
+        return self.dt_smallest, self.dt_sum / self.steps, self.dt_largest
 
 
 def run(
@@ -195,7 +224,7 @@ def run(
     of ``sample_every``, and at t_end.  Deterministic for fixed inputs.
     Each dt is chosen after stage 1 of its step, from the speed of the
     stage-1 samples (the speed ``cfl_dt`` would read); ``counts``, when
-    given, tallies what set each dt.
+    given, tallies each dt and what set it.
     """
     from .diagnostics import EnergyParams, instantaneous
 
@@ -212,16 +241,16 @@ def run(
     # sample times are k * sample_every for an integer k, never a running
     # sum, so they land exactly; on resume k continues from the start time
     k = int(np.floor(st.t / sample_every + 1e-9)) + 1
-    limit = ""
+    limit, dt = "", 0.0
 
     def choose(speed: float) -> float:
         """dt of the step from the loop's st towards its target."""
-        nonlocal limit
+        nonlocal limit, dt
         dt = _cfl_limit(speed, st.grid, cfg)
         if st.t + dt >= target - _LANDING_TOL:
-            limit = "landing"
-            return target - st.t
-        limit = "cfl" if dt < cfg.dt_max else "dt_max"
+            limit, dt = "landing", target - st.t
+        else:
+            limit = "cfl" if dt < cfg.dt_max else "dt_max"
         return dt
 
     while st.t < cfg.t_end - _LANDING_TOL:
@@ -233,7 +262,7 @@ def run(
             raise type(exc)(f"{exc} (last good t={st.t:.6g})") from exc
         if limit == "landing":
             st.t = target  # exact landing
-        setattr(counts, limit, getattr(counts, limit) + 1)
+        counts.add(limit, dt)
         if st.t >= next_sample - _LANDING_TOL:
             sink(instantaneous(st, params), st)
             last_emitted = st.t

@@ -46,6 +46,22 @@ def test_summary_counts_what_set_dt(tmp_path):
     assert int(summary["steps"]) == 300
     assert counts["steps_cfl"] == 0
     assert sum(counts.values()) == 300
+    dts = [float(summary[f"step_dt_{key}"]) for key in ("min", "mean", "max")]
+    # steps that land on a sample time take target - t, 1e-2 up to roundoff
+    assert dts[0] <= dts[1] <= dts[2]
+    assert dts == pytest.approx([1e-2] * 3, rel=1e-9)
+
+
+def test_summary_step_sizes_nan_without_steps(tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(GOOD.replace("t_end = 0.3", "t_end = 0"))
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", "--config", str(cfg), "--outdir", str(out)]) == 0
+    summary = dict(
+        line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines()
+    )
+    assert summary["steps"] == "0"
+    assert [summary[f"step_dt_{key}"] for key in ("min", "mean", "max")] == ["nan"] * 3
 
 
 def test_config_error_exit_2(tmp_path):

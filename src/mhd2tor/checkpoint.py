@@ -26,9 +26,9 @@ from .errors import CorruptCheckpoint, GridMismatch
 from .spectral import (
     MAX_S,
     GridSpec,
-    _inverse_into,
+    _content_rows,
+    _inverse_rows,
     _spec_as_real,
-    _transform_workspace,
     half_coeffs,
     half_samples,
     roll_anchor,
@@ -49,11 +49,10 @@ def physical_arrays(st: MHDState) -> np.ndarray:
 def _workspace_samples(st: MHDState) -> np.ndarray:
     """``physical_arrays(st)`` formed in the shared transform workspace, valid
     until its next use: the samples, then the roll by n/2 points as four
-    block copies into the complex stack viewed as real arrays."""
+    block copies into the complex stack viewed as real arrays.  The inverse
+    transform runs on the rows of ``st`` that hold content."""
     n, h = st.grid.n, st.grid.n // 2
-    spec, phys = _transform_workspace(st.grid)
-    np.copyto(spec, st.x)
-    _inverse_into(spec, phys)
+    phys = _inverse_rows(st.grid, st.x[:, : _content_rows(st.x)])
     rolled = _spec_as_real(st.grid, (4, n, n))
     rolled[:, :h, :h] = phys[:, h:, h:]
     rolled[:, :h, h:] = phys[:, h:, :h]

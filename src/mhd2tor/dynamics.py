@@ -42,7 +42,8 @@ Everything works on the state's own array: stacked half spectra
 scaling on the grid anchored at 0 (see ``spectral``).  The private
 ``_rhs_arrays`` kernel returns the non-stiff part, without the diffusion
 Lap b, which the stepper applies through an exact integrating factor; it
-works in per-grid buffers and can write into a caller's array.  Its
+works in per-grid buffers and can write into a caller's array, and it
+takes the state's leading rows alone when the others are zero.  Its
 transforms use the shared ``spectral._transform_workspace``, which
 ``cfl_dt`` and ``symmetry_defect`` also use, so it is not reentrant.  On
 request it also returns the CFL speed |u| + |b + e2| of its dealiased
@@ -70,6 +71,8 @@ from .spectral import (
     _coeff_arrays,
     _forward_into,
     _inverse_into,
+    _inverse_rows,
+    _leading,
     _spec_as_real,
     _transform_workspace,
     half_coeffs,
@@ -127,10 +130,9 @@ def _max_speed(phys: np.ndarray, work: np.ndarray) -> float:
 
 def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
     """``_max_speed`` of the samples of ``x`` as stored (not dealiased), from
-    one inverse transform in the shared workspace."""
-    spec, phys = _transform_workspace(grid)
-    np.copyto(spec, x)
-    return _max_speed(_inverse_into(spec, phys), _spec_as_real(grid, (3, grid.n, grid.n)))
+    one inverse transform in the shared workspace; ``x`` holds the first
+    rows of the half spectra, the others are zero."""
+    return _max_speed(_inverse_rows(grid, x), _spec_as_real(grid, (3, grid.n, grid.n)))
 
 
 def _quadratic_arrays(
@@ -138,10 +140,11 @@ def _quadratic_arrays(
 ) -> float | None:
     """Dealiased P(-(d1 A + d2 C), d2 A - d1 C), then (d2 E, -d1 E), into ``out``.
 
-    ``x`` holds the half spectra of divergence-free (u1, u2, b1, b2); see
-    the module docstring for A, C, E.  One stacked inverse transform of 4
-    fields and one forward transform of 3 per evaluation, their c2c passes
-    on the band rows alone; ``out`` is zero on the other rows.
+    ``x`` holds the half spectra of divergence-free (u1, u2, b1, b2), or
+    their leading rows down to at least the band rows; see the module
+    docstring for A, C, E.  One stacked inverse transform of 4 fields and
+    one forward transform of 3 per evaluation, their c2c passes on the band
+    rows alone; ``out``, of the rows of ``x``, is zero on the others.
     With ``speed``, returns ``_max_speed`` of the dealiased samples, else
     None.
     """
@@ -190,19 +193,23 @@ def _rhs_arrays(
 ) -> np.ndarray | float:
     """dx/dt of the perturbation form without the diffusion Lap b, half spectra.
 
-    Written into ``out`` when given, else into a new array, which is
-    returned.  With ``speed``, the max speed |u| + |b + e2| of ``x`` is
-    returned instead: from the dealiased samples that the products use, or
-    from ``_sample_speed`` when ``nonlinear`` is off.
+    ``x`` may hold only the first m rows of the half spectra, the rows that
+    carry content; the others are zero by contract, and so are the
+    tendency's, which is given on the same m rows.  With ``nonlinear``, m
+    must cover the band rows.  Written into ``out`` when given, else into a
+    new array, which is returned.  With ``speed``, the max speed
+    |u| + |b + e2| of ``x`` is returned instead: from the dealiased samples
+    that the products use, or from ``_sample_speed`` when ``nonlinear`` is
+    off.
     """
     if out is None:
         out = np.empty_like(x)
     vmax = None
-    ik2 = grid.half.ik2
+    ik2 = grid.half.ik2[: x.shape[-2]]
     if nonlinear:
         vmax = _quadratic_arrays(grid, x, out, speed)
         if coupling:  # the products are in out, so the spectral workspace is free
-            t = _transform_workspace(grid)[0][:2]
+            t = _leading(_transform_workspace(grid)[0], (2,) + x.shape[1:])
             out[:2] += np.multiply(ik2, x[2:], out=t)
             out[2:] += np.multiply(ik2, x[:2], out=t)
     else:

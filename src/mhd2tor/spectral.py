@@ -25,8 +25,10 @@ is two 1-D ``numpy.fft`` passes that write into the caller's arrays: the
 inverse is a c2c ``ifft`` along k2 in place, then a c2r ``irfft`` along k1
 into real samples; the forward is an ``rfft`` along x1 into half spectra,
 then an in-place ``fft`` along x2.  The right-hand side runs the c2c pass
-of both on the rows of the 2/3 band alone.  They allocate nothing, so the
-run loop makes no page faults, and for n a power of 2 they equal
+of both on the rows of the 2/3 band alone; the CFL sample,
+``symmetry_defect`` and the checkpoint run the inverse's on the rows of
+the state that hold content (``_content_rows``).  They allocate nothing,
+so the run loop makes no page faults, and for n a power of 2 they equal
 ``scipy.fft.irfft2``/``rfft2`` bit for bit.  ``numpy.fft.irfft2(out=)``
 is not used: on numpy 2.4 it returns wrong samples.
 
@@ -48,6 +50,7 @@ zeroed by odd-order derivatives along the corresponding axis.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -299,6 +302,21 @@ def _forward_into(samples: np.ndarray, out: np.ndarray, rows: int | None = None)
     return out
 
 
+def _content_rows(x: np.ndarray, least: int = 0) -> int:
+    """The least m >= max(1, ``least``) such that every row k1 >= m of the
+    stacked half spectra ``x`` is zero bit for bit (+0.0; a -0.0 counts as
+    content).  Rows past m hold no information, so a caller may work on
+    ``x[:, :m]`` and take the rest as zero."""
+    tail = np.flatnonzero(x[:, least:].view(np.int64).any(axis=(0, 2)))
+    return max(1, least + (int(tail[-1]) + 1 if tail.size else 0))
+
+
+def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous array of ``shape`` over the first elements of the
+    contiguous ``buf``."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 @functools.lru_cache(maxsize=4)
 def _transform_workspace(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """One complex stack (4, n//2+1, n) and one real stack (4, n, n) per grid,
@@ -315,8 +333,19 @@ def _spec_as_real(grid: GridSpec, shape: tuple[int, ...]) -> np.ndarray:
     ``_transform_workspace``, whose 4 (n/2+1) n complex values hold four
     real (n, n) arrays: scratch while that stack holds nothing a caller
     still needs."""
-    flat = _transform_workspace(grid)[0].reshape(-1).view(np.float64)
-    return flat[: int(np.prod(shape))].reshape(shape)
+    return _leading(_transform_workspace(grid)[0].reshape(-1).view(np.float64), shape)
+
+
+def _inverse_rows(grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    """Samples (4, n, n) of the stacked half spectra ``x`` (4, m, n), whose
+    rows k1 >= m are zero by contract, formed in the shared transform
+    workspace and valid until its next use: ``x`` is copied into its
+    complex stack, the other rows are zeroed, and the pass along k2 runs on
+    the m rows alone (the skipped pass only ever produced 0.0)."""
+    spec, phys = _transform_workspace(grid)
+    m = x.shape[-2]
+    np.copyto(spec[:, :m], x)
+    return _inverse_into(spec, phys, rows=m)
 
 
 def roll_anchor(samples: np.ndarray) -> np.ndarray:
@@ -409,6 +438,34 @@ def divergence_defect(grid: GridSpec | HalfGrid, v1: np.ndarray, v2: np.ndarray)
     if scale == 0.0:
         return 0.0
     return float(div / scale)
+
+
+def _pair_divergence_defects(grid: GridSpec, x: np.ndarray) -> tuple[float, float]:
+    """``divergence_defect`` of the half-spectrum pairs (x[0], x[1]) and
+    (x[2], x[3]), by the same formula in the same order of operations, so
+    bit for bit the same values.  ``x`` holds rows k1 < m of stacked half
+    spectra whose other rows are zero (a max over them changes nothing);
+    both pairs are measured in one pass, in the shared transform workspace.
+    """
+    half, (_, m, n) = grid.half, x.shape
+    v1, v2 = x[0::2], x[1::2]
+    k1, k2 = half.k1[:m], half.k2[:m]
+    spec, phys = _transform_workspace(grid)
+    d, t = _leading(spec, (2, 2, m, n))
+    a, s1, s2 = _leading(phys, (3, 2, m, n))
+    np.multiply(k1, v1, out=d)
+    d += np.multiply(k2, v2, out=t)
+    div = list(np.abs(d, out=a).max(axis=(1, 2)))
+    rows, col = slice(1, min(m, n // 2)), n // 2  # the Nyquist column, as above
+    if rows.start < rows.stop:
+        nyq = np.abs(k1[rows, col] * v1[:, rows, col] - k2[rows, col] * v2[:, rows, col])
+        div = [max(dv, nv) for dv, nv in zip(div, nyq.max(axis=1))]
+    np.square(np.abs(v1, out=s1), out=s1)
+    s1 += np.square(np.abs(v2, out=s2), out=s2)
+    np.sqrt(s1, out=s1)
+    s1 *= np.sqrt(half.ksq[:m], out=s2[0])
+    scale = s1.max(axis=(1, 2))
+    return tuple(0.0 if sc == 0.0 else float(dv / sc) for dv, sc in zip(div, scale))
 
 
 # --- public operations -------------------------------------------------------

@@ -19,7 +19,11 @@ diagnostics measure all three.
 The step works on the state's own array: the stacked half spectra of
 (u1, u2, b1, b2), shape (4, n//2+1, n), in the convention of ``spectral``
 (rows k1 = 0..n/2, grid anchored at 0, ``norm="forward"``).  Nothing is
-converted to full spectra inside the run loop.
+converted to full spectra inside the run loop.  Each step works on the
+leading rows that hold content, and at least on the 2/3 band when the
+products are on: a run from band-limited initial data keeps its higher
+rows exactly zero, and a state read from a checkpoint has content on all
+n/2 + 1 rows.
 
 ``run`` chooses each dt after stage 1 of its step, from the speed of the
 stage-1 samples that the right-hand side makes anyway, so its CFL bound
@@ -36,9 +40,10 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _rhs_arrays, _sample_speed
+from .dynamics import _band_rows, _rhs_arrays, _sample_speed
 from .dynamics import _rhs_total_arrays  # noqa: F401  traced by name in bench/spans.py
 from .errors import NonFiniteState, StepTooSmall
+from .spectral import _content_rows, _leading
 from .symmetry import MHDState
 from .symmetry import ifft_samples, symmetry_defect  # noqa: F401  traced by name in bench/spans.py
 
@@ -101,13 +106,22 @@ def _cfl_limit(speed: float, grid, cfg: StepperConfig) -> float:
 def cfl_dt(st: MHDState, cfg: StepperConfig) -> float:
     """Advective CFL step from the pointwise speed |u| + |b + e2|, sampled on
     the grid anchored at 0: the same points as the one anchored at -pi."""
-    return _cfl_limit(_sample_speed(st.grid, st.x), st.grid, cfg)
+    x = st.x
+    return _cfl_limit(_sample_speed(st.grid, x[:, : _content_rows(x)]), st.grid, cfg)
+
+
+def _step_rows(st: MHDState, nonlinear: bool = True) -> int:
+    """The number of half-spectrum rows k1 = 0, 1, ... that ``step_ifrk4``
+    works on: those of ``st`` that hold content, and at least the 2/3 band
+    when ``nonlinear`` (the products land there)."""
+    return _content_rows(st.x, _band_rows(st.grid) if nonlinear else 0)
 
 
 @lru_cache(maxsize=4)
-def _stage_buffers(grid) -> np.ndarray:
-    """Two stacked half spectra that ``step_ifrk4`` overwrites on every step."""
-    return np.empty((2, 4, grid.n // 2 + 1, grid.n), dtype=np.complex128)
+def _stage_storage(grid) -> np.ndarray:
+    """Flat room for two stacked half spectra, which ``step_ifrk4``
+    overwrites on every step with two contiguous stacks of its rows."""
+    return np.empty(2 * 4 * (grid.n // 2 + 1) * grid.n, dtype=np.complex128)
 
 
 def step_ifrk4(
@@ -120,19 +134,31 @@ def step_ifrk4(
 
     x_new = e_full x + dt/6 (e_full k1 + 2 e_half k2 + 2 e_half k3 + k4),
     with e_half = exp(-|k|^2 dt/2) and e_full = exp(-|k|^2 dt) on the b rows
-    alone (only b diffuses).  The weighted sum of the stage tendencies
-    accumulates in one per-grid buffer and each tendency lands in a second;
-    the stage inputs are formed in the new state's array, which the
-    returned state owns.
+    alone (only b diffuses).
+
+    The step works on the first m rows of the half spectra, m =
+    ``_step_rows(st, nonlinear)``: every row past them is zero in ``st``,
+    and the tendencies are zero there (the products vanish above the 2/3
+    band, and the linear terms are diagonal), so those rows of the new
+    state are 0.0, written once.  The stage arithmetic runs on contiguous
+    (4, m, n) stacks: the weighted sum of the stage tendencies accumulates
+    in one, each tendency lands in a second (both in one flat per-grid
+    storage), and the stage inputs are formed at the start of the new
+    state's array, which the returned state owns.  A state with content in
+    its last row gets m = n/2 + 1.
 
     ``dt`` may also be a function that maps the max speed |u| + |b + e2|
     of the stage-1 samples to the step size (see ``dynamics``): ``run``
     takes its CFL step this way, with no transform of its own.  An error it
     raises leaves ``st`` as it was.
     """
-    grid = st.grid
-    acc, k = _stage_buffers(grid)
-    x = st.x
+    grid, x = st.grid, st.x
+    m = _step_rows(st, nonlinear)
+    shape = (4, m, grid.n)
+    acc, k = _leading(_stage_storage(grid), (2,) + shape)
+    x_new = np.empty_like(x)
+    y = _leading(x_new, shape)
+    x = x[:, :m]
 
     def rhs(stage_input, out):
         return _rhs_arrays(grid, stage_input, nonlinear, coupling, out=out)
@@ -143,8 +169,7 @@ def step_ifrk4(
         rhs(x, acc)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    e_half, e_full = _heat_factors(grid, dt)
-    y = np.empty_like(x)
+    e_half, e_full = (e[:m] for e in _heat_factors(grid, dt))
     # y = e_half (x + dt/2 k1); acc = e_full k1
     np.multiply(acc, 0.5 * dt, out=y)
     y += x
@@ -167,15 +192,17 @@ def step_ifrk4(
     y[:2] += x[:2]
     y[2:] += np.multiply(x[2:], e_full, out=k[2:])
     rhs(y, k)
-    # y = e_full x + dt/6 (acc + k4)
+    # x_new = e_full x + dt/6 (acc + k4), its rows past m zero
     acc += k
+    y = x_new[:, :m]
     np.multiply(acc, dt / 6.0, out=y)
     y[:2] += x[:2]
     y[2:] += np.multiply(x[2:], e_full, out=k[2:])
+    x_new[:, m:] = 0.0
 
     if not np.all(np.isfinite(y)):
         raise NonFiniteState(f"state became non-finite during step from t={st.t:.6g}")
-    return MHDState(grid, st.t + dt, y)
+    return MHDState(grid, st.t + dt, x_new)
 
 
 @dataclass

@@ -26,7 +26,9 @@ from .spectral import (
     GridSpec,
     SpectralScalar,
     VectorField,
+    _content_rows,
     _inverse_into,
+    _inverse_rows,
     _transform_workspace,
     divergence_defect,
     half_sobolev_multiplier,
@@ -53,7 +55,7 @@ class MHDState:
     x: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.complex128)
+        self.x = np.ascontiguousarray(self.x, dtype=np.complex128)
         shape = (4, self.grid.n // 2 + 1, self.grid.n)
         if self.x.shape != shape:
             raise ValueError(f"state shape {self.x.shape} does not match {shape}")
@@ -131,18 +133,21 @@ def symmetrize(st: MHDState) -> MHDState:
 def symmetry_defect(st: MHDState) -> float:
     """Relative sup-norm of the anti-class part, max over the four components.
 
-    Both inverse transforms run in the shared ``_transform_workspace``.
+    Both inverse transforms run in the shared ``_transform_workspace``, on
+    the rows of ``st`` that hold content (the reflection keeps the others
+    zero).
     """
-    spec, phys = _transform_workspace(st.grid)
-    np.copyto(spec, st.x)
-    _inverse_into(spec, phys)
+    m = _content_rows(st.x)
+    x = st.x[:, :m]
+    phys = _inverse_rows(st.grid, x)
     scale = max(float(phys.max()), -float(phys.min()))
     if scale == 0.0:
         return 0.0
-    anti = _reflect_coeffs(st.x, _STACK_PARITY, out=spec)
-    np.subtract(st.x, anti, out=anti)
+    spec = _transform_workspace(st.grid)[0]
+    anti = _reflect_coeffs(x, _STACK_PARITY, out=spec[:, :m])
+    np.subtract(x, anti, out=anti)
     anti *= 0.5
-    _inverse_into(anti, phys)
+    _inverse_into(spec, phys, rows=m)
     return max(float(phys.max()), -float(phys.min())) / scale
 
 

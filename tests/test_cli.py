@@ -32,6 +32,10 @@ def test_simulate_ok(tmp_path, cfg_path):
     assert header.startswith("t,u_H2,u_H3,u_H4,u_H5,b_H2")
 
 
+def _summary(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
 def test_summary_counts_what_set_dt(tmp_path):
     """The config of the sim-n64 benchmark workload: dt_max = 1e-2 binds on
     every step (the CFL step is about 0.04), so 300 steps, none set by CFL."""
@@ -39,9 +43,7 @@ def test_summary_counts_what_set_dt(tmp_path):
     cfg.write_text("n = 64\ns = 2\nepsilon = 1e-2\nseed = 1\nt_end = 3.0\nsample_every = 0.1\n")
     out = tmp_path / "out"
     assert main(["--quiet", "simulate", "--config", str(cfg), "--outdir", str(out)]) == 0
-    summary = dict(
-        line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines()
-    )
+    summary = _summary(out / "summary.txt")
     counts = {key: int(summary[key]) for key in ("steps_cfl", "steps_dt_max", "steps_landing")}
     assert int(summary["steps"]) == 300
     assert counts["steps_cfl"] == 0
@@ -50,6 +52,26 @@ def test_summary_counts_what_set_dt(tmp_path):
     # steps that land on a sample time take target - t, 1e-2 up to roundoff
     assert dts[0] <= dts[1] <= dts[2]
     assert dts == pytest.approx([1e-2] * 3, rel=1e-9)
+    # a fresh nonlinear run works on the 2/3-band rows: 22 of 33 at n = 64
+    assert summary["step_rows"] == "22"
+
+
+@pytest.mark.parametrize("nonlinear, fresh_rows", [(True, "22"), (False, "5")])
+def test_summary_step_rows_after_resume(tmp_path, nonlinear, fresh_rows):
+    """A fresh run works on its content rows (the band rows when nonlinear,
+    max_wavenumber + 1 = 5 when linear); a state read from a checkpoint has
+    content on all 33 rows of n = 64."""
+    cfg = tmp_path / "n64.cfg"
+    text = "n = 64\ns = 2\nepsilon = 1e-2\nseed = 1\nt_end = 0.2\nsample_every = 0.1\n"
+    cfg.write_text(text + f"nonlinearity = {str(nonlinear).lower()}\n")
+    out, rest = tmp_path / "out", tmp_path / "rest"
+    assert main(["--quiet", "simulate", "--config", str(cfg), "--outdir", str(out)]) == 0
+    assert _summary(out / "summary.txt")["step_rows"] == fresh_rows
+    cfg.write_text(cfg.read_text().replace("t_end = 0.2", "t_end = 0.3"))
+    args = ["--checkpoint", str(out / "final.chk"), "--outdir", str(rest)]
+    assert main(["--quiet", "resume", "--config", str(cfg), *args]) == 0
+    summary = _summary(rest / "summary.txt")
+    assert int(summary["steps"]) > 0 and summary["step_rows"] == "33"
 
 
 def test_summary_step_sizes_nan_without_steps(tmp_path):
@@ -57,9 +79,7 @@ def test_summary_step_sizes_nan_without_steps(tmp_path):
     cfg.write_text(GOOD.replace("t_end = 0.3", "t_end = 0"))
     out = tmp_path / "out"
     assert main(["--quiet", "simulate", "--config", str(cfg), "--outdir", str(out)]) == 0
-    summary = dict(
-        line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines()
-    )
+    summary = _summary(out / "summary.txt")
     assert summary["steps"] == "0"
     assert [summary[f"step_dt_{key}"] for key in ("min", "mean", "max")] == ["nan"] * 3
 

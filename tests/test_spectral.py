@@ -10,6 +10,8 @@ from mhd2tor.spectral import (
     ScalarField,
     SpectralScalar,
     VectorField,
+    _content_rows,
+    _pair_divergence_defects,
     dealias,
     derivative_multiplier,
     divergence_defect,
@@ -247,3 +249,21 @@ def test_reflection_commutes_with_half_layout(n, seed, parity):
     )
     full = to_full(half)
     assert np.array_equal(to_half(_reflect_coeffs(full, parity)), _reflect_coeffs(half, parity))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=sizes, seed=seeds, extent=hst.floats(0.0, 1.0), zero_b=hst.booleans())
+def test_pair_divergence_defects_match_divergence_defect(n, seed, extent, zero_b):
+    """The stacked pass over the content rows gives both divergence defects
+    bit for bit, on all rows or on the content rows alone; a zero pair reads 0."""
+    grid = GridSpec(n)
+    m = 1 + int(extent * (n // 2))
+    x = _random_half(n, seed, stack=(4,))
+    x[:, m:] = 0.0
+    if zero_b:
+        x[2:] = 0.0
+    expected = tuple(divergence_defect(grid.half, x[i], x[i + 1]) for i in (0, 2))
+    assert _content_rows(x) == m
+    assert _pair_divergence_defects(grid, x[:, :m]) == expected
+    assert _pair_divergence_defects(grid, x) == expected
+    assert (expected[1] == 0.0) == zero_b

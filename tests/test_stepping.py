@@ -1,18 +1,25 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from mhd2tor.checkpoint import read_checkpoint, write_checkpoint
 from mhd2tor.errors import StepTooSmall
-from mhd2tor.spectral import GridSpec, forward_transform, ScalarField
+from mhd2tor.spectral import GridSpec, _content_rows, forward_transform, ScalarField
 from mhd2tor.stepping import (
     StepCounts,
     StepperConfig,
     _heat_factors,
+    _step_rows,
     cfl_dt,
     run,
     step_ifrk4,
 )
 from mhd2tor.symmetry import (
     InitialDataSpec,
+    MHDState,
     make_initial_data,
     state_from_arrays,
     symmetry_defect,
@@ -189,3 +196,114 @@ def test_run_step_too_small_keeps_last_good_state():
         run(st0, cfg, 0.1, lambda rec, st: seen.append(st))
     assert seen == [st0] and st0.t == 0.0
     assert np.array_equal(st0.x, x0)
+
+
+def _bind_content_rows(monkeypatch, rows):
+    """``rows`` as ``_content_rows`` in every module of the package that binds it."""
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("mhd2tor.") and hasattr(mod, "_content_rows"):
+            monkeypatch.setattr(mod, "_content_rows", rows)
+
+
+def _samples(st, path):
+    """cfl_dt, symmetry_defect and the checkpoint bytes of a state."""
+    write_checkpoint(st, path, s=2)
+    return cfl_dt(st, StepperConfig(t_end=1.0, dt_max=1.0)), symmetry_defect(st), path.read_bytes()
+
+
+def _step(st, nonlinear):
+    """One step whose dt depends on the stage-1 speed, so that is checked too."""
+    return step_ifrk4(st, lambda speed: 2e-2 / (1.0 + speed), nonlinear=nonlinear)
+
+
+def _trajectory(st, nonlinear, path, steps=40):
+    """State and ``_samples`` after each of ``steps`` steps."""
+    out = []
+    for _ in range(steps):
+        st = _step(st, nonlinear)
+        out.append((st.x.copy(), _samples(st, path)))
+    return out
+
+
+def _same(a, b):
+    return all(
+        np.array_equal(xa, xb) and sa == sb for (xa, sa), (xb, sb) in zip(a, b, strict=True)
+    )
+
+
+def _row_case(case, tmp_path):
+    """(state, nonlinear) of one case: fresh states have fewer content rows
+    than the half spectrum, a state read from a checkpoint has all of them.
+    The drawn state is shifted by 0.1 along x2, out of the symmetry class,
+    so that its symmetry defect is not 0 (on its content rows alone: the
+    product of a phase and +0.0 can be -0.0, which counts as content)."""
+    n, nonlinear, source = case
+    st = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=4), GridSpec(n))
+    m = _content_rows(st.x)
+    st.x[:, :m] *= np.exp(-0.1j * st.grid.half.k2[:m])
+    if source == "checkpoint":
+        write_checkpoint(st, tmp_path / "read.chk", s=2)
+        st = read_checkpoint(tmp_path / "read.chk")
+    return st, nonlinear
+
+
+ROW_CASES = [(32, True, "fresh"), (64, True, "fresh"), (32, False, "fresh"), (32, True, "checkpoint")]
+
+
+@pytest.mark.parametrize("case", ROW_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_content_rows_change_no_bit(monkeypatch, tmp_path, case):
+    """Working on the content rows alone gives the states, CFL steps,
+    symmetry defects and checkpoint bytes of working on all n/2 + 1 rows."""
+    st, nonlinear = _row_case(case, tmp_path)
+    band = int(st.grid.dealias_cutoff) + 1
+    fresh_rows = band if nonlinear else 5  # max_wavenumber + 1 in a linear run
+    expected = st.grid.n // 2 + 1 if case[2] == "checkpoint" else fresh_rows
+    assert _step_rows(st, nonlinear) == expected
+    path = tmp_path / "s.chk"
+    rows = _trajectory(st, nonlinear, path)
+    with monkeypatch.context() as mp:
+        _bind_content_rows(mp, lambda x, least=0: x.shape[-2])
+        assert _same(_trajectory(st, nonlinear, path), rows)
+
+
+@pytest.mark.parametrize("case", ROW_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_one_content_row_too_few_shows(monkeypatch, tmp_path, case):
+    """Negative control of the test above: a ``_content_rows`` one row short
+    moves what a state samples, and the step either moves too or, one row
+    short of the 2/3 band, is refused."""
+    st, nonlinear = _row_case(case, tmp_path)
+    path = tmp_path / "s.chk"
+    samples, stepped = _samples(st, path), _step(st, nonlinear).x
+    with monkeypatch.context() as mp:
+        _bind_content_rows(mp, lambda x, least=0: _content_rows(x, least) - 1)
+        assert _samples(st, path) != samples
+        if nonlinear and _step_rows(st, nonlinear) < int(st.grid.dealias_cutoff) + 1:
+            with pytest.raises(ValueError):
+                _step(st, nonlinear)
+        else:
+            assert not np.array_equal(_step(st, nonlinear).x, stepped)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=hst.sampled_from([16, 32]),
+    extent=hst.floats(0.0, 1.0),
+    nonlinear=hst.booleans(),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_rows_past_content_stay_zero(n, extent, nonlinear, seed):
+    """A state with content on rows k1 < m0 alone: after a step, every row
+    k1 >= max(m0, r) (r the band rows, when nonlinear) is +0.0 bit for bit."""
+    grid = GridSpec(n)
+    m0 = 1 + int(extent * (n // 2))
+    x = np.zeros((4, n // 2 + 1, n), dtype=np.complex128)
+    rng = np.random.default_rng(seed)
+    x[:, :m0] = 1e-2 * (rng.standard_normal((4, m0, n)) + 1j * rng.standard_normal((4, m0, n)))
+    x[:, m0 - 1] += 1e-2  # row m0 - 1 holds content
+    st = MHDState(grid, 0.0, x)
+    assert _content_rows(x) == m0
+    bound = max(m0, int(grid.dealias_cutoff) + 1) if nonlinear else m0
+    new = step_ifrk4(st, 1e-3, nonlinear=nonlinear)
+    assert not np.any(new.x[:, bound:].view(np.int64))
+    assert _step_rows(new, nonlinear) <= bound
+    assert np.array_equal(st.x, x)

@@ -26,7 +26,6 @@ from .errors import CorruptCheckpoint, GridMismatch
 from .spectral import (
     MAX_S,
     GridSpec,
-    _content_rows,
     _inverse_rows,
     _spec_as_real,
     half_coeffs,
@@ -52,7 +51,7 @@ def _workspace_samples(st: MHDState) -> np.ndarray:
     block copies into the complex stack viewed as real arrays.  The inverse
     transform runs on the rows of ``st`` that hold content."""
     n, h = st.grid.n, st.grid.n // 2
-    phys = _inverse_rows(st.grid, st.x[:, : _content_rows(st.x)])
+    phys, _ = _inverse_rows(st.grid, st.x)
     rolled = _spec_as_real(st.grid, (4, n, n))
     rolled[:, :h, :h] = phys[:, h:, h:]
     rolled[:, :h, h:] = phys[:, h:, :h]

@@ -45,7 +45,6 @@ from .spectral import (
     VectorField,
     _coeff_arrays,
     _content_rows,
-    _pair_divergence_defects,
     _spec_as_real,
     derivative_multiplier,
     divergence_defect,
@@ -129,8 +128,8 @@ def instantaneous(st: MHDState, p: EnergyParams) -> DiagnosticsRecord:
     The 11 norms, the L2 energy and ||grad b||^2 come from one pass over
     |u|^2 and one over |b|^2 against cached multipliers.  The squares are
     formed in the shared transform workspace, before ``symmetry_defect``
-    uses it; after it, both divergence defects are taken in one pass there,
-    over the rows of ``st`` that hold content.
+    uses it.  The divergence defects are taken on the rows of ``st`` that
+    hold content.
     """
     x = st.x
     u_orders, b_orders, d2u_orders = _orders(p.s)
@@ -139,8 +138,7 @@ def instantaneous(st: MHDState, p: EnergyParams) -> DiagnosticsRecord:
     su = MEASURE * np.einsum("kij,ij->k", wu, _squared_sum(x[0], x[1], work))
     sb = MEASURE * np.einsum("kij,ij->k", wb, _squared_sum(x[2], x[3], work))
     nu, nb = np.sqrt(su[:-1]), np.sqrt(sb[:-2])
-    sym = symmetry_defect(st)
-    div_u, div_b = _pair_divergence_defects(st.grid, x[:, : _content_rows(x)])
+    c = x[:, : _content_rows(x)]
     return DiagnosticsRecord(
         t=st.t,
         norm_u=dict(zip(u_orders, nu[:4].tolist())),
@@ -148,9 +146,9 @@ def instantaneous(st: MHDState, p: EnergyParams) -> DiagnosticsRecord:
         norm_d2u=dict(zip(d2u_orders, nu[4:].tolist())),
         l2_energy=0.5 * float(su[-1] + sb[-2]),
         grad_b_l2_sq=float(sb[-1]),
-        symmetry_defect=sym,
-        div_defect_u=div_u,
-        div_defect_b=div_b,
+        symmetry_defect=symmetry_defect(st),
+        div_defect_u=divergence_defect(st.grid.half, c[0], c[1]),
+        div_defect_b=divergence_defect(st.grid.half, c[2], c[3]),
         mean_abs_max=float(MEASURE * np.max(np.abs(x[:, 0, 0].real))),
     )
 

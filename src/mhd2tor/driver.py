@@ -34,7 +34,7 @@ from .errors import (
     StepTooSmall,
 )
 from .spectral import GridSpec
-from .stepping import StepCounts, StepperConfig, _step_rows, run
+from .stepping import StepCounts, StepperConfig, run, step_rows
 from .symmetry import InitialDataSpec, MHDState, make_initial_data
 
 EXIT_OK = 0
@@ -156,7 +156,7 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
         ("step_dt_min", _FLOAT_FMT % dt_min),
         ("step_dt_mean", _FLOAT_FMT % dt_mean),
         ("step_dt_max", _FLOAT_FMT % dt_max),
-        ("step_rows", _step_rows(final, cfg.nonlinearity)),
+        ("step_rows", step_rows(final, cfg.nonlinearity)),
         ("e0", _FLOAT_FMT % led.e0),
         ("e1", _FLOAT_FMT % led.e1),
         ("e_total", _FLOAT_FMT % led.total),

@@ -132,7 +132,7 @@ def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
     """``_max_speed`` of the samples of ``x`` as stored (not dealiased), from
     one inverse transform in the shared workspace; ``x`` holds the first
     rows of the half spectra, the others are zero."""
-    return _max_speed(_inverse_rows(grid, x), _spec_as_real(grid, (3, grid.n, grid.n)))
+    return _max_speed(_inverse_rows(grid, x)[0], _spec_as_real(grid, (3, grid.n, grid.n)))
 
 
 def _quadratic_arrays(

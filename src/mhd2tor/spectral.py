@@ -306,8 +306,12 @@ def _content_rows(x: np.ndarray, least: int = 0) -> int:
     """The least m >= max(1, ``least``) such that every row k1 >= m of the
     stacked half spectra ``x`` is zero bit for bit (+0.0; a -0.0 counts as
     content).  Rows past m hold no information, so a caller may work on
-    ``x[:, :m]`` and take the rest as zero."""
-    tail = np.flatnonzero(x[:, least:].view(np.int64).any(axis=(0, 2)))
+    ``x[:, :m]`` and take the rest as zero.  The last row is looked at
+    first: a state read from a checkpoint has content there."""
+    bits = x.view(np.int64)
+    if bits[:, -1].any():
+        return x.shape[-2]
+    tail = np.flatnonzero(bits[:, least:].any(axis=(0, 2)))
     return max(1, least + (int(tail[-1]) + 1 if tail.size else 0))
 
 
@@ -336,16 +340,18 @@ def _spec_as_real(grid: GridSpec, shape: tuple[int, ...]) -> np.ndarray:
     return _leading(_transform_workspace(grid)[0].reshape(-1).view(np.float64), shape)
 
 
-def _inverse_rows(grid: GridSpec, x: np.ndarray) -> np.ndarray:
-    """Samples (4, n, n) of the stacked half spectra ``x`` (4, m, n), whose
-    rows k1 >= m are zero by contract, formed in the shared transform
-    workspace and valid until its next use: ``x`` is copied into its
-    complex stack, the other rows are zeroed, and the pass along k2 runs on
-    the m rows alone (the skipped pass only ever produced 0.0)."""
+def _inverse_rows(grid: GridSpec, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Samples (4, n, n) of the stacked half spectra ``x`` (4, rows, n),
+    whose rows past ``x``'s own are zero by contract, and the count m of
+    their rows that hold content (``_content_rows``).  Formed in the shared
+    transform workspace and valid until its next use: the m rows are
+    copied into its complex stack, the other rows are zeroed, and the pass
+    along k2 runs on the m rows alone (the skipped pass only ever produced
+    0.0)."""
     spec, phys = _transform_workspace(grid)
-    m = x.shape[-2]
-    np.copyto(spec[:, :m], x)
-    return _inverse_into(spec, phys, rows=m)
+    m = _content_rows(x)
+    np.copyto(spec[:, :m], x[:, :m])
+    return _inverse_into(spec, phys, rows=m), m
 
 
 def roll_anchor(samples: np.ndarray) -> np.ndarray:
@@ -426,46 +432,22 @@ def project_pairs(grid: GridSpec | HalfGrid, x: np.ndarray, work: np.ndarray) ->
 def divergence_defect(grid: GridSpec | HalfGrid, v1: np.ndarray, v2: np.ndarray) -> float:
     """Max-abs spectral divergence, relative to the field's gradient magnitude.
 
-    Pass ``grid.half`` for half spectra.  A stored mode's conjugate mirror
-    has the same magnitudes, except on the Nyquist column k2 = -n/2, which
-    the mirror keeps: there it also takes |k1 v1 - k2 v2| (rows 1..n/2-1).
+    Pass ``grid.half`` for half spectra, or their leading rows k1 < m when
+    the others are zero (a max over those changes nothing).  A stored
+    mode's conjugate mirror has the same magnitudes, except on the Nyquist
+    column k2 = -n/2, which the mirror keeps: there it also takes
+    |k1 v1 - k2 v2| (rows 1..min(m, n/2)-1).
     """
-    div = np.max(np.abs(grid.k1 * v1 + grid.k2 * v2))
-    if isinstance(grid, HalfGrid):
-        c = (slice(1, -1), v1.shape[-1] // 2)
-        div = max(div, np.max(np.abs(grid.k1[c] * v1[c] - grid.k2[c] * v2[c])))
-    scale = np.max(np.sqrt(grid.ksq) * np.sqrt(np.abs(v1) ** 2 + np.abs(v2) ** 2))
+    m, n = v1.shape[-2:]
+    k1, k2, ksq = grid.k1[:m], grid.k2[:m], grid.ksq[:m]
+    div = np.max(np.abs(k1 * v1 + k2 * v2))
+    if isinstance(grid, HalfGrid) and m > 1:
+        c = (slice(1, min(m, n // 2)), n // 2)
+        div = max(div, np.max(np.abs(k1[c] * v1[c] - k2[c] * v2[c])))
+    scale = np.max(np.sqrt(ksq) * np.sqrt(np.abs(v1) ** 2 + np.abs(v2) ** 2))
     if scale == 0.0:
         return 0.0
     return float(div / scale)
-
-
-def _pair_divergence_defects(grid: GridSpec, x: np.ndarray) -> tuple[float, float]:
-    """``divergence_defect`` of the half-spectrum pairs (x[0], x[1]) and
-    (x[2], x[3]), by the same formula in the same order of operations, so
-    bit for bit the same values.  ``x`` holds rows k1 < m of stacked half
-    spectra whose other rows are zero (a max over them changes nothing);
-    both pairs are measured in one pass, in the shared transform workspace.
-    """
-    half, (_, m, n) = grid.half, x.shape
-    v1, v2 = x[0::2], x[1::2]
-    k1, k2 = half.k1[:m], half.k2[:m]
-    spec, phys = _transform_workspace(grid)
-    d, t = _leading(spec, (2, 2, m, n))
-    a, s1, s2 = _leading(phys, (3, 2, m, n))
-    np.multiply(k1, v1, out=d)
-    d += np.multiply(k2, v2, out=t)
-    div = list(np.abs(d, out=a).max(axis=(1, 2)))
-    rows, col = slice(1, min(m, n // 2)), n // 2  # the Nyquist column, as above
-    if rows.start < rows.stop:
-        nyq = np.abs(k1[rows, col] * v1[:, rows, col] - k2[rows, col] * v2[:, rows, col])
-        div = [max(dv, nv) for dv, nv in zip(div, nyq.max(axis=1))]
-    np.square(np.abs(v1, out=s1), out=s1)
-    s1 += np.square(np.abs(v2, out=s2), out=s2)
-    np.sqrt(s1, out=s1)
-    s1 *= np.sqrt(half.ksq[:m], out=s2[0])
-    scale = s1.max(axis=(1, 2))
-    return tuple(0.0 if sc == 0.0 else float(dv / sc) for dv, sc in zip(div, scale))
 
 
 # --- public operations -------------------------------------------------------

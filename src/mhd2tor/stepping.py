@@ -106,11 +106,10 @@ def _cfl_limit(speed: float, grid, cfg: StepperConfig) -> float:
 def cfl_dt(st: MHDState, cfg: StepperConfig) -> float:
     """Advective CFL step from the pointwise speed |u| + |b + e2|, sampled on
     the grid anchored at 0: the same points as the one anchored at -pi."""
-    x = st.x
-    return _cfl_limit(_sample_speed(st.grid, x[:, : _content_rows(x)]), st.grid, cfg)
+    return _cfl_limit(_sample_speed(st.grid, st.x), st.grid, cfg)
 
 
-def _step_rows(st: MHDState, nonlinear: bool = True) -> int:
+def step_rows(st: MHDState, nonlinear: bool = True) -> int:
     """The number of half-spectrum rows k1 = 0, 1, ... that ``step_ifrk4``
     works on: those of ``st`` that hold content, and at least the 2/3 band
     when ``nonlinear`` (the products land there)."""
@@ -137,7 +136,7 @@ def step_ifrk4(
     alone (only b diffuses).
 
     The step works on the first m rows of the half spectra, m =
-    ``_step_rows(st, nonlinear)``: every row past them is zero in ``st``,
+    ``step_rows(st, nonlinear)``: every row past them is zero in ``st``,
     and the tendencies are zero there (the products vanish above the 2/3
     band, and the linear terms are diagonal), so those rows of the new
     state are 0.0, written once.  The stage arithmetic runs on contiguous
@@ -153,7 +152,7 @@ def step_ifrk4(
     raises leaves ``st`` as it was.
     """
     grid, x = st.grid, st.x
-    m = _step_rows(st, nonlinear)
+    m = step_rows(st, nonlinear)
     shape = (4, m, grid.n)
     acc, k = _leading(_stage_storage(grid), (2,) + shape)
     x_new = np.empty_like(x)

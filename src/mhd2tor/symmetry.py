@@ -26,7 +26,6 @@ from .spectral import (
     GridSpec,
     SpectralScalar,
     VectorField,
-    _content_rows,
     _inverse_into,
     _inverse_rows,
     _transform_workspace,
@@ -137,13 +136,12 @@ def symmetry_defect(st: MHDState) -> float:
     the rows of ``st`` that hold content (the reflection keeps the others
     zero).
     """
-    m = _content_rows(st.x)
-    x = st.x[:, :m]
-    phys = _inverse_rows(st.grid, x)
+    phys, m = _inverse_rows(st.grid, st.x)
     scale = max(float(phys.max()), -float(phys.min()))
     if scale == 0.0:
         return 0.0
     spec = _transform_workspace(st.grid)[0]
+    x = st.x[:, :m]
     anti = _reflect_coeffs(x, _STACK_PARITY, out=spec[:, :m])
     np.subtract(x, anti, out=anti)
     anti *= 0.5

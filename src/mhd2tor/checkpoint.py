@@ -47,11 +47,12 @@ def physical_arrays(st: MHDState) -> np.ndarray:
 
 def _workspace_samples(st: MHDState) -> np.ndarray:
     """``physical_arrays(st)`` formed in the shared transform workspace, valid
-    until its next use: the samples, then the roll by n/2 points as four
-    block copies into the complex stack viewed as real arrays.  The inverse
-    transform runs on the rows of ``st`` that hold content."""
+    until its next use: the samples, which the workspace stores transposed,
+    then the roll by n/2 points as four block copies of their transposes
+    into the complex stack viewed as real arrays.  The inverse transform
+    runs on the rows of ``st`` that hold content."""
     n, h = st.grid.n, st.grid.n // 2
-    phys, _ = _inverse_rows(st.grid, st.x)
+    phys = _inverse_rows(st.grid, st.x)[0].transpose(0, 2, 1)
     rolled = _spec_as_real(st.grid, (4, n, n))
     rolled[:, :h, :h] = phys[:, h:, h:]
     rolled[:, :h, h:] = phys[:, h:, :h]

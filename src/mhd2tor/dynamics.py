@@ -44,19 +44,23 @@ scaling on the grid anchored at 0 (see ``spectral``).  The private
 Lap b, which the stepper applies through an exact integrating factor; it
 works in per-grid buffers and can write into a caller's array, and it
 takes the state's leading rows alone when the others are zero.  Its
-transforms use the shared ``spectral._transform_workspace``, which
-``cfl_dt`` and ``symmetry_defect`` also use, so it is not reentrant.  On
-request it also returns the CFL speed |u| + |b + e2| of its dealiased
-samples, so the stepper takes dt from stage 1 without a transform of its
-own.  Solver states lie inside the 2/3 band, where dealiasing changes
-nothing, so this speed equals that of ``cfl_dt`` bit for bit; a state read
-from a checkpoint carries roundoff above the band, and there the two differ
-at roundoff.  The public ``rhs_perturbation``/``rhs_total`` return the
-whole dx/dt in the same layout, in a new array.
+transforms use the shared ``spectral._transform_workspace``, whose samples
+are stored transposed (the products are pointwise, so that changes no
+bit), and which ``cfl_dt`` and ``symmetry_defect`` also use, so it is not
+reentrant.  On request it also returns the CFL speed |u| + |b + e2| of its
+dealiased samples, so the stepper takes dt from stage 1 without a
+transform of its own.  Solver states lie inside the 2/3 band, where
+dealiasing changes nothing, so this speed equals that of ``cfl_dt`` bit
+for bit; a state read from a checkpoint carries roundoff above the band,
+and there the two differ at roundoff.  ``_speed_bound`` bounds both from
+the coefficients alone, with no transform.  The public
+``rhs_perturbation``/``rhs_total`` return the whole dx/dt in the same
+layout, in a new array.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -73,6 +77,7 @@ from .spectral import (
     _inverse_into,
     _inverse_rows,
     _leading,
+    _phys_as_complex,
     _spec_as_real,
     _transform_workspace,
     half_coeffs,
@@ -135,6 +140,21 @@ def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
     return _max_speed(_inverse_rows(grid, x)[0], _spec_as_real(grid, (3, grid.n, grid.n)))
 
 
+def _speed_bound(grid: GridSpec, x: np.ndarray) -> float:
+    """An upper bound of ``_max_speed`` of the samples of ``x``, dealiased or
+    not, from its coefficients alone: sup |f| <= S_f = sum_k |f_k| over the
+    full spectrum, so the speed is at most hypot(S_u1, S_u2) +
+    hypot(S_b1, 1 + S_b2).  Raised by a relative 1e-9, which covers the
+    roundoff of the sums and of the transforms behind the samples;
+    dealiasing drops terms, so it lowers no S_f.  ``x`` holds the leading
+    rows of the half spectra, the others zero; ``|x|`` is formed in the
+    shared transform workspace."""
+    m = x.shape[-2]
+    a = np.abs(x, out=_spec_as_real(grid, x.shape))
+    s_u1, s_u2, s_b1, s_b2 = a.sum(axis=-1) @ grid.half.weight[:m, 0]
+    return (math.hypot(s_u1, s_u2) + math.hypot(s_b1, 1.0 + s_b2)) * (1.0 + 1e-9)
+
+
 def _quadratic_arrays(
     grid: GridSpec, x: np.ndarray, out: np.ndarray, speed: bool = False
 ) -> float | None:
@@ -144,22 +164,23 @@ def _quadratic_arrays(
     their leading rows down to at least the band rows; see the module
     docstring for A, C, E.  One stacked inverse transform of 4 fields and
     one forward transform of 3 per evaluation, their c2c passes on the band
-    rows alone; ``out``, of the rows of ``x``, is zero on the others.
+    rows alone; ``out``, of the rows of ``x``, is zero on the others, and
+    holds the dealiased input until the inverse transform has read it.
     With ``speed``, returns ``_max_speed`` of the dealiased samples, else
     None.
     """
     r = _band_rows(grid)
     M, curl = _multipliers(grid)
-    spec, phys = _transform_workspace(grid)
-    np.multiply(x[:, :r], grid.half.dealias_mask[:r], out=spec[:, :r])
-    _inverse_into(spec, phys, rows=r)
+    ws = _transform_workspace(grid)
+    dealiased = np.multiply(x[:, :r], grid.half.dealias_mask[:r], out=out[:, :r])
+    _inverse_into(dealiased, ws.spec_t, ws.phys_t)
     # spec is free until the forward transform: scratch for the speed and
     # for the products
     work = _spec_as_real(grid, (3, grid.n, grid.n))
-    vmax = _max_speed(phys, work) if speed else None
+    vmax = _max_speed(ws.phys, work) if speed else None
     # A, C, E replace U1, U2, B1 in phys; each sample is read before it is
     # overwritten
-    U1, U2, B1, B2 = phys
+    U1, U2, B1, B2 = ws.phys
     u2b1, u2sq, b1sq = work
     np.multiply(U2, B1, out=u2b1)
     np.square(U2, out=u2sq)
@@ -173,8 +194,10 @@ def _quadratic_arrays(
     U1 -= b1sq
     U1 += np.square(B2, out=B2)
     U1 *= 0.5  # A
-    A_hat, C_hat, E_hat = _forward_into(phys[:3], spec[:3], rows=r)[:, :r]
-    t = spec[3, :r]
+    # the spectra of the products' band rows go to the real stack
+    band = _phys_as_complex(grid, (3, r, grid.n))
+    A_hat, C_hat, E_hat = _forward_into(ws.phys_t[:3], ws.spec_t[:3], band)
+    t = _leading(ws.spec, (r, grid.n))
     for i in (0, 1):
         np.multiply(M[i, 0], A_hat, out=out[i, :r])
         out[i, :r] += np.multiply(M[i, 1], C_hat, out=t)
@@ -209,7 +232,7 @@ def _rhs_arrays(
     if nonlinear:
         vmax = _quadratic_arrays(grid, x, out, speed)
         if coupling:  # the products are in out, so the spectral workspace is free
-            t = _leading(_transform_workspace(grid)[0], (2,) + x.shape[1:])
+            t = _leading(_transform_workspace(grid).spec, (2,) + x.shape[1:])
             out[:2] += np.multiply(ik2, x[2:], out=t)
             out[2:] += np.multiply(ik2, x[:2], out=t)
     else:

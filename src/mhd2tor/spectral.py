@@ -22,15 +22,20 @@ with ``norm="forward"``, so ``fhat_k`` is the scaled DFT
 run loop calls its kernels ``_inverse_into``/``_forward_into`` on the one
 per-grid ``_transform_workspace`` (shared, so not reentrant).  Each kernel
 is two 1-D ``numpy.fft`` passes that write into the caller's arrays: the
-inverse is a c2c ``ifft`` along k2 in place, then a c2r ``irfft`` along k1
-into real samples; the forward is an ``rfft`` along x1 into half spectra,
-then an in-place ``fft`` along x2.  The right-hand side runs the c2c pass
-of both on the rows of the 2/3 band alone; the CFL sample,
-``symmetry_defect`` and the checkpoint run the inverse's on the rows of
-the state that hold content (``_content_rows``).  They allocate nothing,
-so the run loop makes no page faults, and for n a power of 2 they equal
-``scipy.fft.irfft2``/``rfft2`` bit for bit.  ``numpy.fft.irfft2(out=)``
-is not used: on numpy 2.4 it returns wrong samples.
+inverse is a c2c ``ifft`` along k2 into a complex buffer, then a c2r
+``irfft`` along k1 into real samples; the forward is an ``rfft`` along x1
+into half spectra, then an ``fft`` along x2.  The kernels take views, so
+the layout is the caller's: the public pair keeps (k1, k2) and (i, j)
+order, while the workspace stores its spectra and samples transposed, so
+that the real passes run along the contiguous last axis of its buffers
+(``Workspace``); each 1-D line sees the same arithmetic either way.  The
+right-hand side runs the c2c pass of both on the rows of the 2/3 band
+alone; the CFL sample, ``symmetry_defect`` and the checkpoint run the
+inverse's on the rows of the state that hold content (``_content_rows``).
+They allocate nothing, so the run loop makes no page faults, and for n a
+power of 2 they equal ``scipy.fft.irfft2``/``rfft2`` bit for bit.
+``numpy.fft.irfft2(out=)`` is not used: on numpy 2.4 it returns wrong
+samples.
 
 The public collocation grid
 ``x_ij = (-pi + 2*pi*i/n, -pi + 2*pi*j/n)`` is the same point set shifted
@@ -263,43 +268,46 @@ def half_samples(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     this is the solver-internal transform pair (no phase, no scaling).
     Returns a new array and leaves ``half`` as it is.
     """
-    spec = np.array(half, dtype=np.complex128)  # _inverse_into overwrites it
-    return _inverse_into(spec, np.empty(spec.shape[:-2] + (grid.n, grid.n)))
+    half = np.asarray(half)
+    lead = half.shape[:-2]
+    spec = np.empty(lead + (grid.n // 2 + 1, grid.n), dtype=np.complex128)
+    return _inverse_into(half, spec, np.empty(lead + (grid.n, grid.n)))
 
 
 def half_coeffs(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
     """Half spectra (..., n//2+1, n) of real samples on the grid anchored at 0."""
     samples = np.asarray(samples)
     out = np.empty(samples.shape[:-2] + (grid.n // 2 + 1, grid.n), dtype=np.complex128)
-    return _forward_into(samples, out)
+    return _forward_into(samples, out, out)
 
 
-def _inverse_into(spec: np.ndarray, out: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """Samples of the half spectra ``spec`` (..., n//2+1, n) written into
-    ``out`` (..., n, n), which is returned; ``spec`` is overwritten.
+def _inverse_into(half: np.ndarray, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Samples of the half spectra whose leading rows are ``half`` (..., m, n),
+    the rows k1 >= m zero, written into ``out`` (..., n, n), which is
+    returned; ``spec`` (..., n//2+1, n), complex, is scratch.
 
-    With ``rows``, the rows k1 >= ``rows`` are taken as zero: they are
-    zeroed, and the pass along k2 skips them.
+    The pass along k2 writes the m rows into ``spec`` and the others are
+    zeroed there; then the pass along k1 runs from ``spec`` into ``out``.
+    Given transposed views (``Workspace.spec_t``/``phys_t``), that second
+    pass runs along the contiguous axis of their buffers.
     """
-    band = spec
-    if rows is not None:
-        spec[..., rows:, :] = 0.0
-        band = spec[..., :rows, :]
-    np.fft.ifft(band, axis=-1, norm="forward", out=band)
-    return np.fft.irfft(spec, n=out.shape[-1], axis=-2, norm="forward", out=out)
+    m = half.shape[-2]
+    np.fft.ifft(half, axis=-1, norm="forward", out=spec[..., :m, :])
+    spec[..., m:, :] = 0.0
+    return np.fft.irfft(spec, n=out.shape[-2], axis=-2, norm="forward", out=out)
 
 
-def _forward_into(samples: np.ndarray, out: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """Half spectra of the real ``samples`` (..., n, n) written into ``out``
-    (..., n//2+1, n), which is returned.
+def _forward_into(samples: np.ndarray, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The leading rows k1 < m of the half spectra of the real ``samples``
+    (..., n, n), written into ``out`` (..., m, n), which is returned.
 
-    With ``rows``, only the rows k1 < ``rows`` are finished; the pass along
-    x2 skips the others, which are left transformed along x1 alone.
+    The pass along x1 writes all n/2 + 1 rows into ``spec`` (..., n//2+1, n),
+    which may be ``out`` itself; the pass along x2 runs on its first m rows
+    into ``out``.  Given transposed views of the samples and of ``spec``, the
+    first pass runs along the contiguous axis of their buffers.
     """
-    np.fft.rfft(samples, axis=-2, norm="forward", out=out)
-    band = out if rows is None else out[..., :rows, :]
-    np.fft.fft(band, axis=-1, norm="forward", out=band)
-    return out
+    np.fft.rfft(samples, axis=-2, norm="forward", out=spec)
+    return np.fft.fft(spec[..., : out.shape[-2], :], axis=-1, norm="forward", out=out)
 
 
 def _content_rows(x: np.ndarray, least: int = 0) -> int:
@@ -321,37 +329,59 @@ def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
+class Workspace(NamedTuple):
+    """The buffers of every transform in the run loop, one pair per grid:
+    a complex stack of four half spectra and a real stack of four sample
+    arrays, each stored transposed, so that both real passes run along
+    their contiguous last axis.  ``spec_t`` (4, n//2+1, n) and ``phys_t``
+    (4, n, n) are the same buffers indexed (k1, k2) and (i, j), the layout
+    of ``half_samples``; ``phys[f, j, i]`` is the sample of field f at
+    (y_i, y_j).  The samples feed pointwise products and maxima, and the
+    checkpoint copies them back in blocks."""
+
+    spec: np.ndarray
+    phys: np.ndarray
+    spec_t: np.ndarray
+    phys_t: np.ndarray
+
+
 @functools.lru_cache(maxsize=4)
-def _transform_workspace(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """One complex stack (4, n//2+1, n) and one real stack (4, n, n) per grid,
-    the buffers of every transform in the run loop (the right-hand side,
+def _transform_workspace(grid: GridSpec) -> Workspace:
+    """The grid's ``Workspace``, used by the right-hand side, the speed bound,
     ``cfl_dt``, ``symmetry_defect``, the squares of ``instantaneous`` and
-    the samples of ``write_checkpoint``).  Shared and not reentrant: a
-    caller owns their contents only until its next call into one of those."""
+    the samples of ``write_checkpoint``.  Shared and not reentrant: a
+    caller owns its contents only until its next call into one of those."""
     n = grid.n
-    return np.empty((4, n // 2 + 1, n), dtype=np.complex128), np.empty((4, n, n))
+    spec = np.empty((4, n, n // 2 + 1), dtype=np.complex128)
+    phys = np.empty((4, n, n))
+    return Workspace(spec, phys, spec.transpose(0, 2, 1), phys.transpose(0, 2, 1))
 
 
 def _spec_as_real(grid: GridSpec, shape: tuple[int, ...]) -> np.ndarray:
-    """A real array of ``shape`` laid over the complex stack of
+    """A real array of ``shape`` laid over the complex stack of the
     ``_transform_workspace``, whose 4 (n/2+1) n complex values hold four
     real (n, n) arrays: scratch while that stack holds nothing a caller
     still needs."""
-    return _leading(_transform_workspace(grid)[0].reshape(-1).view(np.float64), shape)
+    return _leading(_transform_workspace(grid).spec.view(np.float64), shape)
+
+
+def _phys_as_complex(grid: GridSpec, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex array of ``shape`` laid over the real stack of the
+    ``_transform_workspace`` (room for 2 n^2 complex values): scratch while
+    that stack holds nothing a caller still needs."""
+    return _leading(_transform_workspace(grid).phys.view(np.complex128), shape)
 
 
 def _inverse_rows(grid: GridSpec, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Samples (4, n, n) of the stacked half spectra ``x`` (4, rows, n),
-    whose rows past ``x``'s own are zero by contract, and the count m of
-    their rows that hold content (``_content_rows``).  Formed in the shared
-    transform workspace and valid until its next use: the m rows are
-    copied into its complex stack, the other rows are zeroed, and the pass
-    along k2 runs on the m rows alone (the skipped pass only ever produced
-    0.0)."""
-    spec, phys = _transform_workspace(grid)
+    """Samples of the stacked half spectra ``x`` (4, n//2+1, n), stored
+    transposed (``Workspace.phys``), and the count m of the rows of ``x``
+    that hold content (``_content_rows``).  Formed in the shared transform
+    workspace and valid until its next use: the pass along k2 runs on the m
+    rows alone (the skipped pass only ever produced 0.0)."""
+    ws = _transform_workspace(grid)
     m = _content_rows(x)
-    np.copyto(spec[:, :m], x[:, :m])
-    return _inverse_into(spec, phys, rows=m), m
+    _inverse_into(x[:, :m], ws.spec_t, ws.phys_t)
+    return ws.phys, m
 
 
 def roll_anchor(samples: np.ndarray) -> np.ndarray:

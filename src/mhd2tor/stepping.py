@@ -25,11 +25,16 @@ products are on: a run from band-limited initial data keeps its higher
 rows exactly zero, and a state read from a checkpoint has content on all
 n/2 + 1 rows.
 
-``run`` chooses each dt after stage 1 of its step, from the speed of the
-stage-1 samples that the right-hand side makes anyway, so its CFL bound
-costs no transform: a nonlinear step makes 16 inverse and 12 forward field
-transforms.  Solver states lie inside the 2/3 band, so that speed equals
-``cfl_dt``'s on the same state bit for bit (see ``dynamics``).
+``run`` first takes dt from an upper bound of the speed |u| + |b + e2|
+from the coefficients (``dynamics._speed_bound``).  When that dt is dt_max
+or a landing on a sample time, the sampled speed would give it too, and
+the step takes it as it is: a linear step then makes no transform.
+Otherwise ``run`` chooses dt after stage 1 of its step, from the speed of
+the stage-1 samples that the right-hand side makes anyway, so its CFL
+bound costs no transform either: a nonlinear step makes 16 inverse and 12
+forward field transforms.  Solver states lie inside the 2/3 band, so that
+speed equals ``cfl_dt``'s on the same state bit for bit (see
+``dynamics``).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _band_rows, _rhs_arrays, _sample_speed
+from .dynamics import _band_rows, _rhs_arrays, _sample_speed, _speed_bound
 from .dynamics import _rhs_total_arrays  # noqa: F401  traced by name in bench/spans.py
 from .errors import NonFiniteState, StepTooSmall
 from .spectral import _content_rows, _leading
@@ -128,6 +133,7 @@ def step_ifrk4(
     dt: float | Callable[[float], float],
     nonlinear: bool = True,
     coupling: bool = True,
+    rows: int | None = None,
 ) -> MHDState:
     """Advance one step of size dt with integrating-factor RK4.
 
@@ -144,15 +150,16 @@ def step_ifrk4(
     in one, each tendency lands in a second (both in one flat per-grid
     storage), and the stage inputs are formed at the start of the new
     state's array, which the returned state owns.  A state with content in
-    its last row gets m = n/2 + 1.
+    its last row gets m = n/2 + 1.  A caller that has found m already
+    passes it as ``rows``.
 
     ``dt`` may also be a function that maps the max speed |u| + |b + e2|
     of the stage-1 samples to the step size (see ``dynamics``): ``run``
-    takes its CFL step this way, with no transform of its own.  An error it
-    raises leaves ``st`` as it was.
+    takes a dt that its speed bound does not settle this way, with no
+    transform of its own.  An error it raises leaves ``st`` as it was.
     """
     grid, x = st.grid, st.x
-    m = step_rows(st, nonlinear)
+    m = step_rows(st, nonlinear) if rows is None else rows
     shape = (4, m, grid.n)
     acc, k = _leading(_stage_storage(grid), (2,) + shape)
     x_new = np.empty_like(x)
@@ -207,11 +214,13 @@ def step_ifrk4(
 @dataclass
 class StepCounts:
     """What set the size of each step ``run`` took (the CFL bound, dt_max,
-    or landing on a sample time or t_end), and the sizes themselves."""
+    or landing on a sample time or t_end), the sizes themselves, and how
+    many of those steps needed the speed of their stage-1 samples."""
 
     cfl: int = 0
     dt_max: int = 0
     landing: int = 0
+    speed_sampled: int = 0
     dt_sum: float = 0.0
     dt_smallest: float = np.inf
     dt_largest: float = 0.0
@@ -220,9 +229,11 @@ class StepCounts:
     def steps(self) -> int:
         return self.cfl + self.dt_max + self.landing
 
-    def add(self, limit: str, dt: float) -> None:
-        """Tally one step of size dt, set by ``limit``."""
+    def add(self, limit: str, dt: float, sampled: bool) -> None:
+        """Tally one step of size dt, set by ``limit``; ``sampled`` when its
+        dt needed the speed of the stage-1 samples."""
         setattr(self, limit, getattr(self, limit) + 1)
+        self.speed_sampled += sampled
         self.dt_sum += dt
         self.dt_smallest = min(self.dt_smallest, dt)
         self.dt_largest = max(self.dt_largest, dt)
@@ -248,9 +259,12 @@ def run(
 
     ``sink(record, state)`` is invoked at the initial time, at every multiple
     of ``sample_every``, and at t_end.  Deterministic for fixed inputs.
-    Each dt is chosen after stage 1 of its step, from the speed of the
-    stage-1 samples (the speed ``cfl_dt`` would read); ``counts``, when
-    given, tallies each dt and what set it.
+    Each dt is first taken from ``_speed_bound``, an upper bound of the
+    speed from the coefficients; when that gives dt_max or a landing, it is
+    the step's dt.  Otherwise dt is chosen after stage 1 of the step, from
+    the speed of the stage-1 samples (the speed ``cfl_dt`` would read).
+    Both give the same dt bit for bit, and the bound costs no transform.
+    ``counts``, when given, tallies each dt and what set it.
     """
     from .diagnostics import EnergyParams, instantaneous
 
@@ -269,26 +283,41 @@ def run(
     k = int(np.floor(st.t / sample_every + 1e-9)) + 1
     limit, dt = "", 0.0
 
-    def choose(speed: float) -> float:
-        """dt of the step from the loop's st towards its target."""
+    def choose(speed: float, bound: bool = False) -> float | None:
+        """dt of the step from the loop's st towards its target at the max
+        speed ``speed``.  With ``bound``, ``speed`` is only an upper bound,
+        and the result is None unless it is dt_max or a landing, and never
+        StepTooSmall: the CFL step only grows as the speed falls (IEEE
+        rounding is monotone), so those hold at the true speed too, with
+        the same dt."""
         nonlocal limit, dt
-        dt = _cfl_limit(speed, st.grid, cfg)
+        try:
+            dt = _cfl_limit(speed, st.grid, cfg)
+        except StepTooSmall:
+            if bound:
+                return None
+            raise
         if st.t + dt >= target - _LANDING_TOL:
             limit, dt = "landing", target - st.t
         else:
             limit = "cfl" if dt < cfg.dt_max else "dt_max"
-        return dt
+        return None if bound and limit == "cfl" else dt
 
     while st.t < cfg.t_end - _LANDING_TOL:
         next_sample = k * sample_every
         target = min(next_sample, cfg.t_end)
+        m = step_rows(st, nonlinear)
+        settled = choose(_speed_bound(st.grid, st.x[:, :m]), bound=True)
         try:
-            st = step_ifrk4(st, choose, nonlinear=nonlinear, coupling=coupling)
+            st = step_ifrk4(
+                st, choose if settled is None else settled,
+                nonlinear=nonlinear, coupling=coupling, rows=m,
+            )
         except (NonFiniteState, StepTooSmall) as exc:
             raise type(exc)(f"{exc} (last good t={st.t:.6g})") from exc
         if limit == "landing":
             st.t = target  # exact landing
-        counts.add(limit, dt)
+        counts.add(limit, dt, sampled=settled is None)
         if st.t >= next_sample - _LANDING_TOL:
             sink(instantaneous(st, params), st)
             last_emitted = st.t

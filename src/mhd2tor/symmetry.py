@@ -28,6 +28,7 @@ from .spectral import (
     VectorField,
     _inverse_into,
     _inverse_rows,
+    _phys_as_complex,
     _transform_workspace,
     divergence_defect,
     half_sobolev_multiplier,
@@ -132,21 +133,27 @@ def symmetrize(st: MHDState) -> MHDState:
 def symmetry_defect(st: MHDState) -> float:
     """Relative sup-norm of the anti-class part, max over the four components.
 
-    Both inverse transforms run in the shared ``_transform_workspace``, on
+    The inverse transforms run in the shared ``_transform_workspace``, on
     the rows of ``st`` that hold content (the reflection keeps the others
-    zero).
+    zero).  The anti part is formed two fields at a time in the real stack,
+    where the four of a state with content on all rows would not fit.
     """
-    phys, m = _inverse_rows(st.grid, st.x)
+    grid = st.grid
+    phys, m = _inverse_rows(grid, st.x)
     scale = max(float(phys.max()), -float(phys.min()))
     if scale == 0.0:
         return 0.0
-    spec = _transform_workspace(st.grid)[0]
-    x = st.x[:, :m]
-    anti = _reflect_coeffs(x, _STACK_PARITY, out=spec[:, :m])
-    np.subtract(x, anti, out=anti)
-    anti *= 0.5
-    _inverse_into(spec, phys, rows=m)
-    return max(float(phys.max()), -float(phys.min())) / scale
+    ws = _transform_workspace(grid)
+    anti = _phys_as_complex(grid, (2, m, grid.n))
+    defect = 0.0
+    for i in (0, 2):
+        x = st.x[i : i + 2, :m]
+        _reflect_coeffs(x, _STACK_PARITY[i : i + 2], out=anti)
+        np.subtract(x, anti, out=anti)
+        anti *= 0.5
+        _inverse_into(anti, ws.spec_t[:2], ws.phys_t[:2])
+        defect = max(defect, float(phys[:2].max()), -float(phys[:2].min()))
+    return defect / scale
 
 
 def _philox(seed: int, attempt: int = 0) -> np.random.Generator:

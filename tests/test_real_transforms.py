@@ -11,6 +11,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,14 @@ from mhd2tor.spectral import (
     ScalarField,
     _forward_into,
     _inverse_into,
+    _inverse_rows,
     forward_transform,
     half_coeffs,
     half_samples,
     inverse_transform,
 )
 from mhd2tor.stepping import StepCounts, StepperConfig, run, step_ifrk4
-from mhd2tor.symmetry import InitialDataSpec, make_initial_data
+from mhd2tor.symmetry import InitialDataSpec, MHDState, make_initial_data
 from mhd2tor.verify import run_checks
 
 COMPLEX = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
@@ -118,7 +120,8 @@ def field_counts(monkeypatch):
 def test_transform_count(field_counts):
     """One rhs: 4 inverse fields (u1, u2, b1, b2) and 3 forward (A, C, E);
     one IF-RK4 step: four of each; one step of a nonlinear run: the same,
-    since its CFL speed comes from the stage-1 samples."""
+    since its CFL speed comes from the stage-1 samples or, as here, from
+    the speed bound; one step of a linear run bound by dt_max: none."""
     grid = GridSpec(16)
     st = make_initial_data(InitialDataSpec(epsilon=0.1, s=2, seed=3), grid)
     _rhs_arrays(grid, st.x, True, True)
@@ -134,8 +137,15 @@ def test_transform_count(field_counts):
     field_counts.update(irfft=0, rfft=0)
     counts = StepCounts()
     run(st, StepperConfig(t_end=0.05, dt_max=1e-2), 0.05, lambda rec, s: None, counts=counts)
-    assert counts.steps == 5
+    assert counts.steps == counts.dt_max + counts.landing == 5 and counts.speed_sampled == 0
     assert field_counts == {"irfft": 16 * 5 + 2 * 8, "rfft": 12 * 5}
+
+    field_counts.update(irfft=0, rfft=0)
+    counts = StepCounts()
+    cfg = StepperConfig(t_end=0.05, dt_max=1e-2)
+    run(st, cfg, 0.05, lambda rec, s: None, nonlinear=False, counts=counts)
+    assert counts.steps == counts.dt_max + counts.landing == 5 and counts.speed_sampled == 0
+    assert field_counts == {"irfft": 0 * 5 + 2 * 8, "rfft": 0}
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
@@ -154,12 +164,38 @@ def test_pair_matches_scipy_bitwise(n):
     assert np.array_equal(half, before)  # the public inverse leaves its input alone
     assert np.array_equal(half_coeffs(GridSpec(n), samples), expected_half)
 
-    spec, phys = half.copy(), np.empty((4, n, n))
-    assert _inverse_into(spec, phys) is phys
+    spec, phys = np.empty(shape, dtype=np.complex128), np.empty((4, n, n))
+    assert _inverse_into(half, spec, phys) is phys
     assert np.array_equal(phys, expected_samples)
     out = np.empty((3, n // 2 + 1, n), dtype=np.complex128)
-    assert _forward_into(samples, out) is out
+    assert _forward_into(samples, out, out) is out
     assert np.array_equal(out, expected_half)
+
+    # the run loop's layout: buffers stored transposed, band rows alone
+    spec_t = np.empty((4, n, n // 2 + 1), dtype=np.complex128).transpose(0, 2, 1)
+    phys_t = np.empty((4, n, n)).transpose(0, 2, 1)
+    _inverse_into(half, spec_t, phys_t)
+    assert np.array_equal(phys_t, expected_samples)
+    r = n // 3 + 1
+    band = np.empty((3, r, n), dtype=np.complex128)
+    phys_t[:3] = samples
+    assert _forward_into(phys_t[:3], spec_t[:3], band) is band
+    assert np.array_equal(band, expected_half[:, :r])
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("rows", ["one", "band", "all"])
+def test_run_loop_samples_are_transposed_half_samples(n, rows):
+    """The run loop's samples, stored transposed and transformed on the
+    content rows alone, are the public ``half_samples`` bit for bit."""
+    grid = GridSpec(n)
+    m = {"one": 1, "band": int(grid.dealias_cutoff) + 1, "all": n // 2 + 1}[rows]
+    rng = np.random.default_rng(n + m)
+    x = np.zeros((4, n // 2 + 1, n), dtype=np.complex128)
+    x[:, :m] = rng.standard_normal((4, m, n)) + 1j * rng.standard_normal((4, m, n))
+    phys, found = _inverse_rows(grid, x)
+    assert found == m
+    assert phys.transpose(0, 2, 1).tobytes() == half_samples(grid, x).tobytes()
 
 
 def _minor_faults() -> int:
@@ -211,6 +247,79 @@ def test_checkpoint_write_makes_no_page_faults(tmp_path):
         write_checkpoint(st, path, s=2)
     assert (_minor_faults() - before) / 4 < 50
     assert path.read_bytes()[24:] == physical_arrays(st).astype("<f8").tobytes()
+
+
+def _full_row_state(grid):
+    """A drawn state with roundoff on every row, as read from a checkpoint."""
+    st = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), grid)
+    return MHDState(grid, 0.0, half_coeffs(grid, half_samples(grid, st.x)))
+
+
+def _mark(marks):
+    """Append the traced memory (current, peak since the last mark) and
+    restart the peak."""
+    marks.append(tracemalloc.get_traced_memory())
+    tracemalloc.reset_peak()
+
+
+@pytest.mark.parametrize("case", ["step", "linear-run-step", "sample"])
+def test_run_loop_allocates_only_the_new_state(monkeypatch, tmp_path, case):
+    """After warm-up, at n=256, the traced memory of one nonlinear step, of
+    one step of a linear run on the speed-bound path, and of one sample
+    with a checkpoint write peaks at most a state's bytes plus 256 KiB
+    above where it started; in the run, the speed bound and the loop around
+    the step get 256 KiB.  The run loop works in per-grid buffers, and a
+    buffer allocated and freed again inside a call counts here, where the
+    page-fault tests miss it.  The run and the sample work on all rows."""
+    grid = GridSpec(256)
+    full = _full_row_state(grid)
+    state_bytes, marks = full.x.nbytes, []
+    if case == "step":
+        st = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), grid)
+
+        def call():
+            step_ifrk4(st, 1e-3)
+    elif case == "sample":
+
+        def call():
+            instantaneous(full, EnergyParams(2))
+            write_checkpoint(full, tmp_path / "a.chk", s=2)
+    else:
+        import mhd2tor.diagnostics as diagnostics
+        import mhd2tor.stepping as stepping
+
+        step = stepping.step_ifrk4
+
+        def marked_step(*args, **kwargs):
+            _mark(marks)
+            return step(*args, **kwargs)
+
+        # marks at both samples and at the step, so the windows split there
+        monkeypatch.setattr(diagnostics, "instantaneous", lambda st, params: _mark(marks))
+        monkeypatch.setattr(stepping, "step_ifrk4", marked_step)
+
+        def call():
+            counts = StepCounts()
+            cfg = StepperConfig(t_end=5e-3, dt_max=5e-3)
+            run(full, cfg, 5e-3, lambda rec, st: None, nonlinear=False, counts=counts)
+            assert counts.steps == 1 and counts.speed_sampled == 0
+
+    tracemalloc.start()
+    try:
+        for _ in range(3):  # the first two warm up
+            marks.clear()
+            _mark(marks)
+            call()
+            _mark(marks)
+    finally:
+        tracemalloc.stop()
+    windows = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+    if case == "linear-run-step":
+        before, bound, step_window, after = windows
+        assert max(before, bound, after) <= 256 * 1024
+        windows = [step_window]
+    (window,) = windows
+    assert window <= state_bytes + 256 * 1024
 
 
 def test_import_leaves_scipy_out():

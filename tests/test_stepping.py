@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from mhd2tor.checkpoint import read_checkpoint, write_checkpoint
+from mhd2tor.dynamics import _rhs_arrays, _sample_speed, _speed_bound
 from mhd2tor.errors import StepTooSmall
 from mhd2tor.spectral import GridSpec, _content_rows, forward_transform, ScalarField
 from mhd2tor.stepping import (
@@ -158,8 +159,9 @@ def test_run_invalid_sample_spacing(grid):
 
 
 def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
-    """run() takes dt from the stage-1 samples; on a nonlinear n=64 run bound
-    by the CFL step, that dt equals cfl_dt of the state it steps, bit for bit."""
+    """run() takes a dt that the speed bound does not settle from the
+    stage-1 samples; on a nonlinear n=64 run bound by the CFL step, that dt
+    equals cfl_dt of the state it steps, bit for bit."""
     import mhd2tor.stepping as stepping
 
     st0 = make_initial_data(InitialDataSpec(epsilon=0.5, s=2, seed=2), GridSpec(64))
@@ -167,6 +169,10 @@ def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
     taken = []
 
     def spy(st, choose, **kwargs):
+        if not callable(choose):  # a landing settled by the speed bound
+            taken.append((st, choose))
+            return step_ifrk4(st, choose, **kwargs)
+
         def record(speed):
             dt = choose(speed)
             taken.append((st, dt))
@@ -309,3 +315,35 @@ def test_rows_past_content_stay_zero(n, extent, nonlinear, seed):
     assert not np.any(new.x[:, bound:].view(np.int64))
     assert step_rows(new, nonlinear) <= bound
     assert np.array_equal(st.x, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=hst.sampled_from([8, 16, 64]),
+    kind=hst.sampled_from(["band", "mode", "last-row"]),
+    scale=hst.floats(-6.0, 1.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_speed_bound_covers_the_sampled_speed(n, kind, scale, seed):
+    """``_speed_bound`` is at least the speed of the samples, as stored and
+    dealiased: on random band-limited states; on one mode per field with a
+    positive coefficient, where the sample at the origin reaches
+    sum_k |f_k| (the tight case), on Nyquist rows and columns too; and on
+    states with content in their last row."""
+    grid = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    amp = 10.0**scale
+    shape = (4, n // 2 + 1, n)
+    x = np.zeros(shape, dtype=np.complex128)
+    if kind == "band":
+        x[...] = amp * grid.half.dealias_mask * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    elif kind == "mode":
+        for f in range(4):
+            k1 = rng.choice([0, n // 2, rng.integers(0, n // 2 + 1)])
+            k2 = rng.choice([0, n // 2, rng.integers(0, n)])
+            x[f, k1, k2] = amp * rng.uniform(0.1, 1.0)
+    else:
+        x[:, [0, 1, -1]] = amp * (rng.standard_normal((4, 3, n)) + 1j * rng.standard_normal((4, 3, n)))
+    bound = _speed_bound(grid, x)
+    assert bound >= _sample_speed(grid, x)
+    assert bound >= _rhs_arrays(grid, x, True, True, speed=True)

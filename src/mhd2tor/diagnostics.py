@@ -26,6 +26,7 @@ factor sqrt(2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +46,8 @@ from .spectral import (
     VectorField,
     _coeff_arrays,
     _content_rows,
+    _divergence_defect_in,
+    _phys_as_complex,
     _spec_as_real,
     derivative_multiplier,
     divergence_defect,
@@ -55,6 +58,13 @@ from .spectral import (
 from .symmetry import MHDState, PARITY, _reflect_coeffs, symmetry_defect
 
 SQRT2 = float(np.sqrt(2.0))
+# numpy's einsum accumulates a contiguous run of products in SIMD blocks
+# (at most 32 float64 values on the widest vector units) and adds a shorter
+# tail in another order.  A norm sum over leading rows that end on a block
+# edge sees its products in the same blocks as the sum over all rows, and
+# the zero rows past them only add +0.0; ending inside a block moves the
+# sum at roundoff (n = 10, 12, 14, 100 showed it on random states).
+_SUM_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -122,23 +132,38 @@ def _squared_sum(v1: np.ndarray, v2: np.ndarray, work: np.ndarray) -> np.ndarray
     return s
 
 
+def _sum_rows(x: np.ndarray) -> int:
+    """The content rows of ``x`` (``_content_rows``), rounded up to whole
+    blocks of ``_SUM_BLOCK`` values: the leading rows whose norm sums are
+    the bits of the sums over all n/2 + 1 rows."""
+    m, n = _content_rows(x), x.shape[-1]
+    rows = _SUM_BLOCK // math.gcd(n, _SUM_BLOCK)
+    return min(x.shape[-2], -(-m // rows) * rows)
+
+
 def instantaneous(st: MHDState, p: EnergyParams) -> DiagnosticsRecord:
     """All norms entering E0 and E1, plus structural defects.
 
-    The 11 norms, the L2 energy and ||grad b||^2 come from one pass over
-    |u|^2 and one over |b|^2 against cached multipliers.  The squares are
-    formed in the shared transform workspace, before ``symmetry_defect``
-    uses it.  The divergence defects are taken on the rows of ``st`` that
-    hold content.
+    Everything is taken on the leading rows of ``st`` that ``_sum_rows``
+    picks, which hold all its content.  The 11 norms, the L2 energy and
+    ||grad b||^2 come from one pass over |u|^2 and one over |b|^2 against
+    cached multipliers, summed over those rows alone: the rows past them
+    only added +0.0 to finished blocks, so the sums are the same bits.  The
+    squares are formed in the shared transform workspace, then
+    ``symmetry_defect`` uses it (no transform for a state exactly in the
+    class), then the two divergence defects take their scratch from it.
     """
-    x = st.x
+    grid, x = st.grid, st.x
     u_orders, b_orders, d2u_orders = _orders(p.s)
-    wu, wb = _norm_weights(st.grid, p.s)
-    work = _spec_as_real(st.grid, (3,) + x.shape[1:])
-    su = MEASURE * np.einsum("kij,ij->k", wu, _squared_sum(x[0], x[1], work))
-    sb = MEASURE * np.einsum("kij,ij->k", wb, _squared_sum(x[2], x[3], work))
+    wu, wb = _norm_weights(grid, p.s)
+    m = _sum_rows(x)
+    c = x[:, :m]
+    work = _spec_as_real(grid, (3, m, grid.n))
+    su = MEASURE * np.einsum("kij,ij->k", wu[:, :m], _squared_sum(c[0], c[1], work))
+    sb = MEASURE * np.einsum("kij,ij->k", wb[:, :m], _squared_sum(c[2], c[3], work))
     nu, nb = np.sqrt(su[:-1]), np.sqrt(sb[:-2])
-    c = x[:, : _content_rows(x)]
+    defect = symmetry_defect(st)
+    scratch = _phys_as_complex(grid, (2, m, grid.n))
     return DiagnosticsRecord(
         t=st.t,
         norm_u=dict(zip(u_orders, nu[:4].tolist())),
@@ -146,9 +171,9 @@ def instantaneous(st: MHDState, p: EnergyParams) -> DiagnosticsRecord:
         norm_d2u=dict(zip(d2u_orders, nu[4:].tolist())),
         l2_energy=0.5 * float(su[-1] + sb[-2]),
         grad_b_l2_sq=float(sb[-1]),
-        symmetry_defect=symmetry_defect(st),
-        div_defect_u=divergence_defect(st.grid.half, c[0], c[1]),
-        div_defect_b=divergence_defect(st.grid.half, c[2], c[3]),
+        symmetry_defect=defect,
+        div_defect_u=_divergence_defect_in(grid.half, c[0], c[1], scratch),
+        div_defect_b=_divergence_defect_in(grid.half, c[2], c[3], scratch),
         mean_abs_max=float(MEASURE * np.max(np.abs(x[:, 0, 0].real))),
     )
 

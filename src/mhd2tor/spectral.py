@@ -348,8 +348,8 @@ class Workspace(NamedTuple):
 @functools.lru_cache(maxsize=4)
 def _transform_workspace(grid: GridSpec) -> Workspace:
     """The grid's ``Workspace``, used by the right-hand side, the speed bound,
-    ``cfl_dt``, ``symmetry_defect``, the squares of ``instantaneous`` and
-    the samples of ``write_checkpoint``.  Shared and not reentrant: a
+    ``cfl_dt``, ``symmetry_defect``, the squares and the divergence scratch
+    of ``instantaneous`` and the samples of ``write_checkpoint``.  Shared and not reentrant: a
     caller owns its contents only until its next call into one of those."""
     n = grid.n
     spec = np.empty((4, n, n // 2 + 1), dtype=np.complex128)
@@ -468,13 +468,27 @@ def divergence_defect(grid: GridSpec | HalfGrid, v1: np.ndarray, v2: np.ndarray)
     column k2 = -n/2, which the mirror keeps: there it also takes
     |k1 v1 - k2 v2| (rows 1..min(m, n/2)-1).
     """
+    return _divergence_defect_in(grid, v1, v2, np.empty((2,) + np.shape(v1), np.complex128))
+
+
+def _divergence_defect_in(
+    grid: GridSpec | HalfGrid, v1: np.ndarray, v2: np.ndarray, work: np.ndarray
+) -> float:
+    """``divergence_defect``, bit for bit, with its (m, n) temporaries in
+    ``work``, complex scratch of shape ``(2,) + v1.shape``."""
     m, n = v1.shape[-2:]
     k1, k2, ksq = grid.k1[:m], grid.k2[:m], grid.ksq[:m]
-    div = np.max(np.abs(k1 * v1 + k2 * v2))
+    d, t = work
+    np.multiply(k1, v1, out=d)
+    d += np.multiply(k2, v2, out=t)
+    div = np.max(np.abs(d, out=_leading(t.view(np.float64), (m, n))))
     if isinstance(grid, HalfGrid) and m > 1:
         c = (slice(1, min(m, n // 2)), n // 2)
         div = max(div, np.max(np.abs(k1[c] * v1[c] - k2[c] * v2[c])))
-    scale = np.max(np.sqrt(ksq) * np.sqrt(np.abs(v1) ** 2 + np.abs(v2) ** 2))
+    s, q = _leading(work.view(np.float64), (2, m, n))
+    np.square(np.abs(v1, out=s), out=s)
+    s += np.square(np.abs(v2, out=q), out=q)
+    scale = np.max(np.multiply(np.sqrt(ksq, out=q), np.sqrt(s, out=s), out=q))
     if scale == 0.0:
         return 0.0
     return float(div / scale)

@@ -26,8 +26,8 @@ from .spectral import (
     GridSpec,
     SpectralScalar,
     VectorField,
+    _content_rows,
     _inverse_into,
-    _inverse_rows,
     _phys_as_complex,
     _transform_workspace,
     divergence_defect,
@@ -133,27 +133,37 @@ def symmetrize(st: MHDState) -> MHDState:
 def symmetry_defect(st: MHDState) -> float:
     """Relative sup-norm of the anti-class part, max over the four components.
 
-    The inverse transforms run in the shared ``_transform_workspace``, on
+    The anti part is formed in coefficient space, two fields at a time, on
     the rows of ``st`` that hold content (the reflection keeps the others
-    zero).  The anti part is formed two fields at a time in the real stack,
-    where the four of a state with content on all rows would not fit.
+    zero), in the real stack of the shared ``_transform_workspace``, where
+    the four of a state with content on all rows would not fit.  Only a
+    pair whose anti part is nonzero is transformed for its sup, and the
+    samples of the state, which give the scale, follow.  So a state exactly
+    in the class (every anti coefficient zero, a -0.0 included) costs no
+    transform: its anti part could only sample to +-0.0, and its defect is
+    0.0.  NaN or inf in the state always leaves a nonzero anti part.
     """
     grid = st.grid
-    phys, m = _inverse_rows(grid, st.x)
-    scale = max(float(phys.max()), -float(phys.min()))
-    if scale == 0.0:
-        return 0.0
+    m = _content_rows(st.x)
+    x = st.x[:, :m]
     ws = _transform_workspace(grid)
     anti = _phys_as_complex(grid, (2, m, grid.n))
-    defect = 0.0
+    phys = ws.phys
+    defect, transformed = 0.0, False
     for i in (0, 2):
-        x = st.x[i : i + 2, :m]
-        _reflect_coeffs(x, _STACK_PARITY[i : i + 2], out=anti)
-        np.subtract(x, anti, out=anti)
+        pair = x[i : i + 2]
+        _reflect_coeffs(pair, _STACK_PARITY[i : i + 2], out=anti)
+        np.subtract(pair, anti, out=anti)
         anti *= 0.5
-        _inverse_into(anti, ws.spec_t[:2], ws.phys_t[:2])
-        defect = max(defect, float(phys[:2].max()), -float(phys[:2].min()))
-    return defect / scale
+        if anti.any():
+            _inverse_into(anti, ws.spec_t[:2], ws.phys_t[:2])
+            defect = max(defect, float(phys[:2].max()), -float(phys[:2].min()))
+            transformed = True
+    if not transformed:
+        return 0.0
+    _inverse_into(x, ws.spec_t, ws.phys_t)
+    scale = max(float(phys.max()), -float(phys.min()))
+    return 0.0 if scale == 0.0 else defect / scale
 
 
 def _philox(seed: int, attempt: int = 0) -> np.random.Generator:

@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py on fixed numbers: medians, quartiles,
 pairs won with ties counting for neither side, the rule of a speed claim,
-and the committed BENCH_*.json files, which it reproduces from their runs."""
+the committed BENCH_*.json files, which it reproduces from their runs, and
+its arguments, which it checks before it copies or runs anything."""
 
 import importlib.util
 import json
@@ -51,3 +52,63 @@ def test_reproduces_committed_files(bench_pairs, path):
         for m in entry["metrics"].values():
             runs = (m["parent"]["runs"], m["change"]["runs"])
             assert bench_pairs.summarize(m["unit"], *runs) == m
+
+
+GOOD = {
+    "--parent": ".", "--change": ".", "--workload": "lin128-resume:9001", "--pairs": "10",
+    "--claim": "lin128-resume/wall_s", "--note": "n", "--out": "unused.json",
+}
+
+
+def _argv(**changes):
+    opts = {**GOOD, **{"--" + k.replace("_", "-"): v for k, v in changes.items()}}
+    argv = []
+    for key, value in opts.items():
+        for v in value if isinstance(value, list) else [value]:
+            argv += [key, v]
+    return argv
+
+
+class Started(Exception):
+    pass
+
+
+@pytest.fixture
+def no_runs(bench_pairs, monkeypatch):
+    """Copying a checkout or running the benchmark raises ``Started``."""
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(bench_pairs.shutil, "copytree", started)
+    monkeypatch.setattr(bench_pairs, "run_bench", started)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"pairs": "1"},
+        {"pairs": "0"},
+        {"claim": "sim-n64/wall_s"},  # a workload that no --workload runs
+        {"claim": "lin128-resume/stepping.step_s"},  # a per-layer metric
+        {"claim": "lin128-resume"},
+        {"workload": "lin128-resume"},
+        {"workload": "lin128-resume:"},
+        {"workload": "lin128-resume:-3"},
+        {"workload": "lin128-resume:x"},
+        {"workload": ["lin128-resume:1", "sim-n128:1"]},  # no such workload
+    ],
+    ids=lambda c: " ".join(f"{k}={v}" for k, v in c.items()),
+)
+def test_bad_arguments_exit_2_before_anything_runs(bench_pairs, no_runs, capsys, changes):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(_argv(**changes))
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_good_arguments_go_on_to_copy(bench_pairs, no_runs):
+    argv = _argv(workload=["lin128-resume:9001", "sim-n64:9101"], pairs="2", claim="sim-n64/peak_rss_mb")
+    args, firsts = bench_pairs.parse_args(argv)
+    assert firsts == {"lin128-resume": 9001, "sim-n64": 9101} and args.pairs == 2
+    with pytest.raises(Started):
+        bench_pairs.main(argv)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from mhd2tor.diagnostics import (
     EnergyLedger,
     EnergyParams,
     SQRT2,
+    _norm_weights,
     decay_fit,
     instantaneous,
     ledger_update,
@@ -25,11 +28,20 @@ from mhd2tor.spectral import (
     VectorField,
     divergence_defect,
     forward_transform,
+    half_coeffs,
+    half_samples,
     inverse_transform,
     partial_derivative,
     sobolev_norm,
 )
-from mhd2tor.symmetry import InitialDataSpec, make_initial_data, random_class_velocity, state_from_arrays
+from mhd2tor.stepping import step_ifrk4
+from mhd2tor.symmetry import (
+    InitialDataSpec,
+    MHDState,
+    make_initial_data,
+    random_class_velocity,
+    state_from_arrays,
+)
 
 
 @pytest.fixture
@@ -85,6 +97,59 @@ def test_half_spectrum_row_weights(seed):
     assert rec.div_defect_u == divergence_defect(grid, full[0], full[1])
     assert rec.div_defect_b == divergence_defect(grid, full[2], full[3])
     assert rec.mean_abs_max == MEASURE * max(abs(c[0, 0].real) for c in full)
+
+
+def _all_row_norms(st, s):
+    """The record's norm fields from sums of |u|^2 and |b|^2 over all
+    n/2 + 1 rows, in the order of ``_squared_sum``."""
+    wu, wb = _norm_weights(st.grid, s)
+    x = st.x
+    sq = [(x[i].real ** 2 + x[i].imag ** 2) + (x[i + 1].real ** 2 + x[i + 1].imag ** 2) for i in (0, 2)]
+    su = MEASURE * np.einsum("kij,ij->k", wu, sq[0])
+    sb = MEASURE * np.einsum("kij,ij->k", wb, sq[1])
+    nu, nb = np.sqrt(su[:-1]), np.sqrt(sb[:-2])
+    return [*nu, *nb, 0.5 * float(su[-1] + sb[-2]), float(sb[-1])]
+
+
+def _random_rows(grid, m, seed):
+    """Random content on the first m rows, at magnitudes 1e-8 to 1e2."""
+    r = np.random.default_rng(seed)
+    shape = (4, m, grid.n)
+    x = np.zeros((4, grid.n // 2 + 1, grid.n), dtype=np.complex128)
+    x[:, :m] = (r.standard_normal(shape) + 1j * r.standard_normal(shape)) * 10.0 ** r.uniform(-8, 2, shape)
+    return MHDState(grid, 0.0, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=hst.sampled_from([8, 10, 12, 14, 16, 48, 64, 100, 128]),
+    kind=hst.sampled_from(["linear", "nonlinear", "full-rows", "random-rows"]),
+    steps=hst.integers(0, 3),
+    seed=hst.integers(1, 2**16),
+)
+def test_norm_sums_on_leading_rows_are_the_all_row_sums(n, kind, steps, seed):
+    """``instantaneous`` sums its norms over the leading rows that hold the
+    content, and gets the bytes of the sums over all n/2 + 1 rows: on drawn
+    states after linear or nonlinear steps, on states with content on every
+    row (read back from samples), and on random content on the first m
+    rows, for every m.  A change in how numpy's einsum blocks its sums,
+    which would move ``diag.csv`` at roundoff, fails here."""
+    grid = GridSpec(n)
+    if kind == "random-rows":
+        states = [_random_rows(grid, m, seed + m) for m in range(1, n // 2 + 2)]
+    else:
+        kmax = min(4, int(grid.dealias_cutoff))
+        st = make_initial_data(InitialDataSpec(epsilon=0.1, s=2, seed=seed, max_wavenumber=kmax), grid)
+        for _ in range(steps):
+            st = step_ifrk4(st, 1e-2, nonlinear=kind != "linear")
+        if kind == "full-rows":
+            st = MHDState(grid, st.t, half_coeffs(grid, half_samples(grid, st.x)))
+        states = [st]
+    for st in states:
+        rec = instantaneous(st, EnergyParams(2))
+        got = [*rec.norm_u.values(), *rec.norm_d2u.values(), *rec.norm_b.values()]
+        got += [rec.l2_energy, rec.grad_b_l2_sq]
+        assert np.array(got).tobytes() == np.array(_all_row_norms(st, 2)).tobytes()
 
 
 def test_ledger_single_record(grid):

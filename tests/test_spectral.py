@@ -7,10 +7,13 @@ from mhd2tor.errors import HermitianViolation
 from mhd2tor.spectral import (
     MEASURE,
     GridSpec,
+    HalfGrid,
     ScalarField,
     SpectralScalar,
     VectorField,
     _content_rows,
+    _divergence_defect_in,
+    _phys_as_complex,
     dealias,
     derivative_multiplier,
     divergence_defect,
@@ -266,3 +269,43 @@ def test_divergence_defect_on_content_rows(n, seed, extent, zero_b):
         whole = divergence_defect(grid.half, x[i], x[i + 1])
         assert divergence_defect(grid.half, x[i, :m], x[i + 1, :m]) == whole
         assert (whole == 0.0) == (zero_b and i == 2)
+
+
+def _direct_divergence_defect(grid, v1, v2):
+    """``divergence_defect`` as a formula on fresh temporaries."""
+    m, n = v1.shape[-2:]
+    k1, k2, ksq = grid.k1[:m], grid.k2[:m], grid.ksq[:m]
+    div = np.max(np.abs(k1 * v1 + k2 * v2))
+    if isinstance(grid, HalfGrid) and m > 1:
+        c = (slice(1, min(m, n // 2)), n // 2)
+        div = max(div, np.max(np.abs(k1[c] * v1[c] - k2[c] * v2[c])))
+    scale = np.max(np.sqrt(ksq) * np.sqrt(np.abs(v1) ** 2 + np.abs(v2) ** 2))
+    return 0.0 if scale == 0.0 else float(div / scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=sizes, seed=seeds, extent=hst.floats(0.0, 1.0),
+    exponent=hst.sampled_from([-320, -300, -150, 0, 150, 300]), zero_b=hst.booleans(),
+)
+def test_divergence_defect_in_scratch_is_the_formula(n, seed, extent, exponent, zero_b):
+    """The public ``divergence_defect``, on full and half spectra, and its
+    kernel in the transform workspace's scratch equal the formula on fresh
+    temporaries bit for bit, subnormal and overflowing values included."""
+    grid = GridSpec(n)
+    m = 1 + int(extent * (n // 2))
+    x = _random_half(n, seed, stack=(4,)) * 10.0**exponent
+    if zero_b:
+        x[2:] = 0.0
+    full = to_full(x)
+    with np.errstate(all="ignore"):
+        for i in (0, 2):
+            v1, v2 = x[i, :m], x[i + 1, :m]
+            expected = np.float64(_direct_divergence_defect(grid.half, v1, v2)).tobytes()
+            assert np.float64(divergence_defect(grid.half, v1, v2)).tobytes() == expected
+            scratch = _phys_as_complex(grid, (2, m, n))
+            got = _divergence_defect_in(grid.half, v1, v2, scratch)
+            assert np.float64(got).tobytes() == expected
+            expected = _direct_divergence_defect(grid, full[i], full[i + 1])
+            got = divergence_defect(grid, full[i], full[i + 1])
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()

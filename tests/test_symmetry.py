@@ -1,17 +1,26 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from mhd2tor.spectral import (
     GridSpec,
     ScalarField,
     divergence_defect,
     forward_transform,
+    half_coeffs,
+    half_samples,
     sobolev_norm,
 )
 from mhd2tor.diagnostics import gradient_norm
+from mhd2tor.stepping import step_ifrk4
 from mhd2tor.symmetry import (
+    _STACK_PARITY,
     InitialDataSpec,
     MHDState,
+    _reflect_coeffs,
     make_initial_data,
     random_class_velocity,
     reflect_state,
@@ -67,6 +76,94 @@ def test_symmetry_defect_measures_anti_class_part(grid):
     )
     assert symmetry_defect(st) == pytest.approx(0.5, rel=1e-12)
     assert symmetry_defect(symmetrize(st)) < 1e-15
+
+
+def _reference_defect(st):
+    """The defect from the public transform: the sup of the state's samples
+    as the scale, and of the samples of (x - reflect(x)) / 2 per pair."""
+    phys = half_samples(st.grid, st.x)
+    scale = max(float(phys.max()), -float(phys.min()))
+    if scale == 0.0:
+        return 0.0
+    defect = 0.0
+    for i in (0, 2):
+        x = st.x[i : i + 2]
+        anti = x - _reflect_coeffs(x, _STACK_PARITY[i : i + 2])
+        anti *= 0.5
+        phys = half_samples(st.grid, anti)
+        defect = max(defect, float(phys.max()), -float(phys.min()))
+    return defect / scale
+
+
+def _class_state(n, seed, steps):
+    """Drawn initial data after ``steps`` linear steps: exactly in the class."""
+    grid = GridSpec(n)
+    kmax = min(4, int(grid.dealias_cutoff))
+    st = make_initial_data(InitialDataSpec(epsilon=0.1, s=2, seed=seed, max_wavenumber=kmax), grid)
+    for _ in range(steps):
+        st = step_ifrk4(st, 1e-2, nonlinear=False)
+    return st
+
+
+def _anti_mode(n, seed):
+    """A (field, row, column) where ``_class_state`` is zero (row
+    k1 = n/2 - 1, above its band), off the columns k2 = 0 and -n/2, which
+    are their own reflections: a coefficient added there is an anti part
+    that shows (rows 0 and n/2 would keep only its real samples)."""
+    r = np.random.default_rng(seed)
+    column = int(r.choice([c for c in range(1, n) if c != n // 2]))
+    return int(r.integers(4)), n // 2 - 1, column
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=hst.sampled_from([8, 16, 32, 64]),
+    seed=hst.integers(0, 2**32 - 1),
+    steps=hst.integers(0, 2),
+    kind=hst.sampled_from(["class", "signed-zeros", "anti", "full-rows", "nonfinite"]),
+    exponent=hst.floats(-300.0, 0.0),
+    bad=hst.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_symmetry_defect_is_the_transform_formula(n, seed, steps, kind, exponent, bad):
+    """``symmetry_defect`` equals ``_reference_defect`` bit for bit (NaN for
+    NaN): on states exactly in the class, with -0.0 entries too, where it
+    skips every transform; with one anti coefficient of size 1e-300 to 1;
+    on states with content on every row, as read back from a checkpoint;
+    and on states holding NaN or inf."""
+    st = _class_state(n, seed, steps)
+    x = st.x.copy()
+    f, r, c = _anti_mode(n, seed)
+    if kind == "signed-zeros":
+        x[(x == 0) & (np.random.default_rng(seed).random(x.shape) < 0.5)] = -0.0
+    elif kind == "anti":
+        assert x[f, r, c] == 0.0
+        x[f, r, c] = 10.0**exponent
+    elif kind == "full-rows":
+        x = half_coeffs(st.grid, half_samples(st.grid, step_ifrk4(st, 1e-2).x))
+    elif kind == "nonfinite":
+        x[f, r, c] = bad
+    st = MHDState(st.grid, st.t, x)
+    with np.errstate(all="ignore"):
+        got, expected = symmetry_defect(st), _reference_defect(st)
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    if kind in ("class", "signed-zeros"):
+        assert got == 0.0
+    elif kind == "anti":
+        assert got > 0.0
+
+
+def test_symmetry_defect_sees_a_tiny_anti_coefficient():
+    """Negative control of the in-class shortcut: one anti coefficient of
+    1e-30 on a state exactly in the class gives a positive defect."""
+    st = _class_state(32, 5, 1)
+    assert symmetry_defect(st) == 0.0
+    x = st.x.copy()
+    x[2, 15, 5] = 1e-30
+    defect = symmetry_defect(MHDState(st.grid, st.t, x))
+    assert 0.0 < defect == _reference_defect(MHDState(st.grid, st.t, x))
 
 
 def test_initial_data_postconditions(grid):

@@ -18,6 +18,12 @@ won (lower is better; ties count for neither), plus the operations each
 side attempted and failed.  The claim line printed at the end applies the
 rule of a speed claim: the change wins at least nine tenths of the pairs,
 and the medians differ by more than the parent's interquartile range.
+
+Arguments are checked before anything is copied or run, and a bad one
+exits with code 2: fewer than 2 pairs (no quartiles), a workload that is
+not ``NAME:FIRST_SEED`` with a workload of BENCHMARK.json and a seed >= 0,
+or a claim whose workload is not among ``--workload`` or whose metric is
+not an end-to-end metric of BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import sys
 import tempfile
 
 ORDER = "pair i runs parent first when i is even, change first when i is odd"
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 IGNORED = shutil.ignore_patterns("__pycache__", ".git", ".hypothesis", ".pytest_cache", "out")
 
 
@@ -105,7 +112,9 @@ def measure(copies: dict, workload: str, seeds: list[int], seconds: float) -> di
     return {"seeds": seeds, "metrics": metrics, "ops": ops}
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> tuple[argparse.Namespace, dict[str, int]]:
+    """The arguments and the first seed per workload; exits with code 2 on
+    a bad argument (see the module docstring)."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
@@ -116,7 +125,27 @@ def main(argv=None) -> int:
     ap.add_argument("--note", required=True, help="what the change does")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    claimed_workload, claimed_metric = args.claim.split("/")
+    with open(BENCHMARK) as fh:
+        bench = json.load(fh)
+    if args.pairs < 2:
+        ap.error(f"--pairs must be at least 2 to give quartiles, got {args.pairs}")
+    firsts = {}
+    for spec in args.workload:
+        name, sep, first = spec.partition(":")
+        if not sep or name not in {w["name"] for w in bench["workloads"]} or not first.isdigit():
+            ap.error(f"--workload {spec!r} is not NAME:FIRST_SEED with a benchmark workload")
+        firsts[name] = int(first)
+    workload, _, metric = args.claim.partition("/")
+    if workload not in firsts:
+        ap.error(f"--claim {args.claim!r} names a workload that no --workload runs")
+    if metric not in {m["name"] for m in bench["end_to_end"]}:
+        ap.error(f"--claim {args.claim!r} names no end-to-end metric of {BENCHMARK}")
+    return args, firsts
+
+
+def main(argv=None) -> int:
+    args, firsts = parse_args(argv)
+    claimed_workload, _, claimed_metric = args.claim.partition("/")
 
     with tempfile.TemporaryDirectory() as tmp:
         copies = {}
@@ -124,9 +153,8 @@ def main(argv=None) -> int:
             copies[name] = os.path.join(tmp, name)
             shutil.copytree(getattr(args, name), copies[name], ignore=IGNORED)
         workloads = {}
-        for spec in args.workload:
-            workload, first = spec.split(":")
-            seeds = [int(first) + i for i in range(args.pairs)]
+        for workload, first in firsts.items():
+            seeds = [first + i for i in range(args.pairs)]
             workloads[workload] = measure(copies, workload, seeds, args.seconds)
 
     report = {
@@ -149,8 +177,7 @@ def main(argv=None) -> int:
                   f"change {m['change']['median']:.6g} "
                   f"[{m['change']['quartiles'][0]:.6g}, {m['change']['quartiles'][1]:.6g}] "
                   f"{m['unit']}, change better in {m['change_better_pairs']}/{m['pairs']}")
-    claimed = workloads.get(claimed_workload, {}).get("metrics", {}).get(claimed_metric)
-    met = claimed is not None and claim_met(claimed)
+    met = claim_met(workloads[claimed_workload]["metrics"][claimed_metric])
     print(f"claim {args.claim}: {'met' if met else 'not met'}")
     return 0
 

@@ -12,6 +12,6 @@ for r in results:
     flag = "PASS" if r.passed else "FAIL"
     print(f"{r.name:<{width}}  value={r.value:12.4e}  bound={r.bound:.3e}  {flag}")
 
-print("\nrefinement study of the integrating-factor RK4 stepper:")
+print("\nrefinement study of the Lawson RK4 stepper:")
 slope = convergence_slope()
 print(f"observed order: {slope:.3f} (expected 4)")

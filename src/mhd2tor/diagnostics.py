@@ -132,12 +132,11 @@ def _squared_sum(v1: np.ndarray, v2: np.ndarray, work: np.ndarray) -> np.ndarray
     return s
 
 
-def _sum_rows(x: np.ndarray) -> int:
-    """The content rows of ``x`` (``_content_rows``), rounded up to whole
+def _sum_rows(x: np.ndarray, m: int) -> int:
+    """The content rows m of ``x`` (``_content_rows``), rounded up to whole
     blocks of ``_SUM_BLOCK`` values: the leading rows whose norm sums are
     the bits of the sums over all n/2 + 1 rows."""
-    m, n = _content_rows(x), x.shape[-1]
-    rows = _SUM_BLOCK // math.gcd(n, _SUM_BLOCK)
+    rows = _SUM_BLOCK // math.gcd(x.shape[-1], _SUM_BLOCK)
     return min(x.shape[-2], -(-m // rows) * rows)
 
 
@@ -150,19 +149,21 @@ def instantaneous(st: MHDState, p: EnergyParams) -> DiagnosticsRecord:
     cached multipliers, summed over those rows alone: the rows past them
     only added +0.0 to finished blocks, so the sums are the same bits.  The
     squares are formed in the shared transform workspace, then
-    ``symmetry_defect`` uses it (no transform for a state exactly in the
-    class), then the two divergence defects take their scratch from it.
+    ``symmetry_defect`` uses it, given the content rows found here (no
+    transform for a state exactly in the class), then the two divergence
+    defects take their scratch from it.
     """
     grid, x = st.grid, st.x
     u_orders, b_orders, d2u_orders = _orders(p.s)
     wu, wb = _norm_weights(grid, p.s)
-    m = _sum_rows(x)
+    content = _content_rows(x)
+    m = _sum_rows(x, content)
     c = x[:, :m]
     work = _spec_as_real(grid, (3, m, grid.n))
     su = MEASURE * np.einsum("kij,ij->k", wu[:, :m], _squared_sum(c[0], c[1], work))
     sb = MEASURE * np.einsum("kij,ij->k", wb[:, :m], _squared_sum(c[2], c[3], work))
     nu, nb = np.sqrt(su[:-1]), np.sqrt(sb[:-2])
-    defect = symmetry_defect(st)
+    defect = symmetry_defect(st, rows=content)
     scratch = _phys_as_complex(grid, (2, m, grid.n))
     return DiagnosticsRecord(
         t=st.t,

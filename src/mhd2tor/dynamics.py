@@ -1,61 +1,40 @@
 """Right-hand sides of the MHD system with pressure eliminated.
 
-Perturbation form (B = b + e2):
+Perturbation form (B = b + e2), with P the Leray projection:
 
     u_t = P(-u.grad u + b.grad b + d2 b)
     b_t = -u.grad b + b.grad u + d2 u + Lap b
 
-with P the Leray projection.  The quadratic terms are formed in
-divergence form, which for divergence-free u and b is the same flow:
+For divergence-free u and b (every state the solver steps, draws or
+writes) the products are formed in divergence form (see README, Numerics):
 
-    -u.grad u + b.grad b = -div(u u - b b)
-                         = -(d1 A + d2 C, d1 C - d2 A) - grad (|u|^2 - |b|^2)/2
-    -u.grad b + b.grad u = curl(u x b) = (d2 E, -d1 E)
+    -u.grad u + b.grad b = -(d1 A + d2 C, d1 C - d2 A) - grad (|u|^2 - |b|^2)/2
+    -u.grad b + b.grad u = (d2 E, -d1 E)
 
 with A = (u1^2 - u2^2 - b1^2 + b2^2)/2, C = u1 u2 - b1 b2 and
-E = u1 b2 - u2 b1.  This assumes divergence-free input, which every state
-the solver steps, draws as initial data or writes to a checkpoint
-satisfies; for such fields the two forms agree to roundoff after
-dealiasing (the test suite checks them against direct-sum advective
-products).  The three products are formed pseudo-spectrally from dealiased
-inputs and dealiased again: one stacked inverse transform of 4 fields and
-one forward transform of 3 per evaluation.  Dealiased, they vanish above
-the band, so the c2c passes of both transforms and all arithmetic after
-the forward one run on the band rows k1 <= n/3 alone.  Linear terms are
-not dealiased.
-
-No projection pass runs.  P is a fixed matrix per mode, so it is folded
-into the multipliers M that map (A_hat, C_hat) to the u tendency:
+E = u1 b2 - u2 b1, pseudo-spectrally from dealiased inputs and dealiased
+again: one stacked inverse transform of 4 fields and one forward transform
+of 3, whose c2c passes and all arithmetic after them run on the band rows
+k1 <= n/3 alone.  No projection pass runs: P is folded into the
+multipliers that map (A_hat, C_hat) to the u tendency,
 
     M = P [[-d1, -d2], [d2, -d1]] = (i/|k|^2) [[-2 k1 k2^2,  k2 (k1^2 - k2^2)],
                                                [ 2 k1^2 k2,  k1 (k2^2 - k1^2)]]
 
-The b tendency (d2 E, -d1 E) is a curl, and the coupling terms d2 b, d2 u
-are derivatives of divergence-free fields, so every tendency is
-divergence-free to roundoff by its form, and the step keeps div u and
-div b there without restoring them.  The k = 0 mode of every tendency is
-exactly zero with no write to it, since every multiplier vanishes there;
-a non-finite mean mode therefore shows as a non-finite tendency.
+so every product tendency is divergence-free to roundoff by its form, and
+exactly zero at k = 0 with no write to it (a non-finite mean mode shows as
+a non-finite tendency).
 
-Everything works on the state's own array: stacked half spectra
-(u1, u2, b1, b2) of shape (4, n//2+1, n), transformed without phase or
-scaling on the grid anchored at 0 (see ``spectral``).  The private
-``_rhs_arrays`` kernel returns the non-stiff part, without the diffusion
-Lap b, which the stepper applies through an exact integrating factor; it
-works in per-grid buffers and can write into a caller's array, and it
-takes the state's leading rows alone when the others are zero.  Its
-transforms use the shared ``spectral._transform_workspace``, whose samples
-are stored transposed (the products are pointwise, so that changes no
-bit), and which ``cfl_dt`` and ``symmetry_defect`` also use, so it is not
-reentrant.  On request it also returns the CFL speed |u| + |b + e2| of its
-dealiased samples, so the stepper takes dt from stage 1 without a
-transform of its own.  Solver states lie inside the 2/3 band, where
-dealiasing changes nothing, so this speed equals that of ``cfl_dt`` bit
-for bit; a state read from a checkpoint carries roundoff above the band,
-and there the two differ at roundoff.  ``_speed_bound`` bounds both from
-the coefficients alone, with no transform.  The public
-``rhs_perturbation``/``rhs_total`` return the whole dx/dt in the same
-layout, in a new array.
+The private ``_rhs_arrays`` kernel returns the products alone on the
+state's stacked half spectra (4, n//2+1, n), or on their leading rows: the
+linear part, the coupling d2 b, d2 u and Lap b, is diagonal in k, and the
+stepper propagates it exactly (``stepping._heat_factors``).  Its transforms
+use the shared, non-reentrant ``spectral._transform_workspace``.  On
+request it returns the CFL speed |u| + |b + e2| of its dealiased samples
+instead, which equals that of ``cfl_dt`` bit for bit on solver states
+(inside the 2/3 band); ``_speed_bound`` bounds both from the coefficients,
+with no transform.  The public ``rhs_perturbation``/``rhs_total`` return
+the whole dx/dt in a new array: the products plus L x (``_with_linear``).
 """
 
 from __future__ import annotations
@@ -155,20 +134,24 @@ def _speed_bound(grid: GridSpec, x: np.ndarray) -> float:
     return (math.hypot(s_u1, s_u2) + math.hypot(s_b1, 1.0 + s_b2)) * (1.0 + 1e-9)
 
 
-def _quadratic_arrays(
-    grid: GridSpec, x: np.ndarray, out: np.ndarray, speed: bool = False
-) -> float | None:
-    """Dealiased P(-(d1 A + d2 C), d2 A - d1 C), then (d2 E, -d1 E), into ``out``.
+def _rhs_arrays(
+    grid: GridSpec, x: np.ndarray, out: np.ndarray | None = None, speed: bool = False
+) -> np.ndarray | float:
+    """The dealiased products: P(-(d1 A + d2 C), d2 A - d1 C), then
+    (d2 E, -d1 E), in the layout of ``x``.
 
     ``x`` holds the half spectra of divergence-free (u1, u2, b1, b2), or
     their leading rows down to at least the band rows; see the module
     docstring for A, C, E.  One stacked inverse transform of 4 fields and
     one forward transform of 3 per evaluation, their c2c passes on the band
-    rows alone; ``out``, of the rows of ``x``, is zero on the others, and
-    holds the dealiased input until the inverse transform has read it.
-    With ``speed``, returns ``_max_speed`` of the dealiased samples, else
-    None.
+    rows alone.  Written into ``out`` when given, else into a new array,
+    which is returned; the rows past the band are zero.  ``out`` may be
+    ``x``: it holds the dealiased input until the inverse transform has
+    read it.  With ``speed``, the max speed |u| + |b + e2| of the
+    dealiased samples (``_max_speed``) is returned instead.
     """
+    if out is None:
+        out = np.empty_like(x)
     r = _band_rows(grid)
     M, curl = _multipliers(grid)
     ws = _transform_workspace(grid)
@@ -203,58 +186,23 @@ def _quadratic_arrays(
         out[i, :r] += np.multiply(M[i, 1], C_hat, out=t)
     np.multiply(curl, E_hat, out=out[2:, :r])
     out[:, r:] = 0.0
-    return vmax
-
-
-def _rhs_arrays(
-    grid: GridSpec,
-    x: np.ndarray,
-    nonlinear: bool,
-    coupling: bool,
-    out: np.ndarray | None = None,
-    speed: bool = False,
-) -> np.ndarray | float:
-    """dx/dt of the perturbation form without the diffusion Lap b, half spectra.
-
-    ``x`` may hold only the first m rows of the half spectra, the rows that
-    carry content; the others are zero by contract, and so are the
-    tendency's, which is given on the same m rows.  With ``nonlinear``, m
-    must cover the band rows.  Written into ``out`` when given, else into a
-    new array, which is returned.  With ``speed``, the max speed
-    |u| + |b + e2| of ``x`` is returned instead: from the dealiased samples
-    that the products use, or from ``_sample_speed`` when ``nonlinear`` is
-    off.
-    """
-    if out is None:
-        out = np.empty_like(x)
-    vmax = None
-    ik2 = grid.half.ik2[: x.shape[-2]]
-    if nonlinear:
-        vmax = _quadratic_arrays(grid, x, out, speed)
-        if coupling:  # the products are in out, so the spectral workspace is free
-            t = _leading(_transform_workspace(grid).spec, (2,) + x.shape[1:])
-            out[:2] += np.multiply(ik2, x[2:], out=t)
-            out[2:] += np.multiply(ik2, x[:2], out=t)
-    else:
-        if speed:
-            vmax = _sample_speed(grid, x)
-        if coupling:
-            np.multiply(ik2, x[2:], out=out[:2])
-            np.multiply(ik2, x[:2], out=out[2:])
-        else:
-            out[...] = 0.0
     return vmax if speed else out
 
 
 def _rhs_total_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:
-    """dx/dt of the total-field form without Lap b; x holds (u1, u2, B1, B2),
-    so the products bring in the coupling terms."""
-    return _rhs_arrays(grid, x, nonlinear=True, coupling=False)
+    """The products of the total-field form; x holds (u1, u2, B1, B2), so
+    they bring in the coupling terms."""
+    return _rhs_arrays(grid, x)
 
 
-def _with_diffusion(grid: GridSpec, soft: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """dx/dt from the non-stiff part and b: adds Lap b to the b rows, in place."""
-    soft[2:] -= grid.half.ksq * b
+def _with_linear(grid: GridSpec, soft: np.ndarray, x: np.ndarray, coupling: bool) -> np.ndarray:
+    """dx/dt from the products and the state: adds L x, the coupling
+    (d2 b, d2 u) when ``coupling`` and Lap b, to ``soft`` in place."""
+    half = grid.half
+    if coupling:
+        soft[:2] += half.ik2 * x[2:]
+        soft[2:] += half.ik2 * x[:2]
+    soft[2:] -= half.ksq * x[2:]
     if not np.all(np.isfinite(soft)):
         raise NonFiniteTendency("tendency contains non-finite coefficients")
     return soft
@@ -267,7 +215,8 @@ def rhs_perturbation(st: MHDState, nonlinear: bool = True, coupling: bool = True
     and the d2 exchange terms respectively; both are part of the public test
     surface (the linearized limit has a closed-form per-mode solution).
     """
-    return _with_diffusion(st.grid, _rhs_arrays(st.grid, st.x, nonlinear, coupling), st.x[2:])
+    soft = _rhs_arrays(st.grid, st.x) if nonlinear else np.zeros_like(st.x)
+    return _with_linear(st.grid, soft, st.x, coupling)
 
 
 def rhs_total(st: MHDState) -> np.ndarray:
@@ -281,7 +230,7 @@ def rhs_total(st: MHDState) -> np.ndarray:
     """
     x = st.x.copy()
     x[3, 0, 0] += 1.0
-    return _with_diffusion(st.grid, _rhs_total_arrays(st.grid, x), st.x[2:])
+    return _with_linear(st.grid, _rhs_total_arrays(st.grid, x), st.x, coupling=False)
 
 
 def compute_pressure(st: MHDState) -> ScalarField:

@@ -1,46 +1,31 @@
-"""Integrating-factor RK4 time stepping for the MHD state.
+"""Lawson RK4 time stepping for the MHD state (see README, Numerics).
 
-The diffusion Lap b is diagonal in Fourier space, so the b equation is
-integrated in the transformed variable w_k = exp(|k|^2 t) b_k: pure
-diffusion is reproduced exactly (to roundoff), and classical RK4 handles
-the remaining terms at fourth order.
+The linear part L = [[0, i k2], [i k2, -|k|^2]], the coupling to e2 and
+the diffusion, acts on each mode alone, the same way on the pairs
+(u1, b1) and (u2, b2).  ``_heat_factors`` gives exp(t L) per mode in
+closed form, and classical RK4 handles the dealiased products in the
+variable exp(-t L) x, so a linear step, one application of exp(dt L), is
+exact to roundoff.  The step
+carries the invariants of the exact flow, with no projection after it:
+divergence stays at roundoff, the k = 0 modes are kept bit for bit, and
+a state in the symmetry class stays in it to roundoff.
 
-The invariants of the exact flow are carried by the step itself, not
-restored after it.  Every stage tendency is divergence-free to roundoff
-by the form of its multipliers, which have the Leray projection folded in,
-so no projection pass runs, and it is exactly zero at k = 0
-(``dynamics``); the integrating factor is diagonal and equal on both
-components of b, and the discrete step commutes with the x2 reflection,
-an exact index permutation.  So divergence-free fields stay
-divergence-free to roundoff, the k = 0 modes (means) are conserved
-exactly, and a state in the symmetry class stays in it to roundoff; the
-diagnostics measure all three.
-
-The step works on the state's own array: the stacked half spectra of
-(u1, u2, b1, b2), shape (4, n//2+1, n), in the convention of ``spectral``
-(rows k1 = 0..n/2, grid anchored at 0, ``norm="forward"``).  Nothing is
-converted to full spectra inside the run loop.  Each step works on the
+A step works on the state's stacked half spectra (4, n//2+1, n), on the
 leading rows that hold content, and at least on the 2/3 band when the
-products are on: a run from band-limited initial data keeps its higher
-rows exactly zero, and a state read from a checkpoint has content on all
-n/2 + 1 rows.
+products are on; the rows past them stay +0.0.
 
-``run`` first takes dt from an upper bound of the speed |u| + |b + e2|
-from the coefficients (``dynamics._speed_bound``).  When that dt is dt_max
-or a landing on a sample time, the sampled speed would give it too, and
-the step takes it as it is: a linear step then makes no transform.
-Otherwise ``run`` chooses dt after stage 1 of its step, from the speed of
-the stage-1 samples that the right-hand side makes anyway, so its CFL
-bound costs no transform either: a nonlinear step makes 16 inverse and 12
-forward field transforms.  Solver states lie inside the 2/3 band, so that
-speed equals ``cfl_dt``'s on the same state bit for bit (see
-``dynamics``).
+``run`` takes dt from ``dynamics._speed_bound`` when that gives dt_max or
+a landing on a sample time (a linear step then makes no transform), else
+from the speed of the stage-1 samples, which equals ``cfl_dt``'s on
+solver states bit for bit: a nonlinear step makes 16 inverse and 12
+forward field transforms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -48,33 +33,90 @@ import numpy as np
 from .dynamics import _band_rows, _rhs_arrays, _sample_speed, _speed_bound
 from .dynamics import _rhs_total_arrays  # noqa: F401  traced by name in bench/spans.py
 from .errors import NonFiniteState, StepTooSmall
-from .spectral import _content_rows, _leading
+from .spectral import _content_rows, _leading, _transform_workspace
 from .symmetry import MHDState
 from .symmetry import ifft_samples, symmetry_defect  # noqa: F401  traced by name in bench/spans.py
 
 _LANDING_TOL = 1e-12
 
 
-@lru_cache(maxsize=4)
-def _heat_buffer(grid) -> np.ndarray:
-    """The one real pair of half spectra per grid that ``_heat_factors`` fills."""
-    return np.empty((2, grid.n // 2 + 1, grid.n))
+@lru_cache(maxsize=8)
+def _propagator(grid, coupling: bool):
+    """Per-grid constants and room of ``_heat_factors``.  With a = |k|^2/2,
+    k2 from the Nyquist-zeroed ``ik2`` (0 without ``coupling``) and
+    delta^2 = a^2 - k2^2: r = k2^2/(a + delta), 2 delta, h = r/delta and
+    g = k2/delta where delta > 0 (0 elsewhere); the other modes as (row,
+    column, a, k2, sqrt(-delta^2)); and real p11, p22, two scratch arrays,
+    the complex p12, whose real part stays 0, and its imag view."""
+    half = grid.half
+    k2 = half.ik2.imag if coupling else np.zeros_like(half.ksq)
+    a = 0.5 * half.ksq
+    d2 = a * a - k2 * k2
+    generic = d2 > 0
+    delta = np.sqrt(np.where(generic, d2, 1.0))
+    r = np.where(generic, k2 * k2 / (a + delta), 0.0)
+    g = np.where(generic, k2 / delta, 0.0)
+    listed = [
+        (i, j, float(a[i, j]), float(k2[i, j]), math.sqrt(-d2[i, j]))
+        for i, j in zip(*np.nonzero(~generic))
+    ]
+    p12 = np.zeros(half.ksq.shape, dtype=np.complex128)
+    room = (*np.empty((4,) + p12.shape), p12, p12.imag)
+    return r, np.where(generic, 2.0 * delta, 0.0), r / delta, g, listed, room
 
 
 @lru_cache(maxsize=1)
-def _heat_factors(grid, dt: float):
-    """exp(-|k|^2 dt/2) and exp(-|k|^2 dt) on the half spectrum, written into
-    the grid's ``_heat_buffer`` and valid until the next call for that grid.
+def _heat_factors(grid, t: float, coupling: bool = True):
+    """exp(t L) per mode on the half spectrum, as (p11, p22, p12): it maps
+    (u, b) to (p11 u + p12 b, p12 u + p22 b) on both pairs.  Written into
+    the room of ``_propagator``, valid until the next call for that grid.
 
-    Only a miss writes the buffer, and the cache keeps one entry, so a hit
-    (the same grid and dt as the call before) finds the factors that call
-    left there.  A run bound by dt_max repeats one dt between landings and
-    keeps hitting; a CFL-bound run misses on every step, and a miss
-    allocates nothing.
+    With es = exp(-r t), q = exp(-2 delta t) and w = es (1 - q)/2 (from
+    expm1): p11 = es + h w, p22 = es q - h w and p12 = i g w, which is
+    e^{-at} [cosh(delta t) I + sinh(delta t)/delta (L + aI)] with no
+    cancellation in p11 or p12.  The modes with delta^2 <= 0 take
+    c = e^{-at} cos(omega t) and s = e^{-at} sin(omega t)/omega (t at
+    omega = 0): p11 = c + a s, p22 = c - a s, p12 = i k2 s.  At k = 0, P is
+    exactly the identity; without ``coupling``, p11 = 1, p12 = 0 and
+    p22 = exp(-|k|^2 t), the heat factor.
+
+    The cache keeps one entry and only a miss writes the buffer, so a hit
+    finds the factors the call before left there.  A run bound by dt_max
+    keeps hitting between landings; a CFL-bound run misses on every step,
+    and a miss allocates no array.
     """
-    e_half, e_full = _heat_buffer(grid)
-    np.exp(np.multiply(grid.half.ksq, -0.5 * dt, out=e_half), out=e_half)
-    return e_half, np.square(e_half, out=e_full)
+    r, two_delta, h, g, listed, (p11, p22, w, hw, p12, s12) = _propagator(grid, coupling)
+    np.exp(np.multiply(r, -t, out=p11), out=p11)  # es
+    np.multiply(two_delta, -t, out=w)
+    np.exp(w, out=p22)
+    p22 *= p11  # es q
+    np.expm1(w, out=w)
+    w *= p11
+    w *= -0.5
+    p11 += np.multiply(h, w, out=hw)
+    p22 -= hw
+    np.multiply(g, w, out=s12)
+    for i, j, a, k2, omega in listed:
+        ea = math.exp(-a * t)
+        c = ea * math.cos(omega * t)
+        s = ea * (math.sin(omega * t) / omega if omega else t)
+        p11[i, j], p22[i, j], s12[i, j] = c + a * s, c - a * s, k2 * s
+    return p11, p22, p12
+
+
+def _propagate(P, scratch: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """dst = P src on stacked (u1, u2, b1, b2) rows, in place when ``dst`` is
+    ``src``; P is ``_heat_factors`` cut to the rows of ``src``, and
+    ``scratch`` holds two stacks of the pair shape."""
+    p11, p22, p12 = P
+    pu, pb = scratch
+    np.multiply(p12, src[2:], out=pu)
+    np.multiply(p12, src[:2], out=pb)
+    np.multiply(src[:2], p11, out=dst[:2])
+    dst[:2] += pu
+    np.multiply(src[2:], p22, out=dst[2:])
+    dst[2:] += pb
+    return dst
 
 
 @dataclass(frozen=True)
@@ -135,23 +177,26 @@ def step_ifrk4(
     coupling: bool = True,
     rows: int | None = None,
 ) -> MHDState:
-    """Advance one step of size dt with integrating-factor RK4.
+    """Advance one step of size dt with Lawson RK4, the integrating-factor
+    RK4 whose factor is the exact propagator of the linear part.
 
-    x_new = e_full x + dt/6 (e_full k1 + 2 e_half k2 + 2 e_half k3 + k4),
-    with e_half = exp(-|k|^2 dt/2) and e_full = exp(-|k|^2 dt) on the b rows
-    alone (only b diffuses).
+    With P = ``_heat_factors(grid, dt/2)`` = exp(dt/2 L) and N the
+    dealiased products (``_rhs_arrays``), k1 = N(x) and
 
-    The step works on the first m rows of the half spectra, m =
-    ``step_rows(st, nonlinear)``: every row past them is zero in ``st``,
-    and the tendencies are zero there (the products vanish above the 2/3
-    band, and the linear terms are diagonal), so those rows of the new
-    state are 0.0, written once.  The stage arithmetic runs on contiguous
-    (4, m, n) stacks: the weighted sum of the stage tendencies accumulates
-    in one, each tendency lands in a second (both in one flat per-grid
-    storage), and the stage inputs are formed at the start of the new
-    state's array, which the returned state owns.  A state with content in
-    its last row gets m = n/2 + 1.  A caller that has found m already
-    passes it as ``rows``.
+        y2 = P(x + dt/2 k1),  y3 = P x + dt/2 k2,  y4 = P(P x + dt k3),
+        x_new = P[P(x + dt/6 k1) + dt/3 (k2 + k3)] + dt/6 k4,
+
+    with k_i = N(y_i): five applications of P and one factor set per dt.
+    Without ``nonlinear``, N = 0 and x_new = P(P x) = exp(dt L) x: one
+    application of the factors of dt, with no rhs.
+
+    The step works on the first m rows, m = ``step_rows(st, nonlinear)``
+    or ``rows``: the rows past them are zero in ``st``, the products vanish
+    there and P is diagonal in k, so they are 0.0 in the new state.  The
+    stages run on contiguous (4, m, n) stacks: the accumulator and the
+    tendencies (y3, y4 and k3, k4 in place) in a per-grid storage, y2 and
+    P x at the start of the new state's array, and the scratch of P in the
+    transform workspace, free between two rhs calls.
 
     ``dt`` may also be a function that maps the max speed |u| + |b + e2|
     of the stage-1 samples to the step size (see ``dynamics``): ``run``
@@ -161,52 +206,50 @@ def step_ifrk4(
     grid, x = st.grid, st.x
     m = step_rows(st, nonlinear) if rows is None else rows
     shape = (4, m, grid.n)
-    acc, k = _leading(_stage_storage(grid), (2,) + shape)
     x_new = np.empty_like(x)
-    y = _leading(x_new, shape)
     x = x[:, :m]
-
-    def rhs(stage_input, out):
-        return _rhs_arrays(grid, stage_input, nonlinear, coupling, out=out)
-
+    acc, k = _leading(_stage_storage(grid), (2,) + shape)
     if callable(dt):
-        dt = dt(_rhs_arrays(grid, x, nonlinear, coupling, out=acc, speed=True))
-    else:
-        rhs(x, acc)
+        dt = dt(_rhs_arrays(grid, x, out=acc, speed=True) if nonlinear else _sample_speed(grid, x))
+    elif nonlinear:
+        _rhs_arrays(grid, x, out=acc)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    e_half, e_full = (e[:m] for e in _heat_factors(grid, dt))
-    # y = e_half (x + dt/2 k1); acc = e_full k1
-    np.multiply(acc, 0.5 * dt, out=y)
-    y += x
-    y[2:] *= e_half
-    acc[2:] *= e_full
-    rhs(y, k)
-    # y = e_half x + dt/2 k2; acc += 2 e_half k2
-    np.multiply(k, 0.5 * dt, out=y)
-    y[:2] += x[:2]
-    k[2:] *= e_half
-    k *= 2.0
-    acc += k
-    y[2:] += np.multiply(x[2:], e_half, out=k[2:])
-    rhs(y, k)
-    # y = e_full x + dt e_half k3; acc += 2 e_half k3
-    k[2:] *= e_half
-    np.multiply(k, dt, out=y)
-    k *= 2.0
-    acc += k
-    y[:2] += x[:2]
-    y[2:] += np.multiply(x[2:], e_full, out=k[2:])
-    rhs(y, k)
-    # x_new = e_full x + dt/6 (acc + k4), its rows past m zero
-    acc += k
-    y = x_new[:, :m]
-    np.multiply(acc, dt / 6.0, out=y)
-    y[:2] += x[:2]
-    y[2:] += np.multiply(x[2:], e_full, out=k[2:])
+    P = [f[:m] for f in _heat_factors(grid, 0.5 * dt if nonlinear else dt, coupling)]
+    tmp = _leading(_transform_workspace(grid).spec, shape)
+    apply = partial(_propagate, P, tmp.reshape((2, 2, m, grid.n)))
+    if not nonlinear:
+        apply(x, x_new[:, :m])
+    else:
+        # y = P(x + dt/2 k1); acc = x + dt/6 k1
+        y = _leading(x_new, shape)
+        np.multiply(acc, 0.5 * dt, out=y)
+        y += x
+        apply(y, y)
+        acc *= dt / 6.0
+        acc += x
+        _rhs_arrays(grid, y, out=k)
+        # acc = P acc + dt/3 k2; y = P x; k = y3 = P x + dt/2 k2
+        apply(acc, acc)
+        acc += np.multiply(k, dt / 3.0, out=tmp)
+        apply(x, y)
+        k *= 0.5 * dt
+        k += y
+        _rhs_arrays(grid, k, out=k)
+        # acc += dt/3 k3; k = y4 = P(P x + dt k3)
+        acc += np.multiply(k, dt / 3.0, out=tmp)
+        k *= dt
+        k += y
+        apply(k, k)
+        _rhs_arrays(grid, k, out=k)
+        # x_new = P acc + dt/6 k4
+        apply(acc, acc)
+        np.multiply(k, dt / 6.0, out=x_new[:, :m])
+        x_new[:, :m] += acc
     x_new[:, m:] = 0.0
-
-    if not np.all(np.isfinite(y)):
+    # max and min see a NaN or inf in either part, with no temporary
+    parts = x_new[:, :m].view(np.float64)
+    if not (np.isfinite(parts.max()) and np.isfinite(parts.min())):
         raise NonFiniteState(f"state became non-finite during step from t={st.t:.6g}")
     return MHDState(grid, st.t + dt, x_new)
 
@@ -264,7 +307,9 @@ def run(
     the step's dt.  Otherwise dt is chosen after stage 1 of the step, from
     the speed of the stage-1 samples (the speed ``cfl_dt`` would read).
     Both give the same dt bit for bit, and the bound costs no transform.
-    ``counts``, when given, tallies each dt and what set it.
+    ``step_rows`` of ``st0`` serves every step, which keeps the rows past
+    it at +0.0 (``sink`` must not write into its states).  ``counts``, when
+    given, tallies each dt and what set it.
     """
     from .diagnostics import EnergyParams, instantaneous
 
@@ -303,10 +348,10 @@ def run(
             limit = "cfl" if dt < cfg.dt_max else "dt_max"
         return None if bound and limit == "cfl" else dt
 
+    m = step_rows(st, nonlinear)  # rows past the content change no bit
     while st.t < cfg.t_end - _LANDING_TOL:
         next_sample = k * sample_every
         target = min(next_sample, cfg.t_end)
-        m = step_rows(st, nonlinear)
         settled = choose(_speed_bound(st.grid, st.x[:, :m]), bound=True)
         try:
             st = step_ifrk4(

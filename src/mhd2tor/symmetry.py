@@ -130,7 +130,7 @@ def symmetrize(st: MHDState) -> MHDState:
     return MHDState(st.grid, st.t, 0.5 * (st.x + _reflect_coeffs(st.x, _STACK_PARITY)))
 
 
-def symmetry_defect(st: MHDState) -> float:
+def symmetry_defect(st: MHDState, rows: int | None = None) -> float:
     """Relative sup-norm of the anti-class part, max over the four components.
 
     The anti part is formed in coefficient space, two fields at a time, on
@@ -141,10 +141,12 @@ def symmetry_defect(st: MHDState) -> float:
     samples of the state, which give the scale, follow.  So a state exactly
     in the class (every anti coefficient zero, a -0.0 included) costs no
     transform: its anti part could only sample to +-0.0, and its defect is
-    0.0.  NaN or inf in the state always leaves a nonzero anti part.
+    0.0.  NaN or inf in the state always leaves a nonzero anti part.  Row
+    k1 = 0 is tested first: an out-of-class state shows its anti part there.
+    A caller that has found the content rows passes them as ``rows``.
     """
     grid = st.grid
-    m = _content_rows(st.x)
+    m = _content_rows(st.x) if rows is None else rows
     x = st.x[:, :m]
     ws = _transform_workspace(grid)
     anti = _phys_as_complex(grid, (2, m, grid.n))
@@ -155,7 +157,7 @@ def symmetry_defect(st: MHDState) -> float:
         _reflect_coeffs(pair, _STACK_PARITY[i : i + 2], out=anti)
         np.subtract(pair, anti, out=anti)
         anti *= 0.5
-        if anti.any():
+        if anti[:, 0].any() or anti.any():
             _inverse_into(anti, ws.spec_t[:2], ws.phys_t[:2])
             defect = max(defect, float(phys[:2].max()), -float(phys[:2].min()))
             transformed = True

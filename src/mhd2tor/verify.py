@@ -125,7 +125,7 @@ def verify_linear(
     seed: int = 0,
 ) -> list[VerifyResult]:
     """Linearized trajectories vs the per-mode matrix exponential, plus the
-    exactness of pure heat decay under the integrating factor."""
+    exactness of pure heat decay: the step propagates both exactly."""
     grid = GridSpec(n)
     st, amps = multimode_linear_state(grid, kmax, seed)
     n_steps = int(round(t_end / dt))
@@ -150,7 +150,7 @@ def verify_linear(
         _, c_num = mode_amplitudes(st_d, k)
         worst_d = max(worst_d, abs(c_num - c0 * decay) / (abs(c0) * decay))
     return [
-        _result("linearized_mode_rel_err", worst, 1e-8),
+        _result("linearized_mode_rel_err", worst, 1e-11),
         _result("pure_diffusion_rel_err", worst_d, 1e-13),
     ]
 
@@ -159,12 +159,13 @@ def convergence_slope(
     n: int = 32,
     seed: int = 7,
     epsilon: float = 2.0,
-    t_end: float = 0.1,
-    dts: tuple[float, ...] = (0.02, 0.01, 0.005, 0.0025),
+    t_end: float = 0.2,
+    dts: tuple[float, ...] = (0.04, 0.02, 0.01, 0.005),
 ) -> float:
     """Observed order of the stepper on a nonlinear refinement study.
 
     Every dt must divide t_end so all runs land on the same final time.
+    The default errors, 6.6e-12 down to 1.7e-15, stay above roundoff.
     """
     for dt in dts:
         steps = t_end / dt

@@ -66,7 +66,7 @@ def test_02_linear_limit():
     ok = mode.passed and diff.passed
     report(
         2, "linear limit vs per-mode oracle", ok,
-        f"mode rel err {mode.value:.2e} < 1e-8, diffusion rel err {diff.value:.2e} < 1e-13",
+        f"mode rel err {mode.value:.2e} < 1e-11, diffusion rel err {diff.value:.2e} < 1e-13",
     )
 
 

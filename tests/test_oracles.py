@@ -258,7 +258,7 @@ def test_rhs_matches_direct_advective_products(seed, n, epsilon):
     # largest coefficient is at least 3.7e-7 epsilon^2
     min_scale = 1e-8 * epsilon**2
     products = _direct_tendency(st, False)
-    _assert_matches_direct(st, _rhs_arrays(st.grid, st.x, True, False), products, min_scale=min_scale)
+    _assert_matches_direct(st, _rhs_arrays(st.grid, st.x), products, min_scale=min_scale)
     dx = rhs_perturbation(st, nonlinear=True, coupling=False)
     _assert_matches_direct(st, dx, _with_direct_diffusion(st, products), min_scale=min_scale)
     # the unit background e2 enters the total-form products (b2 + 1)^2 at

@@ -119,7 +119,7 @@ def field_counts(monkeypatch):
 
 def test_transform_count(field_counts):
     """One rhs: 4 inverse fields (u1, u2, b1, b2) and 3 forward (A, C, E);
-    one IF-RK4 step: four of each; one step of a nonlinear run: the same,
+    one Lawson RK4 step: four of each; one step of a nonlinear run: the same,
     since its CFL speed comes from the stage-1 samples or, as here, from
     the speed bound; one step of a linear run bound by dt_max: none.  A
     sample of a state exactly in the symmetry class (the initial data, and
@@ -128,7 +128,7 @@ def test_transform_count(field_counts):
     and 2 per pair."""
     grid = GridSpec(16)
     st = make_initial_data(InitialDataSpec(epsilon=0.1, s=2, seed=3), grid)
-    _rhs_arrays(grid, st.x, True, True)
+    _rhs_arrays(grid, st.x)
     assert field_counts == {"irfft": 4, "rfft": 3}
     field_counts.update(irfft=0, rfft=0)
     stepped = step_ifrk4(st, 1e-2)

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from mhd2tor.checkpoint import read_checkpoint, write_checkpoint
 from mhd2tor.dynamics import _rhs_arrays, _sample_speed, _speed_bound
-from mhd2tor.errors import StepTooSmall
+from mhd2tor.errors import NonFiniteState, StepTooSmall
 from mhd2tor.spectral import GridSpec, _content_rows, forward_transform, ScalarField
 from mhd2tor.stepping import (
     StepCounts,
@@ -98,6 +98,19 @@ def test_pure_diffusion_exact(grid):
     assert np.max(np.abs(got[idx] - expected[idx]) / np.abs(expected[idx])) < 1e-13
 
 
+@pytest.mark.parametrize("nonlinear", [True, False])
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 0.0)])
+def test_non_finite_coefficient_stops_the_step(grid, nonlinear, bad):
+    """A NaN or inf in either part of one coefficient of the last content
+    row raises NonFiniteState, and leaves the state as it was."""
+    st = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=2), grid)
+    st.x[3, step_rows(st, False) - 1, 3] = bad
+    x0 = st.x.copy()
+    with pytest.raises(NonFiniteState), np.errstate(invalid="ignore"):
+        step_ifrk4(st, 1e-2, nonlinear=nonlinear)
+    assert st.x.tobytes() == x0.tobytes()
+
+
 def test_step_preserves_class(grid):
     st = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=2), grid)
     for _ in range(20):
@@ -139,7 +152,8 @@ def test_run_lands_on_sample_times(grid):
 
 def test_heat_factor_cache_stays_small(grid):
     """A CFL-bound dt changes on every step and must not pile up cache
-    entries; a dt_max-bound run repeats one dt and must keep hitting."""
+    entries; a dt_max-bound run repeats one dt and must keep hitting.  The
+    factor set is (p11, p22, p12) on the half spectrum, p11 and p22 real."""
     st0 = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=5), grid)
     _heat_factors.cache_clear()
     run(st0, StepperConfig(t_end=0.5, dt_max=1.0), 0.1, lambda rec, st: None)
@@ -149,7 +163,77 @@ def test_heat_factor_cache_stays_small(grid):
     _heat_factors.cache_clear()
     run(st0, StepperConfig(t_end=0.3), 0.1, lambda rec, st: None)
     assert _heat_factors.cache_info().hits >= 20
-    assert _heat_factors(grid, 1e-2)[0].shape == (grid.n // 2 + 1, grid.n)
+    p11, p22, p12 = _heat_factors(grid, 1e-2)
+    assert p11.shape == p22.shape == p12.shape == (grid.n // 2 + 1, grid.n)
+    assert p11.dtype == p22.dtype == np.float64 and p12.dtype == np.complex128
+
+
+def _expm_factors(grid, t, coupling):
+    """exp(t L) per mode from scipy, for L = [[0, i k2], [i k2, -|k|^2]]
+    with the Nyquist-zeroed k2 (0 without coupling)."""
+    from scipy.linalg import expm
+
+    half = grid.half
+    k2 = half.ik2.imag if coupling else np.zeros_like(half.ksq)
+    L = np.zeros(half.ksq.shape + (2, 2), dtype=np.complex128)
+    L[..., 0, 1] = L[..., 1, 0] = 1j * k2
+    L[..., 1, 1] = -half.ksq
+    E = expm(t * L)
+    return E[..., 0, 0], E[..., 1, 1], E[..., 0, 1], E[..., 1, 0]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("coupling", [True, False])
+def test_propagator_matches_expm(n, coupling):
+    """Every mode of the closed-form factors against scipy's expm, for the
+    half steps t = dt/2 of dt from 1e-5 to 1: delta^2 < 0 at k = (0, +-1), delta = 0 at (0, +-2) and
+    (+-1, +-1), the Nyquist column (k2 zeroed there) and k = 0, which must
+    be exactly the identity."""
+    grid = GridSpec(n)
+    half = grid.half
+    k1, k2 = half.k1, half.k2
+    delta_sq = (half.ksq / 2) ** 2 - half.ik2.imag**2
+    if coupling:
+        assert np.all(delta_sq[(k1 == 0) & (np.abs(k2) == 1)] < 0)
+        assert np.all(delta_sq[(k1 == 1) & (np.abs(k2) == 1)] == 0)
+    assert np.all(half.ik2[:, n // 2] == 0)
+    worst = 0.0
+    for t in 0.5 * np.geomspace(1e-5, 1.0, 11):
+        got = _heat_factors(grid, t, coupling)
+        p11, p22, p12, p21 = _expm_factors(grid, t, coupling)
+        for mine, ref in zip((got[0], got[1], got[2], got[2]), (p11, p22, p12, p21)):
+            worst = max(worst, float(np.max(np.abs(mine - ref))))
+        assert got[0][0, 0] == 1.0 and got[1][0, 0] == 1.0 and got[2][0, 0] == 0.0
+        if not coupling:
+            assert np.all(got[0] == 1.0) and not np.any(got[2])
+    assert worst <= 1e-14
+
+
+def test_factor_miss_allocates_no_array():
+    """At n=256, with a new dt on every step, a step stays within the
+    bytes of its new state plus 256 KiB, and a factor miss alone stays
+    below 4 KiB: one factor array of the grid is 264 KiB."""
+    import tracemalloc
+
+    grid = GridSpec(256)
+    st = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), grid)
+    for i in range(2):  # warm up
+        step_ifrk4(st, 1e-3 * (1.1 + i))
+    windows, misses = [], _heat_factors.cache_info().misses
+    tracemalloc.start()
+    try:
+        for i in range(3):
+            dt = 2e-3 * (1 + i)
+            for call in (lambda: step_ifrk4(st, dt), lambda: _heat_factors(grid, 1.5 * dt)):
+                start, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                call()
+                windows.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert _heat_factors.cache_info().misses == misses + 6
+    assert max(windows[0::2]) <= st.x.nbytes + 256 * 1024
+    assert max(windows[1::2]) <= 4 * 1024
 
 
 def test_run_invalid_sample_spacing(grid):
@@ -346,4 +430,4 @@ def test_speed_bound_covers_the_sampled_speed(n, kind, scale, seed):
         x[:, [0, 1, -1]] = amp * (rng.standard_normal((4, 3, n)) + 1j * rng.standard_normal((4, 3, n)))
     bound = _speed_bound(grid, x)
     assert bound >= _sample_speed(grid, x)
-    assert bound >= _rhs_arrays(grid, x, True, True, speed=True)
+    assert bound >= _rhs_arrays(grid, x, speed=True)

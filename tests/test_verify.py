@@ -1,0 +1,62 @@
+"""Negative controls of the verification sweeps behind criteria 02 and 09:
+a stepper of lower accuracy or lower order must fail them."""
+
+import numpy as np
+
+import mhd2tor.verify as verify
+from mhd2tor.dynamics import _rhs_arrays
+from mhd2tor.stepping import _heat_factors, _propagate
+from mhd2tor.symmetry import MHDState
+
+
+def _apply(P, x):
+    """P x on the stacked (u1, u2, b1, b2) half spectra, out of place."""
+    return _propagate(P, np.empty((2,) + x[:2].shape, dtype=x.dtype), x, np.empty_like(x))
+
+
+def _lawson_rk2(st, dt, nonlinear=True, coupling=True):
+    """Lawson's midpoint step, second order: x_new = P(P x + h k2) with
+    k2 = N(P(x + h/2 k1)) and P = exp(dt/2 L)."""
+    grid, x = st.grid, st.x
+    P = _heat_factors(grid, 0.5 * dt, coupling)
+    k1 = _rhs_arrays(grid, x)
+    k2 = _rhs_arrays(grid, _apply(P, x + 0.5 * dt * k1))
+    return MHDState(grid, st.t + dt, _apply(P, _apply(P, x) + dt * k2))
+
+
+def _diffusion_ifrk4(st, dt, nonlinear=False, coupling=True):
+    """Integrating-factor RK4 with the diffusion alone in the factor and the
+    coupling (d2 b, d2 u) explicit in every stage: linear runs only."""
+    half = st.grid.half
+    e = np.ones((4,) + half.ksq.shape)
+    e[2:] = np.exp(-0.5 * dt * half.ksq)
+
+    def f(x):
+        return np.concatenate([half.ik2 * x[2:], half.ik2 * x[:2]]) if coupling else 0 * x
+
+    x = st.x
+    k1 = f(x)
+    k2 = f(e * (x + 0.5 * dt * k1))
+    k3 = f(e * x + 0.5 * dt * k2)
+    k4 = f(e * e * x + dt * e * k3)
+    x_new = e * e * x + dt / 6.0 * (e * e * k1 + 2.0 * e * (k2 + k3) + k4)
+    return MHDState(st.grid, st.t + dt, x_new)
+
+
+def test_second_order_step_fails_the_order_check(monkeypatch):
+    """Criterion 09's study reads a slope near 2 for a second-order Lawson
+    step, outside 4.0 +- 0.2."""
+    monkeypatch.setattr(verify, "step_ifrk4", _lawson_rk2)
+    (row,) = verify.verify_order()
+    assert not row.passed and abs(row.value - 2.0) < 0.3
+
+
+def test_explicit_coupling_fails_the_linear_limit(monkeypatch):
+    """Criterion 02's 1e-11 mode bound refuses the stepper that keeps the
+    coupling explicit (its mode error is about 1e-10), while its pure
+    diffusion stays exact."""
+    monkeypatch.setattr(verify, "step_ifrk4", _diffusion_ifrk4)
+    rows = {r.name: r for r in verify.verify_linear(n=16, kmax=4)}
+    mode = rows["linearized_mode_rel_err"]
+    assert not mode.passed and 1e-11 < mode.value < 1e-8
+    assert rows["pure_diffusion_rel_err"].passed

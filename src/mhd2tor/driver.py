@@ -153,7 +153,6 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
         ("steps_cfl", counts.cfl),
         ("steps_dt_max", counts.dt_max),
         ("steps_landing", counts.landing),
-        ("steps_speed_sampled", counts.speed_sampled),
         ("step_dt_min", _FLOAT_FMT % dt_min),
         ("step_dt_mean", _FLOAT_FMT % dt_mean),
         ("step_dt_max", _FLOAT_FMT % dt_max),

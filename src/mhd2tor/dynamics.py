@@ -5,25 +5,14 @@ Perturbation form (B = b + e2), with P the Leray projection:
     u_t = P(-u.grad u + b.grad b + d2 b)
     b_t = -u.grad b + b.grad u + d2 u + Lap b
 
-For divergence-free u and b (every state the solver steps, draws or
-writes) the products are formed in divergence form (see README, Numerics):
-
-    -u.grad u + b.grad b = -(d1 A + d2 C, d1 C - d2 A) - grad (|u|^2 - |b|^2)/2
-    -u.grad b + b.grad u = (d2 E, -d1 E)
-
-with A = (u1^2 - u2^2 - b1^2 + b2^2)/2, C = u1 u2 - b1 b2 and
-E = u1 b2 - u2 b1, pseudo-spectrally from dealiased inputs and dealiased
-again: one stacked inverse transform of 4 fields and one forward transform
-of 3, whose c2c passes and all arithmetic after them run on the band rows
-k1 <= n/3 alone.  No projection pass runs: P is folded into the
-multipliers that map (A_hat, C_hat) to the u tendency,
-
-    M = P [[-d1, -d2], [d2, -d1]] = (i/|k|^2) [[-2 k1 k2^2,  k2 (k1^2 - k2^2)],
-                                               [ 2 k1^2 k2,  k1 (k2^2 - k1^2)]]
-
-so every product tendency is divergence-free to roundoff by its form, and
-exactly zero at k = 0 with no write to it (a non-finite mean mode shows as
-a non-finite tendency).
+The products are formed in divergence form (README, Numerics), from
+A = (u1^2 - u2^2 - b1^2 + b2^2)/2, C = u1 u2 - b1 b2 and E = u1 b2 - u2 b1,
+which equals the advective form for divergence-free u and b (every state
+the solver steps, draws or writes).  P is folded into the multipliers that
+map (A_hat, C_hat) to the u tendency (``_multipliers``), so every product
+tendency is divergence-free to roundoff by its form, and exactly zero at
+k = 0 with no write to it (a non-finite mean mode shows as a non-finite
+tendency).
 
 The private ``_rhs_arrays`` kernel returns the products alone on the
 state's stacked half spectra (4, n//2+1, n), or on their leading rows: the
@@ -32,14 +21,13 @@ stepper propagates it exactly (``stepping._heat_factors``).  Its transforms
 use the shared, non-reentrant ``spectral._transform_workspace``.  On
 request it returns the CFL speed |u| + |b + e2| of its dealiased samples
 instead, which equals that of ``cfl_dt`` bit for bit on solver states
-(inside the 2/3 band); ``_speed_bound`` bounds both from the coefficients,
-with no transform.  The public ``rhs_perturbation``/``rhs_total`` return
-the whole dx/dt in a new array: the products plus L x (``_with_linear``).
+(inside the 2/3 band): ``run`` takes the dt of a nonlinear step from it.
+The public ``rhs_perturbation``/``rhs_total`` return the whole dx/dt in a
+new array: the products plus L x (``_with_linear``).
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -117,21 +105,6 @@ def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
     one inverse transform in the shared workspace; ``x`` holds the first
     rows of the half spectra, the others are zero."""
     return _max_speed(_inverse_rows(grid, x)[0], _spec_as_real(grid, (3, grid.n, grid.n)))
-
-
-def _speed_bound(grid: GridSpec, x: np.ndarray) -> float:
-    """An upper bound of ``_max_speed`` of the samples of ``x``, dealiased or
-    not, from its coefficients alone: sup |f| <= S_f = sum_k |f_k| over the
-    full spectrum, so the speed is at most hypot(S_u1, S_u2) +
-    hypot(S_b1, 1 + S_b2).  Raised by a relative 1e-9, which covers the
-    roundoff of the sums and of the transforms behind the samples;
-    dealiasing drops terms, so it lowers no S_f.  ``x`` holds the leading
-    rows of the half spectra, the others zero; ``|x|`` is formed in the
-    shared transform workspace."""
-    m = x.shape[-2]
-    a = np.abs(x, out=_spec_as_real(grid, x.shape))
-    s_u1, s_u2, s_b1, s_b2 = a.sum(axis=-1) @ grid.half.weight[:m, 0]
-    return (math.hypot(s_u1, s_u2) + math.hypot(s_b1, 1.0 + s_b2)) * (1.0 + 1e-9)
 
 
 def _rhs_arrays(

@@ -64,7 +64,6 @@ import numpy as np
 
 from .errors import HermitianViolation
 
-DOMAIN_HALF_WIDTH = np.pi
 MEASURE = (2.0 * np.pi) ** 2
 # 2/3 rule: products keep max(|k1|, |k2|) <= DEALIAS_FRACTION * n/2
 DEALIAS_FRACTION = 2.0 / 3.0
@@ -102,10 +101,6 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid size must be an even integer >= 8, got {self.n}")
-
-    @property
-    def domain_half_width(self) -> float:
-        return DOMAIN_HALF_WIDTH
 
     @property
     def spacing(self) -> float:
@@ -347,10 +342,11 @@ class Workspace(NamedTuple):
 
 @functools.lru_cache(maxsize=4)
 def _transform_workspace(grid: GridSpec) -> Workspace:
-    """The grid's ``Workspace``, used by the right-hand side, the speed bound,
-    ``cfl_dt``, ``symmetry_defect``, the squares and the divergence scratch
-    of ``instantaneous`` and the samples of ``write_checkpoint``.  Shared and not reentrant: a
-    caller owns its contents only until its next call into one of those."""
+    """The grid's ``Workspace``, used by the right-hand side, ``cfl_dt``,
+    ``symmetry_defect``, the squares and the divergence scratch of
+    ``instantaneous`` and the samples of ``write_checkpoint``.  Shared and
+    not reentrant: a caller owns its contents only until its next call into
+    one of those."""
     n = grid.n
     spec = np.empty((4, n, n // 2 + 1), dtype=np.complex128)
     phys = np.empty((4, n, n))

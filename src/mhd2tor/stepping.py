@@ -1,24 +1,21 @@
 """Lawson RK4 time stepping for the MHD state (see README, Numerics).
 
-The linear part L = [[0, i k2], [i k2, -|k|^2]], the coupling to e2 and
-the diffusion, acts on each mode alone, the same way on the pairs
-(u1, b1) and (u2, b2).  ``_heat_factors`` gives exp(t L) per mode in
-closed form, and classical RK4 handles the dealiased products in the
-variable exp(-t L) x, so a linear step, one application of exp(dt L), is
-exact to roundoff.  The step
+``step_ifrk4`` propagates the linear part L = [[0, i k2], [i k2, -|k|^2]]
+per mode, the coupling to e2 and the diffusion, exactly with
+``_heat_factors``, and classical RK4 handles the dealiased products in the
+variable exp(-t L) x, so a linear step is exact to roundoff.  A step
 carries the invariants of the exact flow, with no projection after it:
-divergence stays at roundoff, the k = 0 modes are kept bit for bit, and
-a state in the symmetry class stays in it to roundoff.
+divergence stays at roundoff, the k = 0 modes are kept bit for bit, and a
+state in the symmetry class stays in it to roundoff.  It works on the
+leading rows of the stacked half spectra (4, n//2+1, n) that hold content,
+and at least on the 2/3 band when the products are on; the rows past them
+stay +0.0.
 
-A step works on the state's stacked half spectra (4, n//2+1, n), on the
-leading rows that hold content, and at least on the 2/3 band when the
-products are on; the rows past them stay +0.0.
-
-``run`` takes dt from ``dynamics._speed_bound`` when that gives dt_max or
-a landing on a sample time (a linear step then makes no transform), else
-from the speed of the stage-1 samples, which equals ``cfl_dt``'s on
-solver states bit for bit: a nonlinear step makes 16 inverse and 12
-forward field transforms.
+``run`` has one dt rule: a nonlinear step takes dt from the speed of its
+stage-1 samples, which equals ``cfl_dt``'s on solver states bit for bit,
+and makes 16 inverse and 12 forward field transforms; a linear step is
+exact for any dt, has no CFL limit and takes dt_max or the landing on the
+next sample time, with no transform.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _band_rows, _rhs_arrays, _sample_speed, _speed_bound
+from .dynamics import _band_rows, _rhs_arrays, _sample_speed
 from .dynamics import _rhs_total_arrays  # noqa: F401  traced by name in bench/spans.py
 from .errors import NonFiniteState, StepTooSmall
 from .spectral import _content_rows, _leading, _transform_workspace
@@ -200,8 +197,8 @@ def step_ifrk4(
 
     ``dt`` may also be a function that maps the max speed |u| + |b + e2|
     of the stage-1 samples to the step size (see ``dynamics``): ``run``
-    takes a dt that its speed bound does not settle this way, with no
-    transform of its own.  An error it raises leaves ``st`` as it was.
+    takes the dt of every nonlinear step this way, with no transform of
+    its own.  An error it raises leaves ``st`` as it was.
     """
     grid, x = st.grid, st.x
     m = step_rows(st, nonlinear) if rows is None else rows
@@ -257,13 +254,11 @@ def step_ifrk4(
 @dataclass
 class StepCounts:
     """What set the size of each step ``run`` took (the CFL bound, dt_max,
-    or landing on a sample time or t_end), the sizes themselves, and how
-    many of those steps needed the speed of their stage-1 samples."""
+    or landing on a sample time or t_end) and the sizes themselves."""
 
     cfl: int = 0
     dt_max: int = 0
     landing: int = 0
-    speed_sampled: int = 0
     dt_sum: float = 0.0
     dt_smallest: float = np.inf
     dt_largest: float = 0.0
@@ -272,11 +267,9 @@ class StepCounts:
     def steps(self) -> int:
         return self.cfl + self.dt_max + self.landing
 
-    def add(self, limit: str, dt: float, sampled: bool) -> None:
-        """Tally one step of size dt, set by ``limit``; ``sampled`` when its
-        dt needed the speed of the stage-1 samples."""
+    def add(self, limit: str, dt: float) -> None:
+        """Tally one step of size dt, set by ``limit``."""
         setattr(self, limit, getattr(self, limit) + 1)
-        self.speed_sampled += sampled
         self.dt_sum += dt
         self.dt_smallest = min(self.dt_smallest, dt)
         self.dt_largest = max(self.dt_largest, dt)
@@ -302,14 +295,13 @@ def run(
 
     ``sink(record, state)`` is invoked at the initial time, at every multiple
     of ``sample_every``, and at t_end.  Deterministic for fixed inputs.
-    Each dt is first taken from ``_speed_bound``, an upper bound of the
-    speed from the coefficients; when that gives dt_max or a landing, it is
-    the step's dt.  Otherwise dt is chosen after stage 1 of the step, from
-    the speed of the stage-1 samples (the speed ``cfl_dt`` would read).
-    Both give the same dt bit for bit, and the bound costs no transform.
-    ``step_rows`` of ``st0`` serves every step, which keeps the rows past
-    it at +0.0 (``sink`` must not write into its states).  ``counts``, when
-    given, tallies each dt and what set it.
+    A nonlinear step takes its dt after stage 1, from the speed of the
+    stage-1 samples (the speed ``cfl_dt`` would read).  A linear step is
+    the exact exp(dt L), with no transport and so no stability limit: it
+    takes dt_max or the landing, and ``cfg.cfl`` and ``cfg.dt_min`` do
+    not apply.  ``step_rows`` of ``st0`` serves every step, which keeps the
+    rows past it at +0.0 (``sink`` must not write into its states).
+    ``counts``, when given, tallies each dt and what set it.
     """
     from .diagnostics import EnergyParams, instantaneous
 
@@ -328,41 +320,32 @@ def run(
     k = int(np.floor(st.t / sample_every + 1e-9)) + 1
     limit, dt = "", 0.0
 
-    def choose(speed: float, bound: bool = False) -> float | None:
+    def choose(speed: float) -> float:
         """dt of the step from the loop's st towards its target at the max
-        speed ``speed``.  With ``bound``, ``speed`` is only an upper bound,
-        and the result is None unless it is dt_max or a landing, and never
-        StepTooSmall: the CFL step only grows as the speed falls (IEEE
-        rounding is monotone), so those hold at the true speed too, with
-        the same dt."""
+        speed ``speed``."""
         nonlocal limit, dt
-        try:
-            dt = _cfl_limit(speed, st.grid, cfg)
-        except StepTooSmall:
-            if bound:
-                return None
-            raise
+        dt = _cfl_limit(speed, st.grid, cfg)
         if st.t + dt >= target - _LANDING_TOL:
             limit, dt = "landing", target - st.t
         else:
             limit = "cfl" if dt < cfg.dt_max else "dt_max"
-        return None if bound and limit == "cfl" else dt
+        return dt
 
     m = step_rows(st, nonlinear)  # rows past the content change no bit
     while st.t < cfg.t_end - _LANDING_TOL:
         next_sample = k * sample_every
         target = min(next_sample, cfg.t_end)
-        settled = choose(_speed_bound(st.grid, st.x[:, :m]), bound=True)
         try:
+            # a linear step is exact for any dt: speed 0 gives dt_max or the landing
             st = step_ifrk4(
-                st, choose if settled is None else settled,
+                st, choose if nonlinear else choose(0.0),
                 nonlinear=nonlinear, coupling=coupling, rows=m,
             )
         except (NonFiniteState, StepTooSmall) as exc:
             raise type(exc)(f"{exc} (last good t={st.t:.6g})") from exc
         if limit == "landing":
             st.t = target  # exact landing
-        counts.add(limit, dt, sampled=settled is None)
+        counts.add(limit, dt)
         if st.t >= next_sample - _LANDING_TOL:
             sink(instantaneous(st, params), st)
             last_emitted = st.t

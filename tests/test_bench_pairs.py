@@ -1,7 +1,8 @@
 """The summary of tools/bench_pairs.py on fixed numbers: medians, quartiles,
 pairs won with ties counting for neither side, the rule of a speed claim,
-the committed BENCH_*.json files, which it reproduces from their runs, and
-its arguments, which it checks before it copies or runs anything."""
+the verdict against each metric's bound, the committed BENCH_*.json files,
+which it reproduces from their runs, its arguments, which it checks before
+it copies or runs anything, and a run without a claim."""
 
 import importlib.util
 import json
@@ -42,6 +43,17 @@ def test_claim_rule(bench_pairs):
     assert not bench_pairs.claim_met(bench_pairs.summarize("s", parent, won_eight))
     narrow = [p - 0.01 for p in parent]  # every pair won, gap 0.01 < IQR 0.045
     assert not bench_pairs.claim_met(bench_pairs.summarize("s", parent, narrow))
+
+
+def test_bound_verdict(bench_pairs):
+    parent = [1.0, 1.0, 1.0, 1.1, 1.1]  # median 1.0, IQR 0.1
+    verdict = bench_pairs.bound_verdict
+    assert verdict(bench_pairs.summarize("s", parent, [1.15] * 5), 0.2, "lower") == "within"
+    assert verdict(bench_pairs.summarize("s", parent, [0.5] * 5), 0.2, "lower") == "within"
+    assert verdict(bench_pairs.summarize("s", parent, [1.25] * 5), 0.2, "lower") == "worse"
+    assert verdict(bench_pairs.summarize("s", parent, [0.75] * 5), 0.2, "higher") == "worse"
+    # an IQR of 0.1 is wider than a bound of 5% of the median: the runs cannot tell
+    assert verdict(bench_pairs.summarize("s", parent, [1.5] * 5), 0.05, "lower") == "unresolved"
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
@@ -112,3 +124,30 @@ def test_good_arguments_go_on_to_copy(bench_pairs, no_runs):
     assert firsts == {"lin128-resume": 9001, "sim-n64": 9101} and args.pairs == 2
     with pytest.raises(Started):
         bench_pairs.main(argv)
+
+
+def test_run_without_claim(bench_pairs, monkeypatch, tmp_path, capsys):
+    """Without --claim the file records ``"claimed": null`` and the tool
+    prints a verdict per workload and end-to-end metric, and no claim line."""
+    values = iter([1.0, 1.05, 1.02, 1.06])  # wall_s, pair by pair as run
+
+    def fake_run(copy, workload, seed, seconds):
+        metrics = {"wall_s": next(values), "setup_s": 0.2, "peak_rss_mb": 60.0}
+        return {
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
+            "attempted": 1, "failed": 0, "correct": True,
+        }
+
+    monkeypatch.setattr(bench_pairs.shutil, "copytree", lambda *args, **kwargs: None)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    argv = [a for a in _argv(pairs="2", out=str(out)) if a not in ("--claim", GOOD["--claim"])]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["claimed"] is None
+    wall = report["workloads"]["lin128-resume"]["metrics"]["wall_s"]
+    assert wall["parent"]["runs"] == [1.0, 1.06] and wall["change"]["runs"] == [1.05, 1.02]
+    printed = capsys.readouterr().out
+    assert "lin128-resume wall_s: median +0.5% against the parent, bound 20%: within" in printed
+    assert "lin128-resume peak_rss_mb: median +0.0% against the parent, bound 10%: within" in printed
+    assert "claim" not in printed

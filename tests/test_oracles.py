@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from mhd2tor.errors import GridTooLarge, ZeroWavevector
+from fd_oracle import fd_run
 from mhd2tor.oracles import (
     dft_coefficients,
     dft_derivative,
-    fd_run,
     linearized_mode_solution,
 )
 from mhd2tor.spectral import (

@@ -34,7 +34,7 @@ from mhd2tor.spectral import (
     half_samples,
     inverse_transform,
 )
-from mhd2tor.stepping import StepCounts, StepperConfig, run, step_ifrk4
+from mhd2tor.stepping import StepCounts, StepperConfig, cfl_dt, run, step_ifrk4
 from mhd2tor.symmetry import InitialDataSpec, MHDState, make_initial_data
 from mhd2tor.verify import run_checks
 
@@ -120,8 +120,8 @@ def field_counts(monkeypatch):
 def test_transform_count(field_counts):
     """One rhs: 4 inverse fields (u1, u2, b1, b2) and 3 forward (A, C, E);
     one Lawson RK4 step: four of each; one step of a nonlinear run: the same,
-    since its CFL speed comes from the stage-1 samples or, as here, from
-    the speed bound; one step of a linear run bound by dt_max: none.  A
+    since its CFL speed comes from the stage-1 samples; one step of a linear
+    run: none, since it has no CFL limit.  A
     sample of a state exactly in the symmetry class (the initial data, and
     every state of a linear run) makes none; one after a nonlinear step,
     where roundoff leaves an anti part in both pairs, makes 4 for the scale
@@ -141,15 +141,24 @@ def test_transform_count(field_counts):
     field_counts.update(irfft=0, rfft=0)
     counts = StepCounts()
     run(st, StepperConfig(t_end=0.05, dt_max=1e-2), 0.05, lambda rec, s: None, counts=counts)
-    assert counts.steps == counts.dt_max + counts.landing == 5 and counts.speed_sampled == 0
+    assert counts.steps == counts.dt_max + counts.landing == 5
     assert field_counts == {"irfft": 16 * 5 + 0 + 8, "rfft": 12 * 5}
 
     field_counts.update(irfft=0, rfft=0)
     counts = StepCounts()
     cfg = StepperConfig(t_end=0.05, dt_max=1e-2)
     run(st, cfg, 0.05, lambda rec, s: None, nonlinear=False, counts=counts)
-    assert counts.steps == counts.dt_max + counts.landing == 5 and counts.speed_sampled == 0
+    assert counts.steps == counts.dt_max + counts.landing == 5
     assert field_counts == {"irfft": 0 * 5 + 2 * 0, "rfft": 0}
+
+    # dt_max three times the CFL step of the total field: one step, still none
+    cfg = StepperConfig(t_end=0.5, dt_max=0.5)
+    assert cfl_dt(st, cfg) < 0.5 / 3
+    field_counts.update(irfft=0, rfft=0)
+    counts = StepCounts()
+    run(st, cfg, 0.5, lambda rec, s: None, nonlinear=False, counts=counts)
+    assert counts.steps == counts.landing == 1
+    assert field_counts == {"irfft": 0, "rfft": 0}
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
@@ -269,10 +278,10 @@ def _mark(marks):
 @pytest.mark.parametrize("case", ["step", "linear-run-step", "sample"])
 def test_run_loop_allocates_only_the_new_state(monkeypatch, tmp_path, case):
     """After warm-up, at n=256, the traced memory of one nonlinear step and
-    of one step of a linear run on the speed-bound path peaks at most a
-    state's bytes plus 256 KiB above where it started; in the run, the
-    speed bound and the loop around the step get 256 KiB, and so does one
-    sample with a checkpoint write, which returns no state.  The run loop
+    of one step of a linear run peaks at most a state's bytes plus 256 KiB
+    above where it started; in the run, the choice of dt and the loop
+    around the step get 256 KiB, and so does one sample with a checkpoint
+    write, which returns no state.  The run loop
     works in per-grid buffers, and a buffer allocated and freed again
     inside a call counts here, where the page-fault tests miss it.  The run
     and the sample work on all rows."""
@@ -307,7 +316,7 @@ def test_run_loop_allocates_only_the_new_state(monkeypatch, tmp_path, case):
             counts = StepCounts()
             cfg = StepperConfig(t_end=5e-3, dt_max=5e-3)
             run(full, cfg, 5e-3, lambda rec, st: None, nonlinear=False, counts=counts)
-            assert counts.steps == 1 and counts.speed_sampled == 0
+            assert counts.steps == counts.landing == 1
 
     tracemalloc.start()
     try:
@@ -320,8 +329,8 @@ def test_run_loop_allocates_only_the_new_state(monkeypatch, tmp_path, case):
         tracemalloc.stop()
     windows = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
     if case == "linear-run-step":
-        before, bound, step_window, after = windows
-        assert max(before, bound, after) <= 256 * 1024
+        before, choose, step_window, after = windows
+        assert max(before, choose, after) <= 256 * 1024
         windows = [step_window]
     (window,) = windows
     assert window <= (0 if case == "sample" else state_bytes) + 256 * 1024

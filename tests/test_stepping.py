@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from mhd2tor.checkpoint import read_checkpoint, write_checkpoint
-from mhd2tor.dynamics import _rhs_arrays, _sample_speed, _speed_bound
 from mhd2tor.errors import NonFiniteState, StepTooSmall
+from mhd2tor.oracles import linearized_mode_solution
 from mhd2tor.spectral import GridSpec, _content_rows, forward_transform, ScalarField
 from mhd2tor.stepping import (
     StepCounts,
     StepperConfig,
     _heat_factors,
+    _propagate,
     cfl_dt,
     run,
     step_ifrk4,
@@ -25,6 +26,7 @@ from mhd2tor.symmetry import (
     state_from_arrays,
     symmetry_defect,
 )
+from mhd2tor.verify import mode_amplitudes, multimode_linear_state
 
 
 @pytest.fixture
@@ -243,9 +245,9 @@ def test_run_invalid_sample_spacing(grid):
 
 
 def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
-    """run() takes a dt that the speed bound does not settle from the
-    stage-1 samples; on a nonlinear n=64 run bound by the CFL step, that dt
-    equals cfl_dt of the state it steps, bit for bit."""
+    """run() takes the dt of every nonlinear step from the stage-1 samples;
+    on a nonlinear n=64 run bound by the CFL step, that dt equals cfl_dt of
+    the state it steps, bit for bit, and the last step lands on t_end."""
     import mhd2tor.stepping as stepping
 
     st0 = make_initial_data(InitialDataSpec(epsilon=0.5, s=2, seed=2), GridSpec(64))
@@ -253,9 +255,7 @@ def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
     taken = []
 
     def spy(st, choose, **kwargs):
-        if not callable(choose):  # a landing settled by the speed bound
-            taken.append((st, choose))
-            return step_ifrk4(st, choose, **kwargs)
+        assert callable(choose)
 
         def record(speed):
             dt = choose(speed)
@@ -273,6 +273,36 @@ def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
         assert dt == cfl_dt(st, cfg) < cfg.dt_max
     st, dt = taken[-1]
     assert dt == 0.3 - st.t <= cfl_dt(st, cfg) + 1e-12
+
+
+def test_linear_run_is_exact_with_no_cfl_limit():
+    """A linear run has no CFL limit: at n=32 with dt_max = 0.5, four times
+    the CFL step of the total field (about 0.08), it reaches t = 2 in 4
+    steps, none set by the CFL bound.  Its final state is one application
+    of exp(2 L) to the initial state, and on every mode of a multimode state
+    it agrees with the per-mode oracle."""
+    grid = GridSpec(32)
+    cfg = StepperConfig(t_end=2.0, dt_max=0.5)
+
+    def run_linear(st0):
+        counts = StepCounts()
+        final = run(st0, cfg, 0.5, lambda rec, st: None, nonlinear=False, counts=counts)
+        assert final.t == 2.0 and counts.steps == 4 and counts.cfl == 0
+        return final
+
+    st0 = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), grid)
+    assert cfl_dt(st0, cfg) < 0.1
+    final = run_linear(st0)
+    x = st0.x
+    exact = _propagate(_heat_factors(grid, 2.0), np.empty((2,) + x[:2].shape, x.dtype), x, np.empty_like(x))
+    assert np.linalg.norm(final.x - exact) <= 1e-14 * np.linalg.norm(exact)
+
+    st0, amps = multimode_linear_state(grid, kmax=4, seed=3)
+    final = run_linear(st0)
+    for k, (a0, c0) in amps.items():
+        a, c = linearized_mode_solution(k, a0, c0, 2.0)
+        a_num, c_num = mode_amplitudes(final, k)
+        assert abs(a_num - a) + abs(c_num - c) <= 1e-11 * (abs(a) + abs(c))
 
 
 def test_run_step_too_small_keeps_last_good_state():
@@ -399,35 +429,3 @@ def test_rows_past_content_stay_zero(n, extent, nonlinear, seed):
     assert not np.any(new.x[:, bound:].view(np.int64))
     assert step_rows(new, nonlinear) <= bound
     assert np.array_equal(st.x, x)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=hst.sampled_from([8, 16, 64]),
-    kind=hst.sampled_from(["band", "mode", "last-row"]),
-    scale=hst.floats(-6.0, 1.0),
-    seed=hst.integers(0, 2**32 - 1),
-)
-def test_speed_bound_covers_the_sampled_speed(n, kind, scale, seed):
-    """``_speed_bound`` is at least the speed of the samples, as stored and
-    dealiased: on random band-limited states; on one mode per field with a
-    positive coefficient, where the sample at the origin reaches
-    sum_k |f_k| (the tight case), on Nyquist rows and columns too; and on
-    states with content in their last row."""
-    grid = GridSpec(n)
-    rng = np.random.default_rng(seed)
-    amp = 10.0**scale
-    shape = (4, n // 2 + 1, n)
-    x = np.zeros(shape, dtype=np.complex128)
-    if kind == "band":
-        x[...] = amp * grid.half.dealias_mask * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    elif kind == "mode":
-        for f in range(4):
-            k1 = rng.choice([0, n // 2, rng.integers(0, n // 2 + 1)])
-            k2 = rng.choice([0, n // 2, rng.integers(0, n)])
-            x[f, k1, k2] = amp * rng.uniform(0.1, 1.0)
-    else:
-        x[:, [0, 1, -1]] = amp * (rng.standard_normal((4, 3, n)) + 1j * rng.standard_normal((4, 3, n)))
-    bound = _speed_bound(grid, x)
-    assert bound >= _sample_speed(grid, x)
-    assert bound >= _rhs_arrays(grid, x, speed=True)

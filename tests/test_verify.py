@@ -1,10 +1,12 @@
-"""Negative controls of the verification sweeps behind criteria 02 and 09:
-a stepper of lower accuracy or lower order must fail them."""
+"""Negative controls of the verification sweeps behind criteria 02, 03 and
+09: a stepper of lower accuracy or lower order, or a derivative multiplier
+with the wrong Nyquist convention, must fail them."""
 
 import numpy as np
 
 import mhd2tor.verify as verify
 from mhd2tor.dynamics import _rhs_arrays
+from mhd2tor.spectral import derivative_multiplier
 from mhd2tor.stepping import _heat_factors, _propagate
 from mhd2tor.symmetry import MHDState
 
@@ -60,3 +62,20 @@ def test_explicit_coupling_fails_the_linear_limit(monkeypatch):
     mode = rows["linearized_mode_rel_err"]
     assert not mode.passed and 1e-11 < mode.value < 1e-8
     assert rows["pure_diffusion_rel_err"].passed
+
+
+def test_nyquist_column_kept_fails_the_oracle_check(monkeypatch):
+    """Criterion 03's derivative error is relative to the largest oracle
+    value (about 2e-15 on the fast path); a (0, 3) multiplier that keeps the
+    Nyquist column, which an odd order along k2 must zero, reads about 0.7."""
+    (row,) = [r for r in verify.verify_oracle(n=16) if r.name == "dft_derivative_rel_err"]
+    assert row.passed and row.value < 1e-14
+
+    def keeps_nyquist(grid, alpha):
+        if alpha == (0, 3):
+            return (1j * grid.k2) ** 3
+        return derivative_multiplier(grid, alpha)
+
+    monkeypatch.setattr(verify, "derivative_multiplier", keeps_nyquist)
+    (row,) = [r for r in verify.verify_oracle(n=16) if r.name == "dft_derivative_rel_err"]
+    assert not row.passed and 0.5 < row.value < 1.0

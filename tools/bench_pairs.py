@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     python3 tools/bench_pairs.py --parent <checkout> --change <checkout> \\
         --workload lin128-resume:8101 --workload sim-n64:8201 --pairs 10 \\
-        --seconds 30 --claim lin128-resume/wall_s --note "what changed" \\
+        --seconds 30 [--claim lin128-resume/wall_s] --note "what changed" \\
         --out BENCH_name.json
 
 Each checkout is copied first, without ``__pycache__`` or benchmark
@@ -15,9 +15,15 @@ For each workload ``NAME:FIRST_SEED``, pair i runs
 first when i is odd.  The file records, per workload and end-to-end
 metric, each side's median, quartiles and runs, and the pairs the change
 won (lower is better; ties count for neither), plus the operations each
-side attempted and failed.  The claim line printed at the end applies the
-rule of a speed claim: the change wins at least nine tenths of the pairs,
-and the medians differ by more than the parent's interquartile range.
+side attempted and failed.  For each workload and end-to-end metric it
+prints whether the change's median is within the metric's bound of
+BENCHMARK.json, read as a share of the parent's median, on the worse side
+(``within`` or ``worse``), or ``unresolved`` where the parent's
+interquartile range is wider than that bound.  With ``--claim``, the claim
+line printed at the end applies the rule of a speed claim: the change wins
+at least nine tenths of the pairs, and the medians differ by more than the
+parent's interquartile range.  Without it, the file records
+``"claimed": null``.
 
 Arguments are checked before anything is copied or run, and a bad one
 exits with code 2: fewer than 2 pairs (no quartiles), a workload that is
@@ -68,6 +74,28 @@ def claim_met(metric: dict) -> bool:
     q1, q3 = metric["parent"]["quartiles"]
     gap = metric["parent"]["median"] - metric["change"]["median"]
     return 10 * metric["change_better_pairs"] >= 9 * metric["pairs"] and gap > q3 - q1
+
+
+def bound_verdict(metric: dict, bound: float, better: str) -> str:
+    """``within`` when the change's median is no worse than the parent's by
+    more than ``bound`` times the parent's median, else ``worse``;
+    ``unresolved`` when the parent's interquartile range is wider than that
+    allowance, so the runs cannot tell the two apart."""
+    parent = metric["parent"]["median"]
+    q1, q3 = metric["parent"]["quartiles"]
+    allowance = bound * abs(parent)
+    if q3 - q1 > allowance:
+        return "unresolved"
+    worse_by = metric["change"]["median"] - parent
+    if better == "higher":
+        worse_by = -worse_by
+    return "within" if worse_by <= allowance else "worse"
+
+
+def load_benchmark() -> dict:
+    """The parsed BENCHMARK.json of the repository."""
+    with open(BENCHMARK) as fh:
+        return json.load(fh)
 
 
 def run_bench(copy: str, workload: str, seed: int, seconds: float) -> dict:
@@ -121,12 +149,11 @@ def parse_args(argv=None) -> tuple[argparse.Namespace, dict[str, int]]:
     ap.add_argument("--workload", action="append", required=True, metavar="NAME:FIRST_SEED")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--claim", required=True, metavar="WORKLOAD/METRIC")
+    ap.add_argument("--claim", metavar="WORKLOAD/METRIC", help="the speed claim, if any")
     ap.add_argument("--note", required=True, help="what the change does")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    with open(BENCHMARK) as fh:
-        bench = json.load(fh)
+    bench = load_benchmark()
     if args.pairs < 2:
         ap.error(f"--pairs must be at least 2 to give quartiles, got {args.pairs}")
     firsts = {}
@@ -135,17 +162,21 @@ def parse_args(argv=None) -> tuple[argparse.Namespace, dict[str, int]]:
         if not sep or name not in {w["name"] for w in bench["workloads"]} or not first.isdigit():
             ap.error(f"--workload {spec!r} is not NAME:FIRST_SEED with a benchmark workload")
         firsts[name] = int(first)
-    workload, _, metric = args.claim.partition("/")
-    if workload not in firsts:
-        ap.error(f"--claim {args.claim!r} names a workload that no --workload runs")
-    if metric not in {m["name"] for m in bench["end_to_end"]}:
-        ap.error(f"--claim {args.claim!r} names no end-to-end metric of {BENCHMARK}")
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition("/")
+        if workload not in firsts:
+            ap.error(f"--claim {args.claim!r} names a workload that no --workload runs")
+        if metric not in {m["name"] for m in bench["end_to_end"]}:
+            ap.error(f"--claim {args.claim!r} names no end-to-end metric of {BENCHMARK}")
     return args, firsts
 
 
 def main(argv=None) -> int:
     args, firsts = parse_args(argv)
-    claimed_workload, _, claimed_metric = args.claim.partition("/")
+    claimed = None
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition("/")
+        claimed = {"workload": workload, "metric": metric}
 
     with tempfile.TemporaryDirectory() as tmp:
         copies = {}
@@ -164,7 +195,7 @@ def main(argv=None) -> int:
         "host": f"{os.cpu_count()}-core {platform.machine()} {platform.system()} host; both "
                 "sides run from copies without __pycache__ (PYTHONDONTWRITEBYTECODE=1)",
         "order": ORDER,
-        "claimed": {"workload": claimed_workload, "metric": claimed_metric},
+        "claimed": claimed,
         "workloads": workloads,
     }
     with open(args.out, "w") as fh:
@@ -177,8 +208,17 @@ def main(argv=None) -> int:
                   f"change {m['change']['median']:.6g} "
                   f"[{m['change']['quartiles'][0]:.6g}, {m['change']['quartiles'][1]:.6g}] "
                   f"{m['unit']}, change better in {m['change_better_pairs']}/{m['pairs']}")
-    met = claim_met(workloads[claimed_workload]["metrics"][claimed_metric])
-    print(f"claim {args.claim}: {'met' if met else 'not met'}")
+    end_to_end = load_benchmark()["end_to_end"]
+    for workload, entry in workloads.items():
+        for spec in end_to_end:
+            m = entry["metrics"][spec["name"]]
+            change = m["change"]["median"] / m["parent"]["median"] - 1.0
+            verdict = bound_verdict(m, spec["bound"], spec["better"])
+            print(f"{workload} {spec['name']}: median {change:+.1%} against the parent, "
+                  f"bound {spec['bound']:.0%}: {verdict}")
+    if claimed is not None:
+        met = claim_met(workloads[claimed["workload"]]["metrics"][claimed["metric"]])
+        print(f"claim {args.claim}: {'met' if met else 'not met'}")
     return 0
 
 

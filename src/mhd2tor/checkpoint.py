@@ -52,7 +52,7 @@ def _workspace_samples(st: MHDState) -> np.ndarray:
     into the complex stack viewed as real arrays.  The inverse transform
     runs on the rows of ``st`` that hold content."""
     n, h = st.grid.n, st.grid.n // 2
-    phys = _inverse_rows(st.grid, st.x)[0].transpose(0, 2, 1)
+    phys = _inverse_rows(st.grid, st.x).transpose(0, 2, 1)
     rolled = _spec_as_real(st.grid, (4, n, n))
     rolled[:, :h, :h] = phys[:, h:, h:]
     rolled[:, :h, h:] = phys[:, h:, :h]

@@ -141,17 +141,10 @@ def _sum_rows(x: np.ndarray, m: int) -> int:
 
 
 def instantaneous(st: MHDState, p: EnergyParams) -> DiagnosticsRecord:
-    """All norms entering E0 and E1, plus structural defects.
-
-    Everything is taken on the leading rows of ``st`` that ``_sum_rows``
-    picks, which hold all its content.  The 11 norms, the L2 energy and
-    ||grad b||^2 come from one pass over |u|^2 and one over |b|^2 against
-    cached multipliers, summed over those rows alone: the rows past them
-    only added +0.0 to finished blocks, so the sums are the same bits.  The
-    squares are formed in the shared transform workspace, then
-    ``symmetry_defect`` uses it, given the content rows found here (no
-    transform for a state exactly in the class), then the two divergence
-    defects take their scratch from it.
+    """All norms entering E0 and E1, the L2 energy, ||grad b||^2 and the
+    structural defects of ``st``.  The sums run over the leading rows that
+    ``_sum_rows`` picks, which give the bits of the sums over all rows.
+    Uses the shared transform workspace.
     """
     grid, x = st.grid, st.x
     u_orders, b_orders, d2u_orders = _orders(p.s)

@@ -179,6 +179,7 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
 
 
 def initial_state(cfg: RunConfig) -> MHDState:
+    """The seeded initial data of ``cfg`` (``make_initial_data``)."""
     spec = InitialDataSpec(
         epsilon=cfg.epsilon,
         s=cfg.s,

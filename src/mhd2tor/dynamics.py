@@ -1,29 +1,12 @@
-"""Right-hand sides of the MHD system with pressure eliminated.
-
-Perturbation form (B = b + e2), with P the Leray projection:
+"""Right-hand sides of the MHD system in perturbation form (B = b + e2),
+with P the Leray projection:
 
     u_t = P(-u.grad u + b.grad b + d2 b)
     b_t = -u.grad b + b.grad u + d2 u + Lap b
 
 The products are formed in divergence form (README, Numerics), from
 A = (u1^2 - u2^2 - b1^2 + b2^2)/2, C = u1 u2 - b1 b2 and E = u1 b2 - u2 b1,
-which equals the advective form for divergence-free u and b (every state
-the solver steps, draws or writes).  P is folded into the multipliers that
-map (A_hat, C_hat) to the u tendency (``_multipliers``), so every product
-tendency is divergence-free to roundoff by its form, and exactly zero at
-k = 0 with no write to it (a non-finite mean mode shows as a non-finite
-tendency).
-
-The private ``_rhs_arrays`` kernel returns the products alone on the
-state's stacked half spectra (4, n//2+1, n), or on their leading rows: the
-linear part, the coupling d2 b, d2 u and Lap b, is diagonal in k, and the
-stepper propagates it exactly (``stepping._heat_factors``).  Its transforms
-use the shared, non-reentrant ``spectral._transform_workspace``.  On
-request it returns the CFL speed |u| + |b + e2| of its dealiased samples
-instead, which equals that of ``cfl_dt`` bit for bit on solver states
-(inside the 2/3 band): ``run`` takes the dt of a nonlinear step from it.
-The public ``rhs_perturbation``/``rhs_total`` return the whole dx/dt in a
-new array: the products plus L x (``_with_linear``).
+which equals the advective form for divergence-free u and b.
 """
 
 from __future__ import annotations
@@ -101,27 +84,23 @@ def _max_speed(phys: np.ndarray, work: np.ndarray) -> float:
 
 
 def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
-    """``_max_speed`` of the samples of ``x`` as stored (not dealiased), from
-    one inverse transform in the shared workspace; ``x`` holds the first
-    rows of the half spectra, the others are zero."""
-    return _max_speed(_inverse_rows(grid, x)[0], _spec_as_real(grid, (3, grid.n, grid.n)))
+    """``_max_speed`` of the samples of the stacked half spectra ``x`` as
+    stored (not dealiased), from one inverse transform in the shared
+    workspace."""
+    return _max_speed(_inverse_rows(grid, x), _spec_as_real(grid, (3, grid.n, grid.n)))
 
 
 def _rhs_arrays(
     grid: GridSpec, x: np.ndarray, out: np.ndarray | None = None, speed: bool = False
 ) -> np.ndarray | float:
-    """The dealiased products: P(-(d1 A + d2 C), d2 A - d1 C), then
-    (d2 E, -d1 E), in the layout of ``x``.
-
-    ``x`` holds the half spectra of divergence-free (u1, u2, b1, b2), or
-    their leading rows down to at least the band rows; see the module
-    docstring for A, C, E.  One stacked inverse transform of 4 fields and
-    one forward transform of 3 per evaluation, their c2c passes on the band
-    rows alone.  Written into ``out`` when given, else into a new array,
-    which is returned; the rows past the band are zero.  ``out`` may be
+    """The dealiased products P(-(d1 A + d2 C), d2 A - d1 C), (d2 E, -d1 E)
+    of the half spectra ``x`` of divergence-free (u1, u2, b1, b2), or of
+    their leading rows, at least the band rows; the linear part is left to
+    the stepper.  Written into ``out`` (a new array when None) in the layout
+    of ``x`` and returned; the rows past the band are zero.  ``out`` may be
     ``x``: it holds the dealiased input until the inverse transform has
-    read it.  With ``speed``, the max speed |u| + |b + e2| of the
-    dealiased samples (``_max_speed``) is returned instead.
+    read it.  With ``speed``, returns instead the max speed |u| + |b + e2|
+    of the dealiased samples.  Uses the shared transform workspace.
     """
     if out is None:
         out = np.empty_like(x)
@@ -182,7 +161,8 @@ def _with_linear(grid: GridSpec, soft: np.ndarray, x: np.ndarray, coupling: bool
 
 
 def rhs_perturbation(st: MHDState, nonlinear: bool = True, coupling: bool = True) -> np.ndarray:
-    """dx/dt of the perturbation system, diffusion included, in the layout of ``st.x``.
+    """dx/dt of the perturbation system, diffusion included, as a new array
+    in the layout of ``st.x``.
 
     The ``nonlinear`` and ``coupling`` hooks disable the quadratic products
     and the d2 exchange terms respectively; both are part of the public test

@@ -1,55 +1,18 @@
-"""Fourier representation on the torus [-pi, pi]^2.
+"""Fourier representation on the torus [-pi, pi]^2 (README, Numerics).
 
-Conventions
------------
-Fields are expanded as ``f(x) = sum_k fhat_k exp(i k.x)`` over integer
-wavevectors ``k in {-n/2, ..., n/2 - 1}^2``, in one of two storage forms:
+Fields are ``f(x) = sum_k fhat_k exp(i k.x)`` over integer wavevectors
+``k in {-n/2, ..., n/2 - 1}^2``, stored in one of two forms:
 
-* State: half spectra of real fields, shape ``(..., n//2+1, n)``, holding
-  the rows ``k1 = 0..n/2`` (the Nyquist row ``k1 = -n/2`` last); ``k2``
-  keeps its full FFT-ordered axis, so the x2 reflection stays an index
-  permutation.  ``MHDState`` holds one stack of four, which the solver,
-  the diagnostics and the checkpoint read directly.  Sums over all modes
-  weight the stored rows by ``HalfGrid.weight``.
-* Public view: full spectra, shape ``(n, n)``, in standard FFT order,
-  built on demand (``to_full``/``to_half`` convert).  Multipliers are
-  built on the stored rows; the full-grid ones mirror them.
+* State: half spectra of real fields, shape ``(..., n//2+1, n)``, the rows
+  ``k1 = 0..n/2`` (the Nyquist row last) over the full FFT-ordered ``k2``
+  axis.  Sums over all modes weight the rows by ``HalfGrid.weight``.
+* Public view: full spectra, shape ``(n, n)``, in FFT order, built on
+  demand (``to_full``/``to_half``).
 
-Every transform is the one real pair ``half_samples``/``half_coeffs``,
-with ``norm="forward"``, so ``fhat_k`` is the scaled DFT
-``n^-2 sum_ij f(y_ij) exp(-i k.y_ij)``, on the grid anchored at 0,
-``y_ij = (2*pi*i/n, 2*pi*j/n)``.  The public pair returns new arrays; the
-run loop calls its kernels ``_inverse_into``/``_forward_into`` on the one
-per-grid ``_transform_workspace`` (shared, so not reentrant).  Each kernel
-is two 1-D ``numpy.fft`` passes that write into the caller's arrays: the
-inverse is a c2c ``ifft`` along k2 into a complex buffer, then a c2r
-``irfft`` along k1 into real samples; the forward is an ``rfft`` along x1
-into half spectra, then an ``fft`` along x2.  The kernels take views, so
-the layout is the caller's: the public pair keeps (k1, k2) and (i, j)
-order, while the workspace stores its spectra and samples transposed, so
-that the real passes run along the contiguous last axis of its buffers
-(``Workspace``); each 1-D line sees the same arithmetic either way.  The
-right-hand side runs the c2c pass of both on the rows of the 2/3 band
-alone; the CFL sample, ``symmetry_defect`` and the checkpoint run the
-inverse's on the rows of the state that hold content (``_content_rows``).
-They allocate nothing, so the run loop makes no page faults, and for n a
-power of 2 they equal ``scipy.fft.irfft2``/``rfft2`` bit for bit.
-``numpy.fft.irfft2(out=)`` is not used: on numpy 2.4 it returns wrong
-samples.
-
-The public collocation grid
-``x_ij = (-pi + 2*pi*i/n, -pi + 2*pi*j/n)`` is the same point set shifted
-by n/2 points along each axis; ``roll_anchor`` maps samples between the
-two, so the offset lives in that one function.  Pointwise products give
-the same coefficients on either grid, so the run loop never rolls; the
-public transforms ``fft_coeffs``/``ifft_samples`` and the checkpoint do.
-
-Sobolev norms use the full ``(2*pi)^2`` measure, evaluated exactly through
-the Fourier multiplier ``mu_m(k) = sum_{|alpha| <= m} k1^(2a1) k2^(2a2)``,
-so they match integrals of squared derivatives for band-limited fields.
-
-The Nyquist row/column ``k = -n/2`` carries no sign information and is
-zeroed by odd-order derivatives along the corresponding axis.
+``half_samples``/``half_coeffs`` are the one transform pair, with
+``norm="forward"``, on the grid anchored at 0, ``y_ij = (2*pi*i/n,
+2*pi*j/n)``.  The public grid ``x_ij = y_ij - (pi, pi)`` is the same points
+rolled by n/2 along each axis (``roll_anchor``).
 """
 
 from __future__ import annotations
@@ -278,14 +241,11 @@ def half_coeffs(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
 
 def _inverse_into(half: np.ndarray, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Samples of the half spectra whose leading rows are ``half`` (..., m, n),
-    the rows k1 >= m zero, written into ``out`` (..., n, n), which is
-    returned; ``spec`` (..., n//2+1, n), complex, is scratch.
-
-    The pass along k2 writes the m rows into ``spec`` and the others are
-    zeroed there; then the pass along k1 runs from ``spec`` into ``out``.
-    Given transposed views (``Workspace.spec_t``/``phys_t``), that second
-    pass runs along the contiguous axis of their buffers.
-    """
+    the rows k1 >= m taken as zero, written into ``out`` (..., n, n) and
+    returned; ``spec`` (..., n//2+1, n), complex, is scratch.  Views work,
+    so the buffers may be stored transposed (``Workspace``).
+    ``numpy.fft.irfft2(out=)`` is not used: on numpy 2.4 it returns wrong
+    samples."""
     m = half.shape[-2]
     np.fft.ifft(half, axis=-1, norm="forward", out=spec[..., :m, :])
     spec[..., m:, :] = 0.0
@@ -294,13 +254,8 @@ def _inverse_into(half: np.ndarray, spec: np.ndarray, out: np.ndarray) -> np.nda
 
 def _forward_into(samples: np.ndarray, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The leading rows k1 < m of the half spectra of the real ``samples``
-    (..., n, n), written into ``out`` (..., m, n), which is returned.
-
-    The pass along x1 writes all n/2 + 1 rows into ``spec`` (..., n//2+1, n),
-    which may be ``out`` itself; the pass along x2 runs on its first m rows
-    into ``out``.  Given transposed views of the samples and of ``spec``, the
-    first pass runs along the contiguous axis of their buffers.
-    """
+    (..., n, n), written into ``out`` (..., m, n) and returned; ``spec``
+    (..., n//2+1, n), complex, is scratch and may be ``out``."""
     np.fft.rfft(samples, axis=-2, norm="forward", out=spec)
     return np.fft.fft(spec[..., : out.shape[-2], :], axis=-1, norm="forward", out=out)
 
@@ -325,14 +280,10 @@ def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Workspace(NamedTuple):
-    """The buffers of every transform in the run loop, one pair per grid:
-    a complex stack of four half spectra and a real stack of four sample
-    arrays, each stored transposed, so that both real passes run along
-    their contiguous last axis.  ``spec_t`` (4, n//2+1, n) and ``phys_t``
-    (4, n, n) are the same buffers indexed (k1, k2) and (i, j), the layout
-    of ``half_samples``; ``phys[f, j, i]`` is the sample of field f at
-    (y_i, y_j).  The samples feed pointwise products and maxima, and the
-    checkpoint copies them back in blocks."""
+    """The transform buffers of one grid, stored transposed: complex
+    ``spec`` (4, n, n//2+1) and real ``phys`` (4, n, n).  ``spec_t`` and
+    ``phys_t`` are the same memory indexed (k1, k2) and (i, j), the layout
+    of ``half_samples``: ``phys[f, j, i]`` is field f at (y_i, y_j)."""
 
     spec: np.ndarray
     phys: np.ndarray
@@ -368,16 +319,14 @@ def _phys_as_complex(grid: GridSpec, shape: tuple[int, ...]) -> np.ndarray:
     return _leading(_transform_workspace(grid).phys.view(np.complex128), shape)
 
 
-def _inverse_rows(grid: GridSpec, x: np.ndarray) -> tuple[np.ndarray, int]:
+def _inverse_rows(grid: GridSpec, x: np.ndarray) -> np.ndarray:
     """Samples of the stacked half spectra ``x`` (4, n//2+1, n), stored
-    transposed (``Workspace.phys``), and the count m of the rows of ``x``
-    that hold content (``_content_rows``).  Formed in the shared transform
-    workspace and valid until its next use: the pass along k2 runs on the m
-    rows alone (the skipped pass only ever produced 0.0)."""
+    transposed (``Workspace.phys``), from a transform of the rows of ``x``
+    that hold content, in the shared transform workspace: valid until its
+    next use."""
     ws = _transform_workspace(grid)
-    m = _content_rows(x)
-    _inverse_into(x[:, :m], ws.spec_t, ws.phys_t)
-    return ws.phys, m
+    _inverse_into(x[:, : _content_rows(x)], ws.spec_t, ws.phys_t)
+    return ws.phys
 
 
 def roll_anchor(samples: np.ndarray) -> np.ndarray:
@@ -443,16 +392,6 @@ def project_divergence_free(
     p = np.array([v1, v2], dtype=np.complex128)
     _project_in_place(grid, p[0], p[1], np.empty_like(p))
     return p[0], p[1]
-
-
-def project_pairs(grid: GridSpec | HalfGrid, x: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Leray-project (x[0], x[1]) and (x[2], x[3]) in place; k = 0 is left as it is.
-
-    ``work`` (shape ``(2,) + x.shape[1:]``, complex) is scratch.
-    """
-    for i in (0, 2):
-        _project_in_place(grid, x[i], x[i + 1], work)
-    return x
 
 
 def divergence_defect(grid: GridSpec | HalfGrid, v1: np.ndarray, v2: np.ndarray) -> float:
@@ -589,16 +528,8 @@ def mean(f: ScalarField | SpectralScalar) -> float:
 
 def resample(g: SpectralScalar, new_grid: GridSpec) -> SpectralScalar:
     """Spectral truncation / zero-padding onto another grid (exact for band-limited)."""
-    n_old, n_new = g.grid.n, new_grid.n
-    out = np.zeros((n_new, n_new), dtype=np.complex128)
-    half = min(n_old, n_new) // 2
-    idx_old = np.fft.fftfreq(n_old, 1.0 / n_old).astype(int)
-    idx_new = np.fft.fftfreq(n_new, 1.0 / n_new).astype(int)
-    sel_old = np.abs(idx_old) < half
-    sel_new = np.abs(idx_new) < half
-    order_old = np.argsort(idx_old[sel_old])
-    order_new = np.argsort(idx_new[sel_new])
-    rows_old = np.where(sel_old)[0][order_old]
-    rows_new = np.where(sel_new)[0][order_new]
-    out[np.ix_(rows_new, rows_new)] = g.coeffs[np.ix_(rows_old, rows_old)]
+    h = min(g.grid.n, new_grid.n) // 2
+    keep = np.r_[0:h, 1 - h : 0]  # |k| < h, the smaller grid's Nyquist mode dropped
+    out = np.zeros((new_grid.n, new_grid.n), dtype=np.complex128)
+    out[np.ix_(keep, keep)] = g.coeffs[np.ix_(keep, keep)]
     return SpectralScalar(new_grid, out)

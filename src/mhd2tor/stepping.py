@@ -1,22 +1,5 @@
-"""Lawson RK4 time stepping for the MHD state (see README, Numerics).
-
-``step_ifrk4`` propagates the linear part L = [[0, i k2], [i k2, -|k|^2]]
-per mode, the coupling to e2 and the diffusion, exactly with
-``_heat_factors``, and classical RK4 handles the dealiased products in the
-variable exp(-t L) x, so a linear step is exact to roundoff.  A step
-carries the invariants of the exact flow, with no projection after it:
-divergence stays at roundoff, the k = 0 modes are kept bit for bit, and a
-state in the symmetry class stays in it to roundoff.  It works on the
-leading rows of the stacked half spectra (4, n//2+1, n) that hold content,
-and at least on the 2/3 band when the products are on; the rows past them
-stay +0.0.
-
-``run`` has one dt rule: a nonlinear step takes dt from the speed of its
-stage-1 samples, which equals ``cfl_dt``'s on solver states bit for bit,
-and makes 16 inverse and 12 forward field transforms; a linear step is
-exact for any dt, has no CFL limit and takes dt_max or the landing on the
-next sample time, with no transform.
-"""
+"""Lawson RK4 time stepping of the MHD state with the exact propagator of
+the linear part, and the run loop with its dt rule (README, Numerics)."""
 
 from __future__ import annotations
 
@@ -64,23 +47,12 @@ def _propagator(grid, coupling: bool):
 
 @lru_cache(maxsize=1)
 def _heat_factors(grid, t: float, coupling: bool = True):
-    """exp(t L) per mode on the half spectrum, as (p11, p22, p12): it maps
-    (u, b) to (p11 u + p12 b, p12 u + p22 b) on both pairs.  Written into
-    the room of ``_propagator``, valid until the next call for that grid.
-
-    With es = exp(-r t), q = exp(-2 delta t) and w = es (1 - q)/2 (from
-    expm1): p11 = es + h w, p22 = es q - h w and p12 = i g w, which is
-    e^{-at} [cosh(delta t) I + sinh(delta t)/delta (L + aI)] with no
-    cancellation in p11 or p12.  The modes with delta^2 <= 0 take
-    c = e^{-at} cos(omega t) and s = e^{-at} sin(omega t)/omega (t at
-    omega = 0): p11 = c + a s, p22 = c - a s, p12 = i k2 s.  At k = 0, P is
-    exactly the identity; without ``coupling``, p11 = 1, p12 = 0 and
-    p22 = exp(-|k|^2 t), the heat factor.
-
-    The cache keeps one entry and only a miss writes the buffer, so a hit
-    finds the factors the call before left there.  A run bound by dt_max
-    keeps hitting between landings; a CFL-bound run misses on every step,
-    and a miss allocates no array.
+    """exp(t L) per mode on the half spectrum, as (p11, p22, p12), from the
+    formulas of README Numerics: it maps (u, b) to (p11 u + p12 b,
+    p12 u + p22 b) on both pairs.  Written into the room of ``_propagator``.
+    The cache keeps one entry and only a miss writes the room, so a hit
+    returns the buffers that the last miss wrote: they hold these factors
+    until a miss for that grid and ``coupling``.
     """
     r, two_delta, h, g, listed, (p11, p22, w, hw, p12, s12) = _propagator(grid, coupling)
     np.exp(np.multiply(r, -t, out=p11), out=p11)  # es
@@ -174,31 +146,18 @@ def step_ifrk4(
     coupling: bool = True,
     rows: int | None = None,
 ) -> MHDState:
-    """Advance one step of size dt with Lawson RK4, the integrating-factor
-    RK4 whose factor is the exact propagator of the linear part.
+    """The state one Lawson RK4 step of size dt after ``st`` (README,
+    Numerics), in a new array; without ``nonlinear``, exp(dt L) x with no
+    right-hand side.
 
-    With P = ``_heat_factors(grid, dt/2)`` = exp(dt/2 L) and N the
-    dealiased products (``_rhs_arrays``), k1 = N(x) and
-
-        y2 = P(x + dt/2 k1),  y3 = P x + dt/2 k2,  y4 = P(P x + dt k3),
-        x_new = P[P(x + dt/6 k1) + dt/3 (k2 + k3)] + dt/6 k4,
-
-    with k_i = N(y_i): five applications of P and one factor set per dt.
-    Without ``nonlinear``, N = 0 and x_new = P(P x) = exp(dt L) x: one
-    application of the factors of dt, with no rhs.
-
-    The step works on the first m rows, m = ``step_rows(st, nonlinear)``
-    or ``rows``: the rows past them are zero in ``st``, the products vanish
-    there and P is diagonal in k, so they are 0.0 in the new state.  The
-    stages run on contiguous (4, m, n) stacks: the accumulator and the
-    tendencies (y3, y4 and k3, k4 in place) in a per-grid storage, y2 and
-    P x at the start of the new state's array, and the scratch of P in the
-    transform workspace, free between two rhs calls.
-
-    ``dt`` may also be a function that maps the max speed |u| + |b + e2|
-    of the stage-1 samples to the step size (see ``dynamics``): ``run``
-    takes the dt of every nonlinear step this way, with no transform of
-    its own.  An error it raises leaves ``st`` as it was.
+    The step works on the first m rows, m = ``rows`` or ``step_rows(st,
+    nonlinear)``; the rows past them must be zero in ``st`` and are +0.0 in
+    the result.  ``dt`` may be a function that maps the max speed
+    |u| + |b + e2| of the stage-1 samples, or 0.0 on a linear step, to the
+    step size; a linear step makes no transform.  Raises ValueError for
+    dt <= 0 and NonFiniteState for a non-finite result; an error leaves
+    ``st`` as it was.  The stages run in the per-grid ``_stage_storage``,
+    the new state's array and the shared transform workspace.
     """
     grid, x = st.grid, st.x
     m = step_rows(st, nonlinear) if rows is None else rows
@@ -207,13 +166,13 @@ def step_ifrk4(
     x = x[:, :m]
     acc, k = _leading(_stage_storage(grid), (2,) + shape)
     if callable(dt):
-        dt = dt(_rhs_arrays(grid, x, out=acc, speed=True) if nonlinear else _sample_speed(grid, x))
+        dt = dt(_rhs_arrays(grid, x, out=acc, speed=True) if nonlinear else 0.0)
     elif nonlinear:
         _rhs_arrays(grid, x, out=acc)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     P = [f[:m] for f in _heat_factors(grid, 0.5 * dt if nonlinear else dt, coupling)]
-    tmp = _leading(_transform_workspace(grid).spec, shape)
+    tmp = _leading(_transform_workspace(grid).spec, shape)  # free between two rhs calls
     apply = partial(_propagate, P, tmp.reshape((2, 2, m, grid.n)))
     if not nonlinear:
         apply(x, x_new[:, :m])
@@ -291,17 +250,13 @@ def run(
     coupling: bool = True,
     counts: StepCounts | None = None,
 ) -> MHDState:
-    """Advance to t_end with CFL steps, landing exactly on sample times.
+    """Advance ``st0`` to t_end by the dt rule of README Numerics, landing
+    exactly on every multiple of ``sample_every``; returns the final state.
 
-    ``sink(record, state)`` is invoked at the initial time, at every multiple
-    of ``sample_every``, and at t_end.  Deterministic for fixed inputs.
-    A nonlinear step takes its dt after stage 1, from the speed of the
-    stage-1 samples (the speed ``cfl_dt`` would read).  A linear step is
-    the exact exp(dt L), with no transport and so no stability limit: it
-    takes dt_max or the landing, and ``cfg.cfl`` and ``cfg.dt_min`` do
-    not apply.  ``step_rows`` of ``st0`` serves every step, which keeps the
-    rows past it at +0.0 (``sink`` must not write into its states).
-    ``counts``, when given, tallies each dt and what set it.
+    ``sink(record, state)`` is invoked at the initial time, at every sample
+    time and at t_end; it must not write into its states.  ``counts``, when
+    given, tallies each dt and what set it.  Raises NonFiniteState or
+    StepTooSmall with the last good t.
     """
     from .diagnostics import EnergyParams, instantaneous
 
@@ -322,7 +277,7 @@ def run(
 
     def choose(speed: float) -> float:
         """dt of the step from the loop's st towards its target at the max
-        speed ``speed``."""
+        speed ``speed``: dt_max or the landing at speed 0."""
         nonlocal limit, dt
         dt = _cfl_limit(speed, st.grid, cfg)
         if st.t + dt >= target - _LANDING_TOL:
@@ -336,11 +291,7 @@ def run(
         next_sample = k * sample_every
         target = min(next_sample, cfg.t_end)
         try:
-            # a linear step is exact for any dt: speed 0 gives dt_max or the landing
-            st = step_ifrk4(
-                st, choose if nonlinear else choose(0.0),
-                nonlinear=nonlinear, coupling=coupling, rows=m,
-            )
+            st = step_ifrk4(st, choose, nonlinear=nonlinear, coupling=coupling, rows=m)
         except (NonFiniteState, StepTooSmall) as exc:
             raise type(exc)(f"{exc} (last good t={st.t:.6g})") from exc
         if limit == "landing":

@@ -1,16 +1,9 @@
-"""MHD states in the x2-reflection symmetry class with zero-mean constraints.
+"""MHD states, the x2-reflection symmetry class and the seeded initial data.
 
-The class fixes the parities under x2 -> -x2: u1 and b2 even, u2 and b1 odd.
-States are kept in perturbation variables (u, b) with the total magnetic
-field B = b + e2.  The collocation grid is reflection-closed (x2 = -pi maps
-to itself, +pi is identified with -pi), so reflection is the exact index map
-j -> (n - j) mod n; in coefficient space this is the permutation
-k2 -> -k2, which is what the implementation applies.
-
-A state is one stacked half spectrum of (u1, u2, b1, b2), see ``spectral``,
-and the initial data is drawn straight into that layout.  Full spectra
-(``coeff_arrays``, ``u``, ``b``, ``state_from_arrays``,
-``random_class_velocity``) exist only in the public facade, built on demand.
+A state holds the perturbation (u, b), B = b + e2, as one stacked half
+spectrum of (u1, u2, b1, b2) (``spectral``).  The class fixes the parities
+under x2 -> -x2: u1 and b2 even, u2 and b1 odd.  The grid is closed under
+the reflection, so it is the exact permutation k2 -> -k2 of the coefficients.
 """
 
 from __future__ import annotations
@@ -29,10 +22,10 @@ from .spectral import (
     _content_rows,
     _inverse_into,
     _phys_as_complex,
+    _project_in_place,
     _transform_workspace,
     divergence_defect,
     half_sobolev_multiplier,
-    project_pairs,
     to_full,
     to_half,
 )
@@ -133,22 +126,16 @@ def symmetrize(st: MHDState) -> MHDState:
 def symmetry_defect(st: MHDState, rows: int | None = None) -> float:
     """Relative sup-norm of the anti-class part, max over the four components.
 
-    The anti part is formed in coefficient space, two fields at a time, on
-    the rows of ``st`` that hold content (the reflection keeps the others
-    zero), in the real stack of the shared ``_transform_workspace``, where
-    the four of a state with content on all rows would not fit.  Only a
-    pair whose anti part is nonzero is transformed for its sup, and the
-    samples of the state, which give the scale, follow.  So a state exactly
-    in the class (every anti coefficient zero, a -0.0 included) costs no
-    transform: its anti part could only sample to +-0.0, and its defect is
-    0.0.  NaN or inf in the state always leaves a nonzero anti part.  Row
-    k1 = 0 is tested first: an out-of-class state shows its anti part there.
-    A caller that has found the content rows passes them as ``rows``.
+    Works on the content rows of ``st``, or on ``rows`` when the caller has
+    found them, in the shared transform workspace.  A state exactly in the
+    class (every anti coefficient +-0.0) reads 0.0 with no transform; NaN or
+    inf in the state leaves a nonzero anti part.
     """
     grid = st.grid
     m = _content_rows(st.x) if rows is None else rows
     x = st.x[:, :m]
     ws = _transform_workspace(grid)
+    # two fields at a time: four with content on all rows would not fit
     anti = _phys_as_complex(grid, (2, m, grid.n))
     phys = ws.phys
     defect, transformed = 0.0, False
@@ -157,7 +144,7 @@ def symmetry_defect(st: MHDState, rows: int | None = None) -> float:
         _reflect_coeffs(pair, _STACK_PARITY[i : i + 2], out=anti)
         np.subtract(pair, anti, out=anti)
         anti *= 0.5
-        if anti[:, 0].any() or anti.any():
+        if anti[:, 0].any() or anti.any():  # an out-of-class state shows in row 0
             _inverse_into(anti, ws.spec_t[:2], ws.phys_t[:2])
             defect = max(defect, float(phys[:2].max()), -float(phys[:2].min()))
             transformed = True
@@ -219,7 +206,10 @@ def _draw_class(grid: GridSpec, rng: np.random.Generator, kmax: int, decay: floa
     # the vector reflection (composed with a sign flip for b) commutes with
     # the Leray projection, so symmetrizing first is safe
     x = 0.5 * (x + _reflect_coeffs(x, _STACK_PARITY))
-    return project_pairs(grid.half, x, np.empty_like(x[:2]))
+    work = np.empty_like(x[:2])
+    for i in (0, 2):
+        _project_in_place(grid.half, x[i], x[i + 1], work)
+    return x
 
 
 def make_initial_data(spec: InitialDataSpec, grid: GridSpec) -> MHDState:

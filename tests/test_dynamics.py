@@ -61,11 +61,12 @@ def test_tendencies_divergence_free(grid, small_state):
 def test_run_loop_makes_no_projection(tmp_path, monkeypatch, nonlinear):
     """Divergence is kept by the tendency multipliers: a run works with the
     Leray projection made to raise everywhere but in the initial-data draw."""
-    drawing = []
+    drawing, projected = [], []
 
     def refuse(*args):
         if not drawing:
             raise AssertionError("projection outside the initial-data draw")
+        projected.append(True)
         return project(*args)
 
     def draw(*args, **kwargs):
@@ -76,7 +77,8 @@ def test_run_loop_makes_no_projection(tmp_path, monkeypatch, nonlinear):
             drawing.pop()
 
     project, draw_class = spectral._project_in_place, symmetry._draw_class
-    monkeypatch.setattr(spectral, "_project_in_place", refuse)
+    for module in (spectral, symmetry):
+        monkeypatch.setattr(module, "_project_in_place", refuse)
     monkeypatch.setattr(symmetry, "_draw_class", draw)
     cfg = RunConfig(
         n=32, s=2, epsilon=0.1, t_end=0.2, sample_every=0.05, snapshot_every=0.1,
@@ -85,6 +87,7 @@ def test_run_loop_makes_no_projection(tmp_path, monkeypatch, nonlinear):
     assert simulate(cfg, str(tmp_path / "out")) == 0
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "status = ok" in summary and "t_final = 0.20000000000000001" in summary
+    assert projected  # the draw's projection went through the patch
 
 
 def test_unprojected_multipliers_lose_divergence(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from mhd2tor import spectral
 from mhd2tor.checkpoint import read_checkpoint, write_checkpoint
 from mhd2tor.errors import NonFiniteState, StepTooSmall
 from mhd2tor.oracles import linearized_mode_solution
@@ -305,6 +306,25 @@ def test_linear_run_is_exact_with_no_cfl_limit():
         assert abs(a_num - a) + abs(c_num - c) <= 1e-11 * (abs(a) + abs(c))
 
 
+def test_linear_step_gives_a_callable_dt_speed_zero(monkeypatch):
+    """A linear step has no CFL limit: a callable dt gets the speed 0.0,
+    and the step makes no transform and equals the step of that dt."""
+    st = make_initial_data(InitialDataSpec(epsilon=0.1, s=2, seed=3), GridSpec(16))
+    transforms, speeds = [], []
+
+    def counted(*args):
+        transforms.append(args[0].shape)
+        return inverse_into(*args)
+
+    inverse_into = spectral._inverse_into
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("mhd2tor") and hasattr(mod, "_inverse_into"):
+            monkeypatch.setattr(mod, "_inverse_into", counted)
+    new = step_ifrk4(st, lambda speed: speeds.append(speed) or 2e-2, nonlinear=False)
+    assert speeds == [0.0] and transforms == []
+    assert new.x.tobytes() == step_ifrk4(st, 2e-2, nonlinear=False).x.tobytes()
+
+
 def test_run_step_too_small_keeps_last_good_state():
     """A CFL step below dt_min, found after stage 1, raises before the state moves."""
     grid = GridSpec(32)
@@ -332,7 +352,8 @@ def _samples(st, path):
 
 
 def _step(st, nonlinear):
-    """One step whose dt depends on the stage-1 speed, so that is checked too."""
+    """One step whose dt depends on the stage-1 speed, so on a nonlinear step
+    that speed is checked too (a linear step gets speed 0)."""
     return step_ifrk4(st, lambda speed: 2e-2 / (1.0 + speed), nonlinear=nonlinear)
 
 

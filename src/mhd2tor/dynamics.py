@@ -67,7 +67,7 @@ def _multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _max_speed(phys: np.ndarray, work: np.ndarray) -> float:
-    """Max over the grid of |u| + |b + e2| from the samples (u1, u2, b1, b2);
+    """Max over the grid of |u| + |b| from the samples (u1, u2, b1, b2);
     ``work`` holds three n x n arrays of scratch.  The one speed formula of
     the CFL bound."""
     U1, U2, B1, B2 = phys
@@ -75,8 +75,7 @@ def _max_speed(phys: np.ndarray, work: np.ndarray) -> float:
     np.square(U1, out=u)
     u += np.square(U2, out=t)
     np.sqrt(u, out=u)
-    np.add(B2, 1.0, out=b)  # total field includes e2
-    np.square(b, out=b)
+    np.square(B2, out=b)
     b += np.square(B1, out=t)
     np.sqrt(b, out=b)
     u += b
@@ -99,7 +98,7 @@ def _rhs_arrays(
     the stepper.  Written into ``out`` (a new array when None) in the layout
     of ``x`` and returned; the rows past the band are zero.  ``out`` may be
     ``x``: it holds the dealiased input until the inverse transform has
-    read it.  With ``speed``, returns instead the max speed |u| + |b + e2|
+    read it.  With ``speed``, returns instead the max speed |u| + |b|
     of the dealiased samples.  Uses the shared transform workspace.
     """
     if out is None:

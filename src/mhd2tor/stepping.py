@@ -120,7 +120,7 @@ def _cfl_limit(speed: float, grid, cfg: StepperConfig) -> float:
 
 
 def cfl_dt(st: MHDState, cfg: StepperConfig) -> float:
-    """Advective CFL step from the pointwise speed |u| + |b + e2|, sampled on
+    """Advective CFL step from the pointwise speed |u| + |b|, sampled on
     the grid anchored at 0: the same points as the one anchored at -pi."""
     return _cfl_limit(_sample_speed(st.grid, st.x), st.grid, cfg)
 
@@ -153,7 +153,7 @@ def step_ifrk4(
     The step works on the first m rows, m = ``rows`` or ``step_rows(st,
     nonlinear)``; the rows past them must be zero in ``st`` and are +0.0 in
     the result.  ``dt`` may be a function that maps the max speed
-    |u| + |b + e2| of the stage-1 samples, or 0.0 on a linear step, to the
+    |u| + |b| of the stage-1 samples, or 0.0 on a linear step, to the
     step size; a linear step makes no transform.  Raises ValueError for
     dt <= 0 and NonFiniteState for a non-finite result; an error leaves
     ``st`` as it was.  The stages run in the per-grid ``_stage_storage``,

@@ -35,7 +35,7 @@ from mhd2tor.spectral import (
     half_samples,
     inverse_transform,
 )
-from mhd2tor.stepping import StepCounts, StepperConfig, cfl_dt, run, step_ifrk4
+from mhd2tor.stepping import StepCounts, StepperConfig, run, step_ifrk4
 from mhd2tor.symmetry import InitialDataSpec, MHDState, make_initial_data
 from mhd2tor.verify import run_checks
 
@@ -152,9 +152,10 @@ def test_transform_count(field_counts):
     assert counts.steps == counts.dt_max + counts.landing == 5
     assert field_counts == {"irfft": 0 * 5 + 2 * 0, "rfft": 0}
 
-    # dt_max three times the CFL step of the total field: one step, still none
+    # dt_max three times cfl * spacing, the CFL step at the background's
+    # speed 1: one step, still none
     cfg = StepperConfig(t_end=0.5, dt_max=0.5)
-    assert cfl_dt(st, cfg) < 0.5 / 3
+    assert cfg.cfl * grid.spacing < 0.5 / 3
     field_counts.update(irfft=0, rfft=0)
     counts = StepCounts()
     run(st, cfg, 0.5, lambda rec, s: None, nonlinear=False, counts=counts)

@@ -9,7 +9,7 @@ from mhd2tor import spectral
 from mhd2tor.checkpoint import read_checkpoint, write_checkpoint
 from mhd2tor.errors import NonFiniteState, StepTooSmall
 from mhd2tor.oracles import linearized_mode_solution
-from mhd2tor.spectral import GridSpec, _content_rows, forward_transform, ScalarField
+from mhd2tor.spectral import GridSpec, _content_rows, forward_transform, half_samples, ScalarField
 from mhd2tor.stepping import (
     StepCounts,
     StepperConfig,
@@ -27,7 +27,7 @@ from mhd2tor.symmetry import (
     state_from_arrays,
     symmetry_defect,
 )
-from mhd2tor.verify import mode_amplitudes, multimode_linear_state
+from mhd2tor.verify import convergence_slope, mode_amplitudes, multimode_linear_state
 
 
 @pytest.fixture
@@ -66,11 +66,21 @@ def test_run_rejects_non_finite_sample_spacing(grid, sample_every):
     assert rows == []
 
 
-def test_cfl_uses_total_field(grid):
-    # zero perturbation still advects against the background e2 at speed 1
+def test_cfl_follows_perturbation_speed(grid):
+    """The CFL speed is the perturbation's |u| + |b|: the background e2 is
+    propagated exactly and sets no limit.  A zero state gets dt_max, and a
+    state's CFL dt is cfl * spacing over its own max |u| + |b|, so twice the
+    state takes half the step."""
     cfg = StepperConfig(t_end=1.0, cfl=0.4, dt_max=1.0)
-    dt = cfl_dt(zero_state(grid), cfg)
-    assert np.isclose(dt, 0.4 * grid.spacing, rtol=1e-9)
+    assert cfl_dt(zero_state(grid), cfg) == cfg.dt_max
+    st = make_initial_data(InitialDataSpec(epsilon=20.0, s=2, seed=1), grid)
+    u1, u2, b1, b2 = half_samples(grid, st.x)
+    speed = np.max(np.hypot(u1, u2) + np.hypot(b1, b2))
+    dt = cfl_dt(st, cfg)
+    assert dt < cfg.dt_max
+    assert np.isclose(dt, cfg.cfl * grid.spacing / speed, rtol=1e-12)
+    twice = MHDState(grid, 0.0, 2.0 * st.x)
+    assert np.isclose(cfl_dt(twice, cfg), 0.5 * dt, rtol=1e-12)
 
 
 def test_cfl_step_too_small(grid):
@@ -136,6 +146,15 @@ def test_step_conserves_means_bitwise(grid):
     assert np.max(np.abs(st.coeff_arrays()[0] - arrays[0])) > 0  # it did move
 
 
+def test_fourth_order_at_large_k2_dt():
+    """Lawson schemes can lose order on stiff oscillatory parts (Hochbruck
+    and Ostermann, Acta Numerica 2010).  At n=256 the band modes reach
+    |k2| dt = 85 * 0.08 = 6.8 on dt = 0.08 ... 0.01, and the refinement
+    study still reads fourth order (3.963)."""
+    slope = convergence_slope(n=256, t_end=0.16, dts=(0.08, 0.04, 0.02, 0.01))
+    assert 3.8 <= slope <= 4.2
+
+
 def test_step_deterministic(grid):
     st0 = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=3), grid)
     a = step_ifrk4(st0, 1e-2)
@@ -156,8 +175,9 @@ def test_run_lands_on_sample_times(grid):
 def test_heat_factor_cache_stays_small(grid):
     """A CFL-bound dt changes on every step and must not pile up cache
     entries; a dt_max-bound run repeats one dt and must keep hitting.  The
-    factor set is (p11, p22, p12) on the half spectrum, p11 and p22 real."""
-    st0 = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=5), grid)
+    factor set is (p11, p22, p12) on the half spectrum, p11 and p22 real.
+    The state's max |u| + |b| is about 1, so its CFL step is about 0.08."""
+    st0 = make_initial_data(InitialDataSpec(epsilon=125.0, s=2, seed=5), grid)
     _heat_factors.cache_clear()
     run(st0, StepperConfig(t_end=0.5, dt_max=1.0), 0.1, lambda rec, st: None)
     info = _heat_factors.cache_info()
@@ -169,6 +189,23 @@ def test_heat_factor_cache_stays_small(grid):
     p11, p22, p12 = _heat_factors(grid, 1e-2)
     assert p11.shape == p22.shape == p12.shape == (grid.n // 2 + 1, grid.n)
     assert p11.dtype == p22.dtype == np.float64 and p12.dtype == np.complex128
+
+
+def test_small_perturbation_steps_at_dt_max():
+    """At n=256 with epsilon 1e-2 the max |u| + |b| is about 1.5e-4, so
+    dt_max binds, not the CFL bound: each sample interval of 0.05 takes 4
+    steps of dt_max and one landing (the speed of the total field b + e2,
+    about 1, would give a CFL step of 0.0098 and 6 steps, 5 of them CFL),
+    and the factor cache misses twice per landing, for dt_max and for the
+    landing."""
+    grid = GridSpec(256)
+    st0 = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), grid)
+    counts = StepCounts()
+    _heat_factors.cache_clear()
+    final = run(st0, StepperConfig(t_end=0.1), 0.05, lambda rec, st: None, counts=counts)
+    assert final.t == 0.1
+    assert counts.cfl == 0 and counts.landing == 2 and counts.steps == 10
+    assert _heat_factors.cache_info().misses == 2 * counts.landing
 
 
 def _expm_factors(grid, t, coupling):
@@ -247,11 +284,12 @@ def test_run_invalid_sample_spacing(grid):
 
 def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
     """run() takes the dt of every nonlinear step from the stage-1 samples;
-    on a nonlinear n=64 run bound by the CFL step, that dt equals cfl_dt of
-    the state it steps, bit for bit, and the last step lands on t_end."""
+    on a nonlinear n=64 run bound by the CFL step (max |u| + |b| about 1),
+    that dt equals cfl_dt of the state it steps, bit for bit, and the last
+    step lands on t_end."""
     import mhd2tor.stepping as stepping
 
-    st0 = make_initial_data(InitialDataSpec(epsilon=0.5, s=2, seed=2), GridSpec(64))
+    st0 = make_initial_data(InitialDataSpec(epsilon=85.0, s=2, seed=2), GridSpec(64))
     cfg = StepperConfig(t_end=0.3, dt_max=1.0)
     taken = []
 
@@ -278,10 +316,10 @@ def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
 
 def test_linear_run_is_exact_with_no_cfl_limit():
     """A linear run has no CFL limit: at n=32 with dt_max = 0.5, four times
-    the CFL step of the total field (about 0.08), it reaches t = 2 in 4
-    steps, none set by the CFL bound.  Its final state is one application
-    of exp(2 L) to the initial state, and on every mode of a multimode state
-    it agrees with the per-mode oracle."""
+    cfl * spacing (about 0.08, the CFL step at the background's speed 1),
+    it reaches t = 2 in 4 steps, none set by the CFL bound.  Its final
+    state is one application of exp(2 L) to the initial state, and on every
+    mode of a multimode state it agrees with the per-mode oracle."""
     grid = GridSpec(32)
     cfg = StepperConfig(t_end=2.0, dt_max=0.5)
 
@@ -292,7 +330,7 @@ def test_linear_run_is_exact_with_no_cfl_limit():
         return final
 
     st0 = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), grid)
-    assert cfl_dt(st0, cfg) < 0.1
+    assert cfg.cfl * grid.spacing < 0.1
     final = run_linear(st0)
     x = st0.x
     exact = _propagate(_heat_factors(grid, 2.0), np.empty((2,) + x[:2].shape, x.dtype), x, np.empty_like(x))

@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
-import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .errors import InvalidValue, MissingRequired, UnknownKey
-from .spectral import DEALIAS_FRACTION, MAX_S
+from .diagnostics import EnergyParams
+from .errors import InvalidValue, MissingRequired, UnknownKey, require, require_finite
+from .spectral import GridSpec
+from .stepping import StepperConfig, require_sample_every
+from .symmetry import InitialDataSpec
 
 _REQUIRED = ("n", "s", "epsilon", "t_end")
 
 
 @dataclass
 class RunConfig:
-    """Fully validated simulation parameters (see README for the key list)."""
+    """Fully validated simulation parameters (see README for the key list).
+
+    The parameters of the solver's types are checked by those types:
+    ``grid``, ``initial_data``, ``stepper`` and ``energy`` build them from
+    the current fields.  ``validate`` builds them and checks the two keys
+    of the run itself, ``sample_every`` and ``snapshot_every``.
+    """
 
     n: int
     s: int
@@ -35,41 +43,36 @@ class RunConfig:
     def __post_init__(self):
         self.validate()
 
-    def validate(self):
-        def bad(key, constraint):
-            raise InvalidValue(f"{key} = {getattr(self, key)!r}: {constraint}")
+    @property
+    def grid(self) -> GridSpec:
+        return GridSpec(self.n)
 
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                bad(f.name, "must be finite")
-        if self.n < 8 or self.n % 2 != 0:
-            bad("n", "must be an even integer >= 8")
-        if not 2 <= self.s <= MAX_S:
-            bad("s", f"must be an integer in [2, {MAX_S}] (small-data theory needs s >= 2)")
-        if self.seed < 0:
-            bad("seed", "must be >= 0")
-        if self.epsilon < 0:
-            bad("epsilon", "must be >= 0")
-        if self.t_end < 0:
-            bad("t_end", "must be >= 0")
-        if not 0 < self.cfl <= 1:
-            bad("cfl", "must lie in (0, 1]")
-        if self.dt_max <= 0 or self.dt_min <= 0 or self.dt_min >= self.dt_max:
-            bad("dt_min", "requires 0 < dt_min < dt_max")
-        if self.spectrum_decay <= 0:
-            bad("spectrum_decay", "must be > 0")
-        cutoff = DEALIAS_FRACTION * (self.n / 2)
-        if not 1 <= self.max_wavenumber <= cutoff:
-            bad("max_wavenumber", f"must lie in [1, dealias cutoff {cutoff:.2f}]")
-        if self.sample_every <= 0:
-            bad("sample_every", "must be > 0")
-        if self.snapshot_every < 0:
-            bad("snapshot_every", "must be >= 0 (0 disables snapshots)")
-        if self.snapshot_every > 0:
-            ratio = self.snapshot_every / self.sample_every
-            if abs(ratio - round(ratio)) > 1e-9:
-                bad("snapshot_every", "must be an integer multiple of sample_every")
+    @property
+    def initial_data(self) -> InitialDataSpec:
+        return InitialDataSpec(
+            self.epsilon, self.s, self.seed, self.spectrum_decay, self.max_wavenumber
+        )
+
+    @property
+    def stepper(self) -> StepperConfig:
+        return StepperConfig(self.t_end, self.cfl, self.dt_max, self.dt_min)
+
+    @property
+    def energy(self) -> EnergyParams:
+        return EnergyParams(self.s)
+
+    def validate(self):
+        """Raise InvalidValue, ``key = value: constraint``, for the first
+        field outside its rule."""
+        grid = self.grid
+        self.initial_data.require_resolved(grid)
+        self.stepper  # checks t_end, cfl, dt_max and dt_min
+        require_sample_every(self.sample_every)
+        every = self.snapshot_every
+        require_finite(snapshot_every=every)
+        require(every >= 0, "snapshot_every", every, "must be >= 0 (0 disables snapshots)")
+        ratio, rule = every / self.sample_every, "must be an integer multiple of sample_every"
+        require(abs(ratio - round(ratio)) <= 1e-9, "snapshot_every", every, rule)
 
 
 _BOOL_WORDS = {

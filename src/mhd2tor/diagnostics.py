@@ -53,6 +53,7 @@ from .spectral import (
     divergence_defect,
     half_sobolev_multiplier,
     partial_derivative,
+    require_s,
     sobolev_norm,
 )
 from .symmetry import MHDState, PARITY, _reflect_coeffs, symmetry_defect
@@ -69,13 +70,13 @@ _SUM_BLOCK = 32
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Regularity index of the energy framework (theorem hypothesis s >= 2)."""
+    """Regularity index of the energy framework; construction raises
+    InvalidValue unless s lies in [2, MAX_S] (``require_s``)."""
 
     s: int
 
     def __post_init__(self):
-        if self.s < 2:
-            raise ValueError(f"s must be an integer >= 2, got {self.s}")
+        require_s(self.s)
 
 
 @dataclass

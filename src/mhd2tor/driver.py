@@ -20,7 +20,6 @@ from .config import RunConfig
 from .diagnostics import (
     DiagnosticsRecord,
     EnergyLedger,
-    EnergyParams,
     _orders,
     decay_fit,
     ledger_update,
@@ -33,9 +32,8 @@ from .errors import (
     NonPositiveValue,
     StepTooSmall,
 )
-from .spectral import GridSpec
-from .stepping import StepCounts, StepperConfig, run, step_rows
-from .symmetry import InitialDataSpec, MHDState, make_initial_data
+from .stepping import StepCounts, run, step_rows
+from .symmetry import MHDState, make_initial_data
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,11 +80,7 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
     """Advance st0 to cfg.t_end, streaming diagnostics to outdir."""
     os.makedirs(outdir, exist_ok=True)
     s = cfg.s
-    stepper = StepperConfig(
-        t_end=cfg.t_end, cfl=cfg.cfl, dt_max=cfg.dt_max, dt_min=cfg.dt_min
-    )
     led = EnergyLedger(s)
-    params = EnergyParams(s)
     counts = StepCounts()
     ts, energies, dissipations = [], [], []
     series_u, series_b = [], []
@@ -120,8 +114,8 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
     status, reason, code = "ok", "", EXIT_OK
     try:
         final = run(
-            st0, stepper, cfg.sample_every, sink,
-            energy_params=params,
+            st0, cfg.stepper, cfg.sample_every, sink,
+            energy_params=cfg.energy,
             nonlinear=cfg.nonlinearity, coupling=cfg.coupling, counts=counts,
         )
     except (NonFiniteState, StepTooSmall) as exc:
@@ -180,14 +174,7 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
 
 def initial_state(cfg: RunConfig) -> MHDState:
     """The seeded initial data of ``cfg`` (``make_initial_data``)."""
-    spec = InitialDataSpec(
-        epsilon=cfg.epsilon,
-        s=cfg.s,
-        seed=cfg.seed,
-        spectrum_decay=cfg.spectrum_decay,
-        max_wavenumber=cfg.max_wavenumber,
-    )
-    return make_initial_data(spec, GridSpec(cfg.n))
+    return make_initial_data(cfg.initial_data, cfg.grid)
 
 
 def simulate(cfg: RunConfig, outdir: str | None = None) -> int:
@@ -200,5 +187,5 @@ def resume(cfg: RunConfig, checkpoint_path: str, outdir: str | None = None) -> i
     _, s, _ = checkpoint_header(checkpoint_path)
     if s != cfg.s:
         raise GridMismatch(f"checkpoint has s={s}, expected s={cfg.s}")
-    st = read_checkpoint(checkpoint_path, GridSpec(cfg.n))
+    st = read_checkpoint(checkpoint_path, cfg.grid)
     return _execute(cfg, st, outdir or cfg.outdir)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one form of a
+parameter rule (``require``)."""
+
+import math
 
 
 class Mhd2torError(Exception):
@@ -61,8 +64,21 @@ class UnknownKey(ConfigError):
     """The config text contains a key the schema does not define."""
 
 
-class InvalidValue(ConfigError):
-    """A config value violates its constraint."""
+class InvalidValue(ConfigError, ValueError):
+    """A parameter value violates its constraint: ``key = value: constraint``,
+    from the config parser and from every type that owns the parameter."""
+
+
+def require(ok: bool, key: str, value, constraint: str) -> None:
+    """Raise ``InvalidValue`` for ``key = value`` unless ``ok``."""
+    if not ok:
+        raise InvalidValue(f"{key} = {value!r}: {constraint}")
+
+
+def require_finite(**values) -> None:
+    """``require`` each ``key=value`` to be finite, in the order given."""
+    for key, value in values.items():
+        require(math.isfinite(value), key, value, "must be finite")
 
 
 class MissingRequired(ConfigError):

@@ -19,19 +19,45 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HermitianViolation
+from .errors import HermitianViolation, require
 
 MEASURE = (2.0 * np.pi) ** 2
 # 2/3 rule: products keep max(|k1|, |k2|) <= DEALIAS_FRACTION * n/2
 DEALIAS_FRACTION = 2.0 / 3.0
 # largest regularity index s: mu_{2s+2} stays finite in float64 for n <= 16384
 MAX_S = 16
+
+
+def require_s(s: int) -> None:
+    """The rule on the regularity index s, for every type that takes one."""
+    constraint = f"must be an integer in [2, {MAX_S}] (small-data theory needs s >= 2)"
+    require(2 <= s <= MAX_S, "s", s, constraint)
+
+
+def thread_cache(maxsize: int):
+    """``functools.lru_cache`` keyed by the calling thread as well as the
+    arguments, for functions that return buffers their caller writes: each
+    thread gets its own.  ``cache_info`` and ``cache_clear`` are the
+    cache's."""
+
+    def wrap(fn):
+        cached = functools.lru_cache(maxsize)(lambda thread, *args: fn(*args))
+
+        @functools.wraps(fn)
+        def call(*args):
+            return cached(threading.get_ident(), *args)
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+
+    return wrap
 
 
 class HalfGrid(NamedTuple):
@@ -62,8 +88,7 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2 != 0:
-            raise ValueError(f"grid size must be an even integer >= 8, got {self.n}")
+        require(self.n >= 8 and self.n % 2 == 0, "n", self.n, "must be an even integer >= 8")
 
     @property
     def spacing(self) -> float:
@@ -291,13 +316,13 @@ class Workspace(NamedTuple):
     phys_t: np.ndarray
 
 
-@functools.lru_cache(maxsize=4)
+@thread_cache(maxsize=4)
 def _transform_workspace(grid: GridSpec) -> Workspace:
-    """The grid's ``Workspace``, used by the right-hand side, ``cfl_dt``,
-    ``symmetry_defect``, the squares and the divergence scratch of
-    ``instantaneous`` and the samples of ``write_checkpoint``.  Shared and
-    not reentrant: a caller owns its contents only until its next call into
-    one of those."""
+    """The ``Workspace`` of the grid and the calling thread, used by the
+    right-hand side, ``cfl_dt``, ``symmetry_defect``, the squares and the
+    divergence scratch of ``instantaneous`` and the samples of
+    ``write_checkpoint``.  Not reentrant: a caller owns its contents only
+    until its next call into one of those on its thread."""
     n = grid.n
     spec = np.empty((4, n, n // 2 + 1), dtype=np.complex128)
     phys = np.empty((4, n, n))

@@ -5,25 +5,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import _band_rows, _rhs_arrays, _sample_speed
 from .dynamics import _rhs_total_arrays  # noqa: F401  traced by name in bench/spans.py
-from .errors import NonFiniteState, StepTooSmall
-from .spectral import _content_rows, _leading, _transform_workspace
+from .errors import NonFiniteState, StepTooSmall, require, require_finite
+from .spectral import _content_rows, _leading, _transform_workspace, thread_cache
 from .symmetry import MHDState
 from .symmetry import ifft_samples, symmetry_defect  # noqa: F401  traced by name in bench/spans.py
 
 _LANDING_TOL = 1e-12
 
 
-@lru_cache(maxsize=8)
+@thread_cache(maxsize=8)
 def _propagator(grid, coupling: bool):
-    """Per-grid constants and room of ``_heat_factors``.  With a = |k|^2/2,
-    k2 from the Nyquist-zeroed ``ik2`` (0 without ``coupling``) and
+    """Constants and room of ``_heat_factors``, per grid and thread.  With
+    a = |k|^2/2, k2 from the Nyquist-zeroed ``ik2`` (0 without ``coupling``) and
     delta^2 = a^2 - k2^2: r = k2^2/(a + delta), 2 delta, h = r/delta and
     g = k2/delta where delta > 0 (0 elsewhere); the other modes as (row,
     column, a, k2, sqrt(-delta^2)); and real p11, p22, two scratch arrays,
@@ -45,14 +45,15 @@ def _propagator(grid, coupling: bool):
     return r, np.where(generic, 2.0 * delta, 0.0), r / delta, g, listed, room
 
 
-@lru_cache(maxsize=1)
+@thread_cache(maxsize=1)
 def _heat_factors(grid, t: float, coupling: bool = True):
     """exp(t L) per mode on the half spectrum, as (p11, p22, p12), from the
     formulas of README Numerics: it maps (u, b) to (p11 u + p12 b,
-    p12 u + p22 b) on both pairs.  Written into the room of ``_propagator``.
-    The cache keeps one entry and only a miss writes the room, so a hit
-    returns the buffers that the last miss wrote: they hold these factors
-    until a miss for that grid and ``coupling``.
+    p12 u + p22 b) on both pairs.  Written into the calling thread's room
+    of ``_propagator``.  The cache keeps one entry and only a miss writes
+    the room, so a hit returns the buffers that the last miss wrote: they
+    hold these factors until that thread's next miss for that grid and
+    ``coupling``.
     """
     r, two_delta, h, g, listed, (p11, p22, w, hw, p12, s12) = _propagator(grid, coupling)
     np.exp(np.multiply(r, -t, out=p11), out=p11)  # es
@@ -90,7 +91,8 @@ def _propagate(P, scratch: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Step-size control parameters."""
+    """Step-size control parameters; construction raises InvalidValue for a
+    field outside its rule."""
 
     t_end: float
     cfl: float = 0.4
@@ -98,17 +100,17 @@ class StepperConfig:
     dt_min: float = 1e-8
 
     def __post_init__(self):
-        for name in ("t_end", "cfl", "dt_max", "dt_min"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.cfl <= 1:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.dt_max <= 0 or self.dt_min <= 0:
-            raise ValueError("dt_max and dt_min must be positive")
-        if self.dt_min >= self.dt_max:
-            raise ValueError(f"dt_min {self.dt_min} must be < dt_max {self.dt_max}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        require_finite(t_end=self.t_end, cfl=self.cfl, dt_max=self.dt_max, dt_min=self.dt_min)
+        require(self.t_end >= 0, "t_end", self.t_end, "must be >= 0")
+        require(0 < self.cfl <= 1, "cfl", self.cfl, "must lie in (0, 1]")
+        dt_rule = "requires 0 < dt_min < dt_max"
+        require(0 < self.dt_min < self.dt_max, "dt_min", self.dt_min, dt_rule)
+
+
+def require_sample_every(sample_every: float) -> None:
+    """The rule on the spacing of the samples that ``run`` emits."""
+    require_finite(sample_every=sample_every)
+    require(sample_every > 0, "sample_every", sample_every, "must be > 0")
 
 
 def _cfl_limit(speed: float, grid, cfg: StepperConfig) -> float:
@@ -132,10 +134,11 @@ def step_rows(st: MHDState, nonlinear: bool = True) -> int:
     return _content_rows(st.x, _band_rows(st.grid) if nonlinear else 0)
 
 
-@lru_cache(maxsize=4)
+@thread_cache(maxsize=4)
 def _stage_storage(grid) -> np.ndarray:
-    """Flat room for two stacked half spectra, which ``step_ifrk4``
-    overwrites on every step with two contiguous stacks of its rows."""
+    """Flat room for two stacked half spectra, per grid and thread, which
+    ``step_ifrk4`` overwrites on every step with two contiguous stacks of
+    its rows."""
     return np.empty(2 * 4 * (grid.n // 2 + 1) * grid.n, dtype=np.complex128)
 
 
@@ -255,13 +258,13 @@ def run(
 
     ``sink(record, state)`` is invoked at the initial time, at every sample
     time and at t_end; it must not write into its states.  ``counts``, when
-    given, tallies each dt and what set it.  Raises NonFiniteState or
-    StepTooSmall with the last good t.
+    given, tallies each dt and what set it.  Raises InvalidValue for a bad
+    ``sample_every``, and NonFiniteState or StepTooSmall with the last
+    good t.
     """
     from .diagnostics import EnergyParams, instantaneous
 
-    if not (np.isfinite(sample_every) and sample_every > 0):
-        raise ValueError(f"sample_every must be positive and finite, got {sample_every}")
+    require_sample_every(sample_every)
     params = energy_params if energy_params is not None else EnergyParams(s=2)
     counts = counts if counts is not None else StepCounts()
 

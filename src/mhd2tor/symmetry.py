@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, NonFiniteState, require, require_finite
 from .spectral import (
     MEASURE,
     GridSpec,
@@ -26,6 +26,7 @@ from .spectral import (
     _transform_workspace,
     divergence_defect,
     half_sobolev_multiplier,
+    require_s,
     to_full,
     to_half,
 )
@@ -80,7 +81,9 @@ class InitialDataSpec:
     """Parameters of the seeded random small-data family.
 
     epsilon is the total norm budget ||u0||_{H^{2s+1}} + ||grad b0||_{H^{2s}},
-    split evenly between the two terms.
+    split evenly between the two terms.  Construction raises InvalidValue
+    for a field outside its rule; ``max_wavenumber`` is checked against a
+    grid by ``require_resolved``.
     """
 
     epsilon: float
@@ -90,12 +93,18 @@ class InitialDataSpec:
     max_wavenumber: int = 4
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.s < 2:
-            raise ValueError(f"s must be an integer >= 2, got {self.s}")
-        if self.spectrum_decay <= 0:
-            raise ValueError(f"spectrum_decay must be > 0, got {self.spectrum_decay}")
+        require_finite(epsilon=self.epsilon, spectrum_decay=self.spectrum_decay)
+        require_s(self.s)
+        require(self.seed >= 0, "seed", self.seed, "must be >= 0")
+        require(self.epsilon >= 0, "epsilon", self.epsilon, "must be >= 0")
+        require(self.spectrum_decay > 0, "spectrum_decay", self.spectrum_decay, "must be > 0")
+
+    def require_resolved(self, grid: GridSpec) -> None:
+        """InvalidValue unless 1 <= max_wavenumber <= the dealias cutoff of
+        ``grid``: the draw's modes must survive the 2/3 rule."""
+        kmax, cutoff = self.max_wavenumber, grid.dealias_cutoff
+        rule = f"must lie in [1, dealias cutoff {cutoff:.2f}]"
+        require(1 <= kmax <= cutoff, "max_wavenumber", kmax, rule)
 
 
 def _reflect_coeffs(coeffs: np.ndarray, parity, out: np.ndarray | None = None) -> np.ndarray:
@@ -222,15 +231,15 @@ def make_initial_data(spec: InitialDataSpec, grid: GridSpec) -> MHDState:
 
     Raises
     ------
+    InvalidValue
+        If ``spec.require_resolved(grid)`` fails.
     DegenerateSpectrum
         If the drawn fields are identically zero after projection on ten
         consecutive attempts.
+    NonFiniteState
+        If epsilon (near the largest float) scales the draw to inf.
     """
-    if spec.max_wavenumber > grid.dealias_cutoff:
-        raise ValueError(
-            f"max_wavenumber {spec.max_wavenumber} exceeds dealias cutoff "
-            f"{grid.dealias_cutoff:.3f} of n={grid.n}"
-        )
+    spec.require_resolved(grid)
     # squared-norm weights of u in H^{2s+1} and of grad b in H^{2s}
     half = grid.half
     w_u = half.weight * half_sobolev_multiplier(grid, 2 * spec.s + 1)
@@ -243,8 +252,10 @@ def make_initial_data(spec: InitialDataSpec, grid: GridSpec) -> MHDState:
         norm_gb = np.sqrt(MEASURE * np.sum(w_gb * (sq[2] + sq[3])))
         if norm_u == 0.0 or norm_gb == 0.0:
             continue
-        x[:2] *= 0.5 * spec.epsilon / norm_u
-        x[2:] *= 0.5 * spec.epsilon / norm_gb
+        scale = np.repeat(0.5 * spec.epsilon / np.array([norm_u, norm_gb]), 2)[:, None, None]
+        if not np.isfinite(scale).all():
+            raise NonFiniteState(f"epsilon {spec.epsilon!r} overflows the draw (seed {spec.seed})")
+        x *= scale
         return MHDState(grid, 0.0, x)
     raise DegenerateSpectrum(
         f"initial data collapsed to zero after projection (seed {spec.seed})"

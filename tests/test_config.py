@@ -1,7 +1,13 @@
+import math
+
 import pytest
 
 from mhd2tor.config import RunConfig, parse_config
+from mhd2tor.diagnostics import EnergyParams
 from mhd2tor.errors import InvalidValue, MissingRequired, UnknownKey
+from mhd2tor.spectral import MAX_S, GridSpec
+from mhd2tor.stepping import StepperConfig, run
+from mhd2tor.symmetry import InitialDataSpec, make_initial_data
 
 MINIMAL = """
 n = 32
@@ -95,3 +101,62 @@ def test_bool_words():
 def test_direct_construction_validates():
     with pytest.raises(InvalidValue):
         RunConfig(n=32, s=2, epsilon=-1.0, t_end=1.0)
+
+
+# One bad value for each side of every parameter rule, on top of BASE.
+# RunConfig rejects each; so does every type that owns the key, with the
+# same message (OWNERS).
+BASE = {"n": 16, "s": 2, "epsilon": 1e-2, "t_end": 1.0}
+BAD_VALUES = [
+    ("n", 7), ("n", 6),
+    ("s", 1), ("s", MAX_S + 1),
+    ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -1.0),
+    ("seed", -1),
+    ("spectrum_decay", math.nan), ("spectrum_decay", math.inf), ("spectrum_decay", 0.0),
+    ("max_wavenumber", 0), ("max_wavenumber", 6),  # the cutoff at n = 16 is 5.33
+    ("t_end", math.nan), ("t_end", -1.0),
+    ("cfl", 0.0), ("cfl", 1.5),
+    ("dt_max", math.inf), ("dt_max", 1e-9), ("dt_min", 0.0),
+    ("sample_every", math.nan), ("sample_every", 0.0),
+]
+
+
+def _spec(**changes):
+    return InitialDataSpec(**{"epsilon": BASE["epsilon"], "s": BASE["s"], "seed": 1, **changes})
+
+
+def _run_with_sample_every(value):
+    grid = GridSpec(BASE["n"])
+    run(make_initial_data(_spec(), grid), StepperConfig(t_end=0.0), value, lambda rec, st: None)
+
+
+OWNERS = {
+    "n": [GridSpec],
+    "s": [lambda v: _spec(s=v), EnergyParams],
+    "epsilon": [lambda v: _spec(epsilon=v)],
+    "seed": [lambda v: _spec(seed=v)],
+    "spectrum_decay": [lambda v: _spec(spectrum_decay=v)],
+    "max_wavenumber": [lambda v: make_initial_data(_spec(max_wavenumber=v), GridSpec(BASE["n"]))],
+    **{
+        key: [lambda v, key=key: StepperConfig(**{"t_end": BASE["t_end"], key: v})]
+        for key in ("t_end", "cfl", "dt_max", "dt_min")
+    },
+    "sample_every": [_run_with_sample_every],
+}
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES)
+def test_owner_rejects_what_run_config_rejects(key, value):
+    with pytest.raises(InvalidValue, match=key) as want:
+        RunConfig(**{**BASE, key: value})
+    for owner in OWNERS[key]:
+        with pytest.raises(InvalidValue) as got:
+            owner(value)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES)
+def test_parse_config_rejects_bad_value(key, value):
+    text = "".join(f"{k} = {v}\n" for k, v in {**BASE, key: value}.items())
+    with pytest.raises(InvalidValue, match=key):
+        parse_config(text)

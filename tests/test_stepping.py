@@ -488,3 +488,44 @@ def test_rows_past_content_stay_zero(n, extent, nonlinear, seed):
     assert not np.any(new.x[:, bound:].view(np.int64))
     assert step_rows(new, nonlinear) <= bound
     assert np.array_equal(st.x, x)
+
+
+def test_concurrent_runs_match_serial_runs():
+    """Runs on three threads at once give the bits of the same runs made
+    one after the other, states and records: every buffer of the run loop
+    (transform workspace, stage storage, propagator room and factor cache)
+    belongs to one thread."""
+    import threading
+
+    grid, cfg = GridSpec(64), StepperConfig(t_end=0.5)
+    starts = [
+        make_initial_data(InitialDataSpec(epsilon=0.5, s=2, seed=seed), grid) for seed in (1, 2, 3)
+    ]
+
+    def trajectory(st0):
+        records = []
+        final = run(st0, cfg, 0.1, lambda rec, st: records.append(rec))
+        return final.x.view(np.uint64), records
+
+    serial = [trajectory(st0) for st0 in starts]
+    results = [None] * len(starts)
+    barrier = threading.Barrier(len(starts))
+
+    def work(i):
+        barrier.wait()
+        results[i] = trajectory(starts[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(starts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, (x, records) in zip(results, serial):
+        assert got is not None
+        assert np.array_equal(got[0], x) and got[1] == records

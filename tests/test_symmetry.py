@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from mhd2tor.spectral import (
+    MAX_S,
     GridSpec,
     ScalarField,
     divergence_defect,
@@ -15,6 +16,7 @@ from mhd2tor.spectral import (
     sobolev_norm,
 )
 from mhd2tor.diagnostics import gradient_norm
+from mhd2tor.errors import NonFiniteState
 from mhd2tor.stepping import step_ifrk4
 from mhd2tor.symmetry import (
     _STACK_PARITY,
@@ -215,6 +217,38 @@ def test_spec_validation():
         InitialDataSpec(epsilon=1.0, s=1, seed=1)
     with pytest.raises(ValueError):
         InitialDataSpec(epsilon=1.0, s=2, seed=1, spectrum_decay=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=hst.sampled_from([16, 32, 64]),
+    s=hst.integers(2, MAX_S),
+    epsilon=hst.floats(0.0, allow_infinity=False),
+    decay=hst.floats(1e-3, 1e3),
+    seed=hst.integers(0, 2**63),
+    data=hst.data(),
+)
+def test_initial_data_is_finite_or_raises(n, s, epsilon, decay, seed, data):
+    """Over every valid spec, make_initial_data returns a finite state, or
+    raises NonFiniteState when epsilon near the largest float scales the
+    draw past it: it never returns NaN or inf."""
+    grid = GridSpec(n)
+    kmax = data.draw(hst.integers(1, int(grid.dealias_cutoff)))
+    spec = InitialDataSpec(epsilon, s, seed, spectrum_decay=decay, max_wavenumber=kmax)
+    try:
+        st = make_initial_data(spec, grid)
+    except NonFiniteState:
+        assert epsilon > 1e300
+    else:
+        assert np.isfinite(st.x).all()
+
+
+def test_initial_data_overflow_raises():
+    """At epsilon 1.7e308, seed 15 with one wavenumber shell draws a u norm
+    below 1/2, so the scale overflows (at the parent: an all-NaN state)."""
+    spec = InitialDataSpec(1.7e308, 2, 15, max_wavenumber=1)
+    with pytest.raises(NonFiniteState), np.errstate(over="ignore"):
+        make_initial_data(spec, GridSpec(16))
 
 
 def test_random_class_velocity_in_class(grid):

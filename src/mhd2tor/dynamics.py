@@ -6,7 +6,9 @@ with P the Leray projection:
 
 The products are formed in divergence form (README, Numerics), from
 A = (u1^2 - u2^2 - b1^2 + b2^2)/2, C = u1 u2 - b1 b2 and E = u1 b2 - u2 b1,
-which equals the advective form for divergence-free u and b.
+which equals the advective form for divergence-free u and b.  For a state
+in the reflection class the products come from two packed fields,
+h = u1 + u2 and g = b1 + b2, and their x2-mirrors (README, Numerics).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .spectral import (
     SpectralScalar,
     VectorField,
     _coeff_arrays,
+    _content_rows,
     _forward_into,
     _inverse_into,
     _inverse_rows,
@@ -37,7 +40,7 @@ from .spectral import (
     to_half,
 )
 from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in bench/spans.py
-from .symmetry import MHDState
+from .symmetry import MHDState, _in_class, _reflect_coeffs
 
 
 def _band_rows(grid: GridSpec) -> int:
@@ -66,31 +69,82 @@ def _multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return M, mask * np.stack([d2, -d1])
 
 
-def _max_speed(phys: np.ndarray, work: np.ndarray) -> float:
-    """Max over the grid of |u| + |b| from the samples (u1, u2, b1, b2);
-    ``work`` holds three n x n arrays of scratch.  The one speed formula of
-    the CFL bound."""
-    U1, U2, B1, B2 = phys
+_SPLIT: dict = {}
+
+
+def _split_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multipliers of the packed kernel, built from ``_multipliers``:
+    (M[:, 0] + M[:, 1])/2 and (M[:, 0] - M[:, 1])/2, which act on F(k2) and
+    F(-k2) of F = (A + C)^, and curl/2, which acts on E'(k2) + E'(-k2).
+    Kept per grid while ``_multipliers`` returns the same arrays."""
+    M, curl = _multipliers(grid)
+    hit = _SPLIT.get(grid)
+    if hit is None or hit[0] is not M or hit[1] is not curl:
+        plus, minus = 0.5 * (M[:, 0] + M[:, 1]), 0.5 * (M[:, 0] - M[:, 1])
+        hit = _SPLIT[grid] = (M, curl, plus, minus, 0.5 * curl)
+    return hit[2:]
+
+
+def _max_speed(u_pair, b_pair, work: np.ndarray, mean: bool = False) -> float:
+    """Max over the grid of |u| + |b|, with |u|^2 = p^2 + q^2 for the sample
+    arrays (p, q) = ``u_pair``, or their mean (p^2 + q^2)/2 with ``mean``,
+    and |b|^2 likewise from ``b_pair``; ``work`` holds three arrays of their
+    shape.  The one speed formula of the CFL bound: the pairs are (u1, u2)
+    and (b2, b1), or a packed field and its mirror, (h, Rh) and (g, Rg)."""
     u, b, t = work
-    np.square(U1, out=u)
-    u += np.square(U2, out=t)
+    for (p, q), sq in ((u_pair, u), (b_pair, b)):
+        np.square(p, out=sq)
+        sq += np.square(q, out=t)
+        if mean:
+            sq *= 0.5
     np.sqrt(u, out=u)
-    np.square(B2, out=b)
-    b += np.square(B1, out=t)
-    np.sqrt(b, out=b)
-    u += b
+    u += np.sqrt(b, out=b)
     return float(u.max())
+
+
+def _pack(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The packed spectra (u1 + u2, b1 + b2) of the stacked half spectra
+    ``x`` (4, m, n), written into ``out`` (2, m, n), which may be ``x[:2]``."""
+    np.add(x[0], x[1], out=out[0])
+    np.add(x[2], x[3], out=out[1])
+    return out
+
+
+def _packed_samples(grid: GridSpec, hg: np.ndarray):
+    """Samples of the packed spectra ``hg`` (2, m, n) in the shared
+    workspace, as the pairs (h, Rh) and (g, Rg) on the rows j = 0..n/2 of
+    ``Workspace.phys`` (x2 index j), whose mirrors are the rows n - j; and
+    six free arrays of their shape."""
+    ws, top = _transform_workspace(grid), grid.n // 2 + 1
+    _inverse_into(hg, ws.spec_t[:2], ws.phys_t[:2])
+    h, g = ws.phys[:2]
+    hR, gR, *work = _spec_as_real(grid, (8, top, grid.n))
+    for f, fR in ((h, hR), (g, gR)):
+        fR[0] = f[0]
+        fR[1:] = f[: top - 2 : -1]
+    return (h[:top], hR), (g[:top], gR), work
 
 
 def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
     """``_max_speed`` of the samples of the stacked half spectra ``x`` as
-    stored (not dealiased), from one inverse transform in the shared
-    workspace."""
-    return _max_speed(_inverse_rows(grid, x), _spec_as_real(grid, (3, grid.n, grid.n)))
+    stored (not dealiased), from one inverse transform of their content
+    rows in the shared workspace: of the two packed fields for a state in
+    the class, as in the right-hand side."""
+    x = x[:, : _content_rows(x)]
+    if _in_class(grid, x):
+        hg = _phys_as_complex(grid, (2,) + x.shape[1:])
+        h_pair, g_pair, work = _packed_samples(grid, _pack(x, hg))
+        return _max_speed(h_pair, g_pair, work[:3], mean=True)
+    U1, U2, B1, B2 = _inverse_rows(grid, x)
+    return _max_speed((U1, U2), (B2, B1), _spec_as_real(grid, (3, grid.n, grid.n)))
 
 
 def _rhs_arrays(
-    grid: GridSpec, x: np.ndarray, out: np.ndarray | None = None, speed: bool = False
+    grid: GridSpec,
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    speed: bool = False,
+    packed: bool | None = None,
 ) -> np.ndarray | float:
     """The dealiased products P(-(d1 A + d2 C), d2 A - d1 C), (d2 E, -d1 E)
     of the half spectra ``x`` of divergence-free (u1, u2, b1, b2), or of
@@ -99,10 +153,23 @@ def _rhs_arrays(
     of ``x`` and returned; the rows past the band are zero.  ``out`` may be
     ``x``: it holds the dealiased input until the inverse transform has
     read it.  With ``speed``, returns instead the max speed |u| + |b|
-    of the dealiased samples.  Uses the shared transform workspace.
+    of the dealiased samples.  ``packed`` says whether ``x`` is in the
+    class (``_in_class`` decides when None): then the packed kernel runs,
+    with 2 + 2 field transforms, else the general one, with 4 + 3.  Uses
+    the shared transform workspace.
     """
     if out is None:
         out = np.empty_like(x)
+    if packed is None:
+        packed = _in_class(grid, x)
+    vmax = (_packed_products if packed else _products)(grid, x, out, speed)
+    out[:, _band_rows(grid) :] = 0.0
+    return vmax if speed else out
+
+
+def _products(grid: GridSpec, x: np.ndarray, out: np.ndarray, speed: bool) -> float | None:
+    """``_rhs_arrays`` on the band rows of ``out`` by the general kernel:
+    A, C and E from the samples of u1, u2, b1 and b2."""
     r = _band_rows(grid)
     M, curl = _multipliers(grid)
     ws = _transform_workspace(grid)
@@ -111,10 +178,10 @@ def _rhs_arrays(
     # spec is free until the forward transform: scratch for the speed and
     # for the products
     work = _spec_as_real(grid, (3, grid.n, grid.n))
-    vmax = _max_speed(ws.phys, work) if speed else None
+    U1, U2, B1, B2 = ws.phys
+    vmax = _max_speed((U1, U2), (B2, B1), work) if speed else None
     # A, C, E replace U1, U2, B1 in phys; each sample is read before it is
     # overwritten
-    U1, U2, B1, B2 = ws.phys
     u2b1, u2sq, b1sq = work
     np.multiply(U2, B1, out=u2b1)
     np.square(U2, out=u2sq)
@@ -136,8 +203,54 @@ def _rhs_arrays(
         np.multiply(M[i, 0], A_hat, out=out[i, :r])
         out[i, :r] += np.multiply(M[i, 1], C_hat, out=t)
     np.multiply(curl, E_hat, out=out[2:, :r])
-    out[:, r:] = 0.0
-    return vmax if speed else out
+    return vmax
+
+
+def _packed_products(
+    grid: GridSpec, x: np.ndarray, out: np.ndarray, speed: bool
+) -> float | None:
+    """``_rhs_arrays`` on the band rows of ``out`` by the packed kernel, for
+    ``x`` in the class.  With h = u1 + u2, g = b1 + b2 and their mirrors
+    Rh = u1 - u2, Rg = b2 - b1: A = (h Rh + g Rg)/2 is even, C, the odd part
+    of (h - g)(h + g)/2, is odd, and E is the even part of h Rg.  So the
+    forward transform F of A + C and E' of h Rg give A^ = (F(k2) + F(-k2))/2,
+    C^ = (F(k2) - F(-k2))/2 and E^ = (E'(k2) + E'(-k2))/2, folded into
+    ``_split_multipliers``.  Every tendency has the class's parity exactly,
+    whatever the roundoff of the transforms."""
+    r, n, top = _band_rows(grid), grid.n, grid.n // 2 + 1
+    ws = _transform_workspace(grid)
+    hg = _pack(x[:, :r], out[:2, :r])
+    hg *= grid.half.dealias_mask[:r]
+    (h, hR), (g, gR), work = _packed_samples(grid, hg)
+    vmax = _max_speed((h, hR), (g, gR), work[:3], mean=True) if speed else None
+    # rows j <= n/2 of A + C and h Rg, and the mirror rows n - j, into
+    # phys[2:]; phys[:2] still holds h and g
+    s, e = ws.phys[2:]
+    a, t, p, q = work[:4]
+    np.multiply(h, hR, out=a)
+    a += np.multiply(g, gR, out=t)
+    a *= 0.5  # A
+    np.subtract(h, g, out=p)
+    p *= np.add(h, g, out=t)
+    np.subtract(hR, gR, out=q)
+    q *= np.add(hR, gR, out=t)
+    p -= q
+    p *= 0.25  # C
+    np.add(a, p, out=s[:top])
+    np.subtract(a[1:-1], p[1:-1], out=s[: top - 1 : -1])
+    np.multiply(h, gR, out=e[:top])
+    np.multiply(hR[1:-1], g[1:-1], out=e[: top - 1 : -1])
+    F, E = _forward_into(ws.phys_t[2:], ws.spec_t[:2], _phys_as_complex(grid, (2, r, n)))
+    plus, minus, half_curl = _split_multipliers(grid)
+    mirror, t = _leading(ws.spec, (2, r, n))
+    _reflect_coeffs(F, None, out=mirror)
+    for i in (0, 1):
+        np.multiply(plus[i], F, out=out[i, :r])
+        out[i, :r] += np.multiply(minus[i], mirror, out=t)
+    _reflect_coeffs(E, None, out=mirror)
+    mirror += E
+    np.multiply(half_curl, mirror, out=out[2:, :r])
+    return vmax
 
 
 def _rhs_total_arrays(grid: GridSpec, x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from .dynamics import _band_rows, _rhs_arrays, _sample_speed
 from .dynamics import _rhs_total_arrays  # noqa: F401  traced by name in bench/spans.py
 from .errors import NonFiniteState, StepTooSmall, require, require_finite
 from .spectral import _content_rows, _leading, _transform_workspace, thread_cache
-from .symmetry import MHDState
+from .symmetry import MHDState, _in_class
 from .symmetry import ifft_samples, symmetry_defect  # noqa: F401  traced by name in bench/spans.py
 
 _LANDING_TOL = 1e-12
@@ -159,8 +159,11 @@ def step_ifrk4(
     |u| + |b| of the stage-1 samples, or 0.0 on a linear step, to the
     step size; a linear step makes no transform.  Raises ValueError for
     dt <= 0 and NonFiniteState for a non-finite result; an error leaves
-    ``st`` as it was.  The stages run in the per-grid ``_stage_storage``,
-    the new state's array and the shared transform workspace.
+    ``st`` as it was.  A nonlinear step from a state in the class
+    (``_in_class``) runs every stage on the packed kernel, and its result
+    is in the class too.  The stages run in the per-grid
+    ``_stage_storage``, the new state's array and the shared transform
+    workspace.
     """
     grid, x = st.grid, st.x
     m = step_rows(st, nonlinear) if rows is None else rows
@@ -168,10 +171,12 @@ def step_ifrk4(
     x_new = np.empty_like(x)
     x = x[:, :m]
     acc, k = _leading(_stage_storage(grid), (2,) + shape)
+    # every stage input of a step from a class state is in the class exactly
+    rhs = partial(_rhs_arrays, grid, packed=nonlinear and _in_class(grid, x))
     if callable(dt):
-        dt = dt(_rhs_arrays(grid, x, out=acc, speed=True) if nonlinear else 0.0)
+        dt = dt(rhs(x, out=acc, speed=True) if nonlinear else 0.0)
     elif nonlinear:
-        _rhs_arrays(grid, x, out=acc)
+        rhs(x, out=acc)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     P = [f[:m] for f in _heat_factors(grid, 0.5 * dt if nonlinear else dt, coupling)]
@@ -187,20 +192,20 @@ def step_ifrk4(
         apply(y, y)
         acc *= dt / 6.0
         acc += x
-        _rhs_arrays(grid, y, out=k)
+        rhs(y, out=k)
         # acc = P acc + dt/3 k2; y = P x; k = y3 = P x + dt/2 k2
         apply(acc, acc)
         acc += np.multiply(k, dt / 3.0, out=tmp)
         apply(x, y)
         k *= 0.5 * dt
         k += y
-        _rhs_arrays(grid, k, out=k)
+        rhs(k, out=k)
         # acc += dt/3 k3; k = y4 = P(P x + dt k3)
         acc += np.multiply(k, dt / 3.0, out=tmp)
         k *= dt
         k += y
         apply(k, k)
-        _rhs_arrays(grid, k, out=k)
+        rhs(k, out=k)
         # x_new = P acc + dt/6 k4
         apply(acc, acc)
         np.multiply(k, dt / 6.0, out=x_new[:, :m])

@@ -21,6 +21,7 @@ from .spectral import (
     VectorField,
     _content_rows,
     _inverse_into,
+    _leading,
     _phys_as_complex,
     _project_in_place,
     _transform_workspace,
@@ -37,6 +38,26 @@ from .spectral import ifft_samples  # noqa: F401  traced by name in bench/spans.
 PARITY = {"u1": +1, "u2": -1, "b1": -1, "b2": +1}
 # the same signs for a stack (u1, u2, b1, b2) of spectra, broadcasting
 _STACK_PARITY = np.array([PARITY[c] for c in ("u1", "u2", "b1", "b2")], dtype=float)[:, None, None]
+
+
+def _in_class(grid: GridSpec, x: np.ndarray) -> bool:
+    """Whether the stacked half spectra ``x`` (4, m, n), or their leading
+    rows, are in the class by value: column -k2 of each field equals its
+    parity times column k2.  A -0.0 counts as zero; a NaN or inf counts as
+    out of class.  Copies the columns k2 = 0..n/2 and their mirrors into
+    the shared transform workspace and compares them there, allocating
+    nothing."""
+    m, n = x.shape[1:]
+    h = n // 2
+    cols = _phys_as_complex(grid, (4, m, h + 1))
+    mirror = _leading(_transform_workspace(grid).spec, (4, m, h + 1))
+    cols[:] = x[..., : h + 1]
+    mirror[..., 0] = x[..., 0]
+    mirror[..., 1:] = x[..., : h - 1 : -1]  # column j takes column n - j
+    with np.errstate(invalid="ignore", over="ignore"):
+        for c, r, parity in zip(cols, mirror, _STACK_PARITY.flat):
+            (np.subtract if parity > 0 else np.add)(c, r, out=c)
+    return not cols.any()
 
 
 @dataclass
@@ -111,14 +132,16 @@ def _reflect_coeffs(coeffs: np.ndarray, parity, out: np.ndarray | None = None) -
     """Coefficients of f(x1, -x2), times the parity sign (exact permutation).
 
     Permutes k2 -> -k2 on the last axis, so it applies unchanged to full
-    spectra, to half spectra and to stacks of either; ``parity`` broadcasts.
-    Written into ``out`` (not ``coeffs`` itself) when given.
+    spectra, to half spectra and to stacks of either; ``parity`` broadcasts,
+    and None leaves the sign out.  Written into ``out`` (not ``coeffs``
+    itself) when given.
     """
     if out is None:
         out = np.empty_like(coeffs)
     out[..., 0] = coeffs[..., 0]
     out[..., 1:] = coeffs[..., :0:-1]  # column j takes column n - j
-    out *= parity
+    if parity is not None:
+        out *= parity
     return out
 
 
@@ -136,29 +159,27 @@ def symmetry_defect(st: MHDState, rows: int | None = None) -> float:
     """Relative sup-norm of the anti-class part, max over the four components.
 
     Works on the content rows of ``st``, or on ``rows`` when the caller has
-    found them, in the shared transform workspace.  A state exactly in the
-    class (every anti coefficient +-0.0) reads 0.0 with no transform; NaN or
-    inf in the state leaves a nonzero anti part.
+    found them, in the shared transform workspace.  A state in the class by
+    value (``_in_class``) reads 0.0 with no transform: its anti part could
+    only sample to +-0.0.  NaN or inf in the state leaves a nonzero anti part.
     """
     grid = st.grid
     m = _content_rows(st.x) if rows is None else rows
     x = st.x[:, :m]
+    if _in_class(grid, x):
+        return 0.0
     ws = _transform_workspace(grid)
     # two fields at a time: four with content on all rows would not fit
     anti = _phys_as_complex(grid, (2, m, grid.n))
     phys = ws.phys
-    defect, transformed = 0.0, False
+    defect = 0.0
     for i in (0, 2):
         pair = x[i : i + 2]
         _reflect_coeffs(pair, _STACK_PARITY[i : i + 2], out=anti)
         np.subtract(pair, anti, out=anti)
         anti *= 0.5
-        if anti[:, 0].any() or anti.any():  # an out-of-class state shows in row 0
-            _inverse_into(anti, ws.spec_t[:2], ws.phys_t[:2])
-            defect = max(defect, float(phys[:2].max()), -float(phys[:2].min()))
-            transformed = True
-    if not transformed:
-        return 0.0
+        _inverse_into(anti, ws.spec_t[:2], ws.phys_t[:2])
+        defect = max(defect, float(phys[:2].max()), -float(phys[:2].min()))
     _inverse_into(x, ws.spec_t, ws.phys_t)
     scale = max(float(phys.max()), -float(phys.min()))
     return 0.0 if scale == 0.0 else defect / scale

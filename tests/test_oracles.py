@@ -265,3 +265,52 @@ def test_rhs_matches_direct_advective_products(seed, n, epsilon):
     # order 1, so their roundoff is absolute: about 1e-16 per unit wavenumber
     total = _with_direct_diffusion(st, _direct_tendency(st, True))
     _assert_matches_direct(st, rhs_total(st), total, atol=1e-15, min_scale=min_scale)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=hst.integers(0, 2**31 - 1),
+    n=hst.sampled_from([16, 24, 32, 64]),
+    epsilon=hst.floats(1e-3, 2.0),
+)
+def test_packed_kernel_matches_general_kernel(seed, n, epsilon):
+    """On states in the class, the packed kernel (2 + 2 field transforms)
+    and the general one (4 + 3) agree within 1e-13 of the largest product
+    coefficient, and the packed tendency is in the class exactly; where the
+    direct DFT runs (n <= 32), both match it."""
+    from mhd2tor.dynamics import _rhs_arrays
+    from mhd2tor.symmetry import _in_class
+
+    st = make_initial_data(InitialDataSpec(epsilon=epsilon, s=2, seed=seed), GridSpec(n))
+    assert _in_class(st.grid, st.x)
+    packed = _rhs_arrays(st.grid, st.x, packed=True)
+    general = _rhs_arrays(st.grid, st.x, packed=False)
+    scale = np.max(np.abs(general))
+    assert scale > 1e-8 * epsilon**2
+    assert np.max(np.abs(packed - general)) <= 1e-13 * scale
+    assert _in_class(st.grid, packed)
+    if n <= 32:
+        products = _direct_tendency(st, False)
+        for dx in (packed, general):
+            _assert_matches_direct(st, dx, products, min_scale=1e-8 * epsilon**2)
+
+
+def test_swapped_split_fails_the_oracle(monkeypatch):
+    """Negative control of the packed kernel: with the signs of the parity
+    split swapped, (M[:, 0] - M[:, 1])/2 on F(k2) and (M[:, 0] + M[:, 1])/2
+    on F(-k2), C enters with the wrong sign and the tendency no longer
+    matches the direct DFT."""
+    import mhd2tor.dynamics as dynamics
+
+    st = make_initial_data(InitialDataSpec(epsilon=2.0, s=2, seed=8), GridSpec(16))
+    products = _direct_tendency(st, False)
+    _assert_matches_direct(st, dynamics._rhs_arrays(st.grid, st.x, packed=True), products)
+    split = dynamics._split_multipliers
+
+    def swapped(grid):
+        plus, minus, half_curl = split(grid)
+        return minus, plus, half_curl
+
+    monkeypatch.setattr(dynamics, "_split_multipliers", swapped)
+    with pytest.raises(AssertionError):
+        _assert_matches_direct(st, dynamics._rhs_arrays(st.grid, st.x, packed=True), products)

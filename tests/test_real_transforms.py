@@ -5,7 +5,8 @@ raise, a run, a resume, the public transforms, the pressure and the
 verification sweeps still work.  The pair equals scipy.fft.irfft2/rfft2 bit
 for bit and writes into caller-owned buffers, so the run loop and a
 checkpoint write make no page faults; the right-hand side, the step and a
-run use the number of transforms that the divergence form needs."""
+run use the number of transforms that the divergence form needs, packed
+for states in the symmetry class."""
 
 import os
 import resource
@@ -119,23 +120,36 @@ def field_counts(monkeypatch):
 
 
 def test_transform_count(field_counts):
-    """One rhs: 4 inverse fields (u1, u2, b1, b2) and 3 forward (A, C, E);
-    one Lawson RK4 step: four of each; one step of a nonlinear run: the same,
-    since its CFL speed comes from the stage-1 samples; one step of a linear
-    run: none, since it has no CFL limit.  A
-    sample of a state exactly in the symmetry class (the initial data, and
-    every state of a linear run) makes none; one after a nonlinear step,
-    where roundoff leaves an anti part in both pairs, makes 4 for the scale
-    and 2 per pair."""
+    """One rhs of a state in the class: 2 inverse fields (h = u1 + u2 and
+    g = b1 + b2) and 2 forward (A + C and h Rg); one Lawson RK4 step from
+    it: four of each, since every stage stays in the class.  A state with
+    one anti coefficient takes the general kernel: 4 inverse (u1, u2, b1,
+    b2) and 3 forward (A, C, E) per rhs.  One step of a nonlinear run: the
+    same as a step, since its CFL speed comes from the stage-1 samples; one
+    step of a linear run: none, since it has no CFL limit.  A sample of a
+    state in the class (the initial data, and every state of a fresh run,
+    linear or not) makes none; one of a state with an anti part makes 4
+    for the scale and 2 per pair."""
     grid = GridSpec(16)
     st = make_initial_data(InitialDataSpec(epsilon=0.1, s=2, seed=3), grid)
     _rhs_arrays(grid, st.x)
-    assert field_counts == {"irfft": 4, "rfft": 3}
+    assert field_counts == {"irfft": 2, "rfft": 2}
     field_counts.update(irfft=0, rfft=0)
     stepped = step_ifrk4(st, 1e-2)
+    assert field_counts == {"irfft": 8, "rfft": 8}
+
+    x = st.x.copy()
+    assert x[2, 5, 3] == 0.0  # row k1 = 5 lies in the band, above the draw
+    x[2, 5, 3] = 1e-30
+    anti = MHDState(grid, 0.0, x)
+    field_counts.update(irfft=0, rfft=0)
+    _rhs_arrays(grid, anti.x)
+    assert field_counts == {"irfft": 4, "rfft": 3}
+    field_counts.update(irfft=0, rfft=0)
+    step_ifrk4(anti, 1e-2)
     assert field_counts == {"irfft": 16, "rfft": 12}
 
-    for state, per_sample in ((st, 0), (stepped, 8)):
+    for state, per_sample in ((st, 0), (stepped, 0), (anti, 8)):
         field_counts.update(irfft=0, rfft=0)
         instantaneous(state, EnergyParams(2))
         assert field_counts == {"irfft": per_sample, "rfft": 0}  # symmetry_defect
@@ -143,7 +157,7 @@ def test_transform_count(field_counts):
     counts = StepCounts()
     run(st, StepperConfig(t_end=0.05, dt_max=1e-2), 0.05, lambda rec, s: None, counts=counts)
     assert counts.steps == counts.dt_max + counts.landing == 5
-    assert field_counts == {"irfft": 16 * 5 + 0 + 8, "rfft": 12 * 5}
+    assert field_counts == {"irfft": 8 * 5 + 0 + 0, "rfft": 8 * 5}
 
     field_counts.update(irfft=0, rfft=0)
     counts = StepCounts()
@@ -230,23 +244,46 @@ def test_step_makes_no_page_faults(n):
     assert (_minor_faults() - before) / 4 < 50
 
 
+_SAMPLED_RUN = """
+import resource
+from mhd2tor.diagnostics import EnergyParams
+from mhd2tor.spectral import GridSpec
+from mhd2tor.stepping import StepCounts, StepperConfig, run
+from mhd2tor.symmetry import InitialDataSpec, make_initial_data
+
+st = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), GridSpec(256))
+faults = []
+
+def sink(rec, state):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+counts = StepCounts()
+run(st, StepperConfig(t_end=0.035), 5e-3, sink, energy_params=EnergyParams(2), counts=counts)
+assert counts.steps == counts.landing == 7 == len(faults) - 1
+print((faults[7] - faults[3]) / 4)
+"""
+
+
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports this package."""
+    src = str(Path(mhd2tor.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_sampled_run_makes_no_page_faults():
     """A nonlinear run at n=256 that samples every step: its CFL step (about
     8e-3) overshoots every sample time 5e-3 apart, so each step lands on one.
     One run of seven such steps: the first three, with their samples, warm
     up, and the last four are measured, so the warm-up covers the same
     landings and samples as the measured window, and no run ends between
-    them to free its states."""
-    st = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), GridSpec(256))
-    faults = []
-
-    def sink(rec, state):
-        faults.append(_minor_faults())
-
-    counts = StepCounts()
-    run(st, StepperConfig(t_end=0.035), 5e-3, sink, energy_params=EnergyParams(2), counts=counts)
-    assert counts.steps == counts.landing == 7 == len(faults) - 1
-    assert (faults[7] - faults[3]) / 4 < 50
+    them to free its states.  It runs in a fresh interpreter: whether malloc
+    hands a freed state's block back depends on the heap, and in this one
+    it is what earlier tests left."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SAMPLED_RUN], env=_src_env(), capture_output=True, text=True,
+        check=True,
+    )
+    assert float(proc.stdout) < 50
 
 
 def test_checkpoint_write_makes_no_page_faults(tmp_path):
@@ -339,10 +376,8 @@ def test_run_loop_allocates_only_the_new_state(monkeypatch, tmp_path, case):
 
 
 def test_import_leaves_scipy_out():
-    src = str(Path(mhd2tor.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, mhd2tor.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"

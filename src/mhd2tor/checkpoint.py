@@ -12,6 +12,16 @@ Physical samples on the grid anchored at -pi (the state's samples on the
 grid anchored at 0, rolled by n/2 points) are the canonical on-disk
 representation; writing and re-reading a state reproduces its samples
 bit-exactly and its spectral coefficients to roundoff.
+
+A state in the reflection class keeps the class through the round trip,
+exactly.  Its samples come from the packed fields h = u1 + u2 and
+g = b1 + b2 alone, as (h + Rh)/2, (h - Rh)/2, (g - Rg)/2 and (g + Rg)/2,
+with R the x2-mirror, the permutation j -> n - j on either grid; so the
+written samples are even and odd bit for bit.  A read that finds its
+samples even and odd bit for bit transforms the packed fields and splits
+their spectra by k2 parity the same way, which leaves the state in the
+class bit for bit.  Samples off the class by one bit take the four-field
+transforms both ways, so the anti part is kept, not projected away.
 """
 
 from __future__ import annotations
@@ -22,18 +32,21 @@ import struct
 
 import numpy as np
 
+from .dynamics import _pack
 from .errors import CorruptCheckpoint, GridMismatch
 from .spectral import (
     MAX_S,
     GridSpec,
-    _inverse_rows,
+    _content_rows,
+    _inverse_into,
+    _phys_as_complex,
     _spec_as_real,
+    _transform_workspace,
     half_coeffs,
-    half_samples,
     roll_anchor,
 )
 from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in bench/spans.py
-from .symmetry import MHDState
+from .symmetry import _STACK_PARITY, MHDState, _in_class, _reflect_coeffs
 
 MAGIC = b"MHD2TOR1"
 _HEADER = struct.Struct("<8sIId")
@@ -41,24 +54,55 @@ _MAX_N = 16384
 
 
 def physical_arrays(st: MHDState) -> np.ndarray:
-    """Row-major physical samples (u1, u2, b1, b2) of a state, shape (4, n, n)."""
-    return roll_anchor(half_samples(st.grid, st.x))
+    """Row-major physical samples (u1, u2, b1, b2) of a state, shape (4, n, n):
+    the bytes ``write_checkpoint`` writes."""
+    return _workspace_samples(st).copy()
+
+
+def _roll_into(phys: np.ndarray, rolled: np.ndarray) -> np.ndarray:
+    """The samples ``phys`` (..., n, n), stored transposed
+    (``Workspace.phys``), rolled by n/2 points into the row-major
+    ``rolled``, as four block copies of their transposes."""
+    h = phys.shape[-1] // 2
+    phys = phys.swapaxes(-2, -1)
+    rolled[..., :h, :h] = phys[..., h:, h:]
+    rolled[..., :h, h:] = phys[..., h:, :h]
+    rolled[..., h:, :h] = phys[..., :h, h:]
+    rolled[..., h:, h:] = phys[..., :h, :h]
+    return rolled
+
+
+def _unpack(hg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The stack (u1, u2, b1, b2) of a class state from its packed fields
+    ``hg`` (h, g), samples or spectra (2, ..., n), written into ``out``
+    (4, ..., n) and returned: (f + Rf)/2 into the even slot of f (u1, b2)
+    and (f - Rf)/2 into its odd slot (u2, b1), with Rf, the permutation
+    j -> n - j of the last axis, formed in the odd slot first.  So each
+    field has its parity bit for bit."""
+    for f, even, odd in zip(hg, out[::3], out[1:3]):
+        _reflect_coeffs(f, None, out=odd)
+        np.add(f, odd, out=even)
+        np.subtract(f, odd, out=odd)
+    out *= 0.5
+    return out
 
 
 def _workspace_samples(st: MHDState) -> np.ndarray:
-    """``physical_arrays(st)`` formed in the shared transform workspace, valid
-    until its next use: the samples, which the workspace stores transposed,
-    then the roll by n/2 points as four block copies of their transposes
-    into the complex stack viewed as real arrays.  The inverse transform
-    runs on the rows of ``st`` that hold content."""
-    n, h = st.grid.n, st.grid.n // 2
-    phys = _inverse_rows(st.grid, st.x).transpose(0, 2, 1)
-    rolled = _spec_as_real(st.grid, (4, n, n))
-    rolled[:, :h, :h] = phys[:, h:, h:]
-    rolled[:, :h, h:] = phys[:, h:, :h]
-    rolled[:, h:, :h] = phys[:, :h, h:]
-    rolled[:, h:, h:] = phys[:, :h, :h]
-    return rolled
+    """``physical_arrays(st)`` formed in the shared transform workspace, in
+    its complex stack viewed as real arrays, valid until its next use.  The
+    inverse transform runs on the rows of ``st`` that hold content, of the
+    four fields, or for a state in the class of h and g alone, whose rolled
+    samples wait in the second half of the real stack for ``_unpack``."""
+    grid = st.grid
+    ws = _transform_workspace(grid)
+    x = st.x[:, : _content_rows(st.x)]
+    rolled = _spec_as_real(grid, (4, grid.n, grid.n))
+    if not _in_class(grid, x):
+        _inverse_into(x, ws.spec_t, ws.phys_t)
+        return _roll_into(ws.phys, rolled)
+    hg = _pack(x, _phys_as_complex(grid, (2,) + x.shape[1:]))
+    _inverse_into(hg, ws.spec_t[:2], ws.phys_t[:2])
+    return _unpack(_roll_into(ws.phys[:2], ws.phys[2:]), rolled)
 
 
 def write_checkpoint(st: MHDState, path: str | os.PathLike, s: int) -> None:
@@ -108,24 +152,24 @@ def read_checkpoint(
         raise GridMismatch(f"checkpoint has n={n}, expected n={grid.n}")
     grid = grid if grid is not None else GridSpec(n)
     nbytes = 8 * n * n
-    arrays = []
+    raw = np.empty((4, n, n), dtype="<f8")
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
-        for i in range(4):
+        for i, arr in enumerate(raw):
             offset = _HEADER.size + i * nbytes
-            raw = fh.read(nbytes)
-            if len(raw) < nbytes:
-                raise CorruptCheckpoint(
-                    f"truncated array {i + 1} of 4", offset=offset + len(raw)
-                )
-            arr = np.frombuffer(raw, dtype="<f8").reshape(n, n)
+            got = fh.readinto(arr)
+            if got < nbytes:
+                raise CorruptCheckpoint(f"truncated array {i + 1} of 4", offset=offset + got)
             if not np.all(np.isfinite(arr)):
                 raise CorruptCheckpoint(
                     f"non-finite samples in array {i + 1} of 4", offset=offset
                 )
-            arrays.append(arr)
         if fh.read(1):
             raise CorruptCheckpoint(
                 "trailing bytes after final array", offset=_HEADER.size + 4 * nbytes
             )
-    return MHDState(grid, t, half_coeffs(grid, roll_anchor(np.stack(arrays))))
+    if not np.array_equal(_reflect_coeffs(raw, _STACK_PARITY), raw):
+        return MHDState(grid, t, half_coeffs(grid, roll_anchor(raw)))
+    # even and odd bit for bit: split the spectra of h and g by k2 parity
+    hg = half_coeffs(grid, roll_anchor(_pack(raw, raw[:2])))
+    return MHDState(grid, t, _unpack(hg, np.empty((4,) + hg.shape[1:], dtype=np.complex128)))

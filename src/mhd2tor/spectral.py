@@ -321,8 +321,9 @@ def _transform_workspace(grid: GridSpec) -> Workspace:
     """The ``Workspace`` of the grid and the calling thread, used by the
     right-hand side, ``cfl_dt``, the class test, ``symmetry_defect``, the
     squares and the divergence scratch of ``instantaneous`` and the samples
-    of ``write_checkpoint``.  Not reentrant: a caller owns its contents only
-    until its next call into one of those on its thread."""
+    of ``write_checkpoint`` and ``physical_arrays``.  Not reentrant: a
+    caller owns its contents only until its next call into one of those on
+    its thread."""
     n = grid.n
     spec = np.empty((4, n, n // 2 + 1), dtype=np.complex128)
     phys = np.empty((4, n, n))

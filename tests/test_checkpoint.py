@@ -1,7 +1,11 @@
 import builtins
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from mhd2tor import checkpoint
 from mhd2tor.checkpoint import (
@@ -11,9 +15,19 @@ from mhd2tor.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
+from mhd2tor.dynamics import _rhs_arrays
 from mhd2tor.errors import CorruptCheckpoint, GridMismatch
-from mhd2tor.spectral import GridSpec, ScalarField, forward_transform
-from mhd2tor.symmetry import InitialDataSpec, make_initial_data, state_from_arrays
+from mhd2tor.spectral import GridSpec, ScalarField, forward_transform, half_samples, roll_anchor
+from mhd2tor.stepping import step_ifrk4
+from mhd2tor.symmetry import (
+    _STACK_PARITY,
+    InitialDataSpec,
+    _in_class,
+    _reflect_coeffs,
+    make_initial_data,
+    state_from_arrays,
+    symmetry_defect,
+)
 
 
 @pytest.fixture
@@ -31,6 +45,60 @@ def test_round_trip_samples_to_roundoff(tmp_path, state):
         assert np.max(np.abs(a - b)) < 1e-13 * scale
     for a, b in zip(state.coeff_arrays(), loaded.coeff_arrays()):
         assert np.max(np.abs(a - b)) < 1e-13 * scale
+
+
+def _on_disk_samples(path, n):
+    return np.frombuffer(Path(path).read_bytes()[24:], dtype="<f8").reshape(4, n, n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=hst.sampled_from([16, 24, 32, 64, 128]),
+    seed=hst.integers(0, 2**31 - 1),
+    epsilon=hst.floats(1e-3, 2.0),
+)
+def test_class_round_trip_stays_in_the_class(n, seed, epsilon):
+    """A state in the class, one nonlinear step from the draw, is written as
+    samples that are even (u1, b2) and odd (u2, b1) in x2 bit for bit, and
+    is read back in the class, within the round-trip tolerances of a
+    general state: the samples against those of the four-field transform,
+    and the coefficients."""
+    grid = GridSpec(n)
+    st = step_ifrk4(make_initial_data(InitialDataSpec(epsilon, s=2, seed=seed), grid), 1e-2)
+    assert _in_class(grid, st.x)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.chk"
+        write_checkpoint(st, path, s=2)
+        raw = _on_disk_samples(path, n)
+        loaded = read_checkpoint(path)
+    assert np.array_equal(_reflect_coeffs(raw, _STACK_PARITY), raw)
+    assert _in_class(grid, loaded.x)
+    reference = roll_anchor(half_samples(grid, st.x))
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(raw - reference)) < 1e-13 * scale
+    assert np.max(np.abs(physical_arrays(loaded) - raw)) < 1e-13 * scale
+    for a, b in zip(st.coeff_arrays(), loaded.coeff_arrays()):
+        assert np.max(np.abs(a - b)) < 1e-13 * scale
+
+
+def test_one_ulp_off_the_class_is_kept(tmp_path, state, field_counts):
+    """Negative control of the class read: one sample of an odd field moved
+    by one ulp takes the four-field read, so the state keeps its anti part,
+    which ``symmetry_defect`` measures and which sends the right-hand side
+    to the general kernel (4 + 3 field transforms)."""
+    path = tmp_path / "a.chk"
+    write_checkpoint(state, path, s=2)
+    raw = _on_disk_samples(path, 32).copy()
+    raw[1, 3, 5] = np.nextafter(raw[1, 3, 5], np.inf)
+    path.write_bytes(path.read_bytes()[:24] + raw.tobytes())
+    field_counts.update(irfft=0, rfft=0)
+    loaded = read_checkpoint(path)
+    assert field_counts == {"irfft": 0, "rfft": 4}
+    assert not _in_class(loaded.grid, loaded.x)
+    assert symmetry_defect(loaded) > 0.0
+    field_counts.update(irfft=0, rfft=0)
+    _rhs_arrays(loaded.grid, loaded.x)
+    assert field_counts == {"irfft": 4, "rfft": 3}
 
 
 def test_round_trip_stable(tmp_path, state):

@@ -1,6 +1,10 @@
+import csv
 import sys
 
+import numpy as np
+
 from mhd2tor import spectral
+from mhd2tor.checkpoint import read_checkpoint
 from mhd2tor.config import RunConfig
 from mhd2tor.driver import EXIT_OK, csv_header, resume, simulate
 from mhd2tor.spectral import GridSpec
@@ -46,3 +50,23 @@ def test_simulate_and_resume_stay_on_half_spectrum(tmp_path, monkeypatch):
     assert simulate(cfg) == EXIT_OK
     cfg.t_end, cfg.outdir = 0.3, str(tmp_path / "second")
     assert resume(cfg, str(tmp_path / "first" / "final.chk")) == EXIT_OK
+
+
+def test_nonlinear_resume_stays_in_the_class(tmp_path):
+    """A nonlinear run resumed from its mid-run snapshot stays in the class:
+    every sample of the resume reads a symmetry defect of exactly 0, and
+    its final state matches the uninterrupted run's within criterion 10's
+    tolerance."""
+    cfg = RunConfig(
+        n=64, s=2, epsilon=0.5, t_end=0.2, sample_every=0.05, snapshot_every=0.1,
+        outdir=str(tmp_path / "full"),
+    )
+    assert simulate(cfg) == EXIT_OK
+    cfg.outdir = str(tmp_path / "resumed")
+    assert resume(cfg, str(tmp_path / "full" / "state_00000.100000.chk")) == EXIT_OK
+    with open(tmp_path / "resumed" / "diag.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 and all(float(row["symmetry_defect"]) == 0.0 for row in rows)
+    full, resumed = (read_checkpoint(tmp_path / d / "final.chk") for d in ("full", "resumed"))
+    scale = np.max(np.abs(full.x))
+    assert np.max(np.abs(full.x - resumed.x)) <= 1e-13 * max(scale, 1.0)

@@ -4,9 +4,9 @@ transforms of numpy.fft, and any other use of numpy.fft.fft/ifft made to
 raise, a run, a resume, the public transforms, the pressure and the
 verification sweeps still work.  The pair equals scipy.fft.irfft2/rfft2 bit
 for bit and writes into caller-owned buffers, so the run loop and a
-checkpoint write make no page faults; the right-hand side, the step and a
-run use the number of transforms that the divergence form needs, packed
-for states in the symmetry class."""
+checkpoint write make no page faults; the right-hand side, the step, a
+run and a checkpoint use the number of transforms that the divergence form
+and the samples need, packed for states in the symmetry class."""
 
 import os
 import resource
@@ -20,7 +20,7 @@ import pytest
 import scipy.fft
 
 import mhd2tor
-from mhd2tor.checkpoint import physical_arrays, write_checkpoint
+from mhd2tor.checkpoint import physical_arrays, read_checkpoint, write_checkpoint
 from mhd2tor.cli import main
 from mhd2tor.diagnostics import EnergyParams, instantaneous
 from mhd2tor.dynamics import _rhs_arrays, compute_pressure
@@ -99,27 +99,7 @@ def test_no_complex_fft(tmp_path, no_complex_fft):
     assert rows and all(row.passed for row in rows), rows
 
 
-@pytest.fixture
-def field_counts(monkeypatch):
-    """Counts of the n x n fields passed through numpy.fft.irfft/rfft, the
-    second inverse pass and the first forward pass."""
-    counts = {"irfft": 0, "rfft": 0}
-
-    def counted(name):
-        fn = getattr(np.fft, name)
-
-        def wrapper(a, *args, **kwargs):
-            counts[name] += int(np.prod(np.shape(a)[:-2]))
-            return fn(a, *args, **kwargs)
-
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(np.fft, name, counted(name))
-    return counts
-
-
-def test_transform_count(field_counts):
+def test_transform_count(field_counts, tmp_path):
     """One rhs of a state in the class: 2 inverse fields (h = u1 + u2 and
     g = b1 + b2) and 2 forward (A + C and h Rg); one Lawson RK4 step from
     it: four of each, since every stage stays in the class.  A state with
@@ -129,7 +109,11 @@ def test_transform_count(field_counts):
     step of a linear run: none, since it has no CFL limit.  A sample of a
     state in the class (the initial data, and every state of a fresh run,
     linear or not) makes none; one of a state with an anti part makes 4
-    for the scale and 2 per pair."""
+    for the scale and 2 per pair.  A checkpoint write of a class state
+    transforms h and g, and its read transforms them back, which leaves a
+    state in the class, so a step from it is 8 + 8; a write of the state
+    with an anti part transforms all four fields.  (A read of samples off
+    the class: ``test_checkpoint.test_one_ulp_off_the_class_is_kept``.)"""
     grid = GridSpec(16)
     st = make_initial_data(InitialDataSpec(epsilon=0.1, s=2, seed=3), grid)
     _rhs_arrays(grid, st.x)
@@ -153,6 +137,17 @@ def test_transform_count(field_counts):
         field_counts.update(irfft=0, rfft=0)
         instantaneous(state, EnergyParams(2))
         assert field_counts == {"irfft": per_sample, "rfft": 0}  # symmetry_defect
+    path = tmp_path / "a.chk"
+    for state, fields in ((anti, 4), (stepped, 2)):
+        field_counts.update(irfft=0, rfft=0)
+        write_checkpoint(state, path, s=2)
+        assert field_counts == {"irfft": fields, "rfft": 0}
+    field_counts.update(irfft=0, rfft=0)
+    resumed = read_checkpoint(path)
+    assert field_counts == {"irfft": 0, "rfft": 2}
+    field_counts.update(irfft=0, rfft=0)
+    step_ifrk4(resumed, 1e-2)
+    assert field_counts == {"irfft": 8, "rfft": 8}
     field_counts.update(irfft=0, rfft=0)
     counts = StepCounts()
     run(st, StepperConfig(t_end=0.05, dt_max=1e-2), 0.05, lambda rec, s: None, counts=counts)

@@ -1,5 +1,7 @@
 """tools/same_outputs.py: the repository against itself reads identical on
-every workload file, and two trees that differ in one byte name that file."""
+every workload file, two trees that differ in one byte name that file, and
+two diag.csv files that differ give the largest relative change of each
+column."""
 
 import importlib.util
 from pathlib import Path
@@ -32,3 +34,14 @@ def test_one_byte_names_the_file(same_outputs, tmp_path):
     (tmp_path / "b" / "extra.chk").write_bytes(b"")
     differ, total = same_outputs.differing_files(str(tmp_path / "a"), str(tmp_path / "b"))
     assert differ == ["extra.chk", "run/diag.csv"] and total == 3
+
+
+def test_column_changes(same_outputs, tmp_path):
+    a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+    a.write_text("t,e0,symmetry_defect\n0,1.5,0\n0.5,2.0,3e-20\n")
+    b.write_text("t,e0,symmetry_defect\n0,1.6,0\n0.5,2.0,0\n")
+    c.write_text("t,e0\n0,1.5\n")
+    changes = same_outputs.column_changes(str(a), str(b))
+    assert changes == {"t": 0.0, "e0": pytest.approx(0.1 / 1.5), "symmetry_defect": 1.0}
+    assert same_outputs.column_changes(str(b), str(a))["symmetry_defect"] == float("inf")
+    assert same_outputs.column_changes(str(a), str(c)) is None

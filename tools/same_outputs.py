@@ -11,15 +11,18 @@ from the workload's snapshot where it has one, through the checkout's own
 checkout's ``src`` on ``PYTHONPATH``.  The outputs go to ``DIR/a`` and
 ``DIR/b``; DIR should be empty, and without ``--out`` it is a temporary
 directory, removed at the end.  Every file is then compared byte for byte;
-each file that differs or exists on one side only is printed.  Exits 0
-when all files are identical, 1 on any difference, and 2 when an operation
-of a workload does not exit 0.
+each file that differs or exists on one side only is printed, and for a
+``diag.csv`` that differs, the largest relative change of each column.
+Exits 0 when all files are identical, 1 on any difference, and 2 when an
+operation of a workload does not exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import math
 import os
 import subprocess
 import sys
@@ -90,6 +93,26 @@ def differing_files(a: str, b: str) -> tuple[list[str], int]:
     return differ, len(paths)
 
 
+def column_changes(a: str, b: str) -> dict[str, float] | None:
+    """The largest relative change |y - x| / |x| over the rows of each
+    column of the CSV files ``a`` (x) and ``b`` (y), which is 0 where both
+    read 0 and inf where only x does; None when their headers or their
+    numbers of rows differ."""
+    tables = []
+    for path in (a, b):
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    (head, *rows_a), (head_b, *rows_b) = tables
+    if head != head_b or len(rows_a) != len(rows_b):
+        return None
+    changes = dict.fromkeys(head, 0.0)
+    for row_a, row_b in zip(rows_a, rows_b):
+        for name, x, y in zip(head, map(float, row_a), map(float, row_b)):
+            rel = abs(y - x) / abs(x) if x else (0.0 if y == x else math.inf)
+            changes[name] = max(changes[name], rel)
+    return changes
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -106,8 +129,16 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"an operation failed in {checkout}")
                 return 2
         differ, total = differing_files(*dirs)
-    for path in differ:
-        print(f"differs: {path}")
+        for path in differ:
+            print(f"differs: {path}")
+            pair = [os.path.join(d, path) for d in dirs]
+            if os.path.basename(path) == "diag.csv" and all(map(os.path.isfile, pair)):
+                changes = column_changes(*pair)
+                if changes is None:
+                    print("  columns or rows differ")
+                else:
+                    cols = ", ".join(f"{name} {rel:.2e}" for name, rel in changes.items())
+                    print(f"  largest relative change: {cols}")
     print(f"{total - len(differ)} of {total} files identical")
     return 1 if differ else 0
 

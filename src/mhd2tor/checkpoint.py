@@ -32,7 +32,7 @@ import struct
 
 import numpy as np
 
-from .dynamics import _pack
+from .dynamics import _pack, _unpack
 from .errors import CorruptCheckpoint, GridMismatch
 from .spectral import (
     MAX_S,
@@ -70,21 +70,6 @@ def _roll_into(phys: np.ndarray, rolled: np.ndarray) -> np.ndarray:
     rolled[..., h:, :h] = phys[..., :h, h:]
     rolled[..., h:, h:] = phys[..., :h, :h]
     return rolled
-
-
-def _unpack(hg: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The stack (u1, u2, b1, b2) of a class state from its packed fields
-    ``hg`` (h, g), samples or spectra (2, ..., n), written into ``out``
-    (4, ..., n) and returned: (f + Rf)/2 into the even slot of f (u1, b2)
-    and (f - Rf)/2 into its odd slot (u2, b1), with Rf, the permutation
-    j -> n - j of the last axis, formed in the odd slot first.  So each
-    field has its parity bit for bit."""
-    for f, even, odd in zip(hg, out[::3], out[1:3]):
-        _reflect_coeffs(f, None, out=odd)
-        np.add(f, odd, out=even)
-        np.subtract(f, odd, out=odd)
-    out *= 0.5
-    return out
 
 
 def _workspace_samples(st: MHDState) -> np.ndarray:

@@ -7,8 +7,9 @@ with P the Leray projection:
 The products are formed in divergence form (README, Numerics), from
 A = (u1^2 - u2^2 - b1^2 + b2^2)/2, C = u1 u2 - b1 b2 and E = u1 b2 - u2 b1,
 which equals the advective form for divergence-free u and b.  For a state
-in the reflection class the products come from two packed fields,
-h = u1 + u2 and g = b1 + b2, and their x2-mirrors (README, Numerics).
+in the reflection class the packed products come from its two packed
+fields, h = u1 + u2 and g = b1 + b2, and their x2-mirrors (README,
+Numerics).
 """
 
 from __future__ import annotations
@@ -74,14 +75,15 @@ _SPLIT: dict = {}
 
 def _split_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The multipliers of the packed kernel, built from ``_multipliers``:
-    (M[:, 0] + M[:, 1])/2 and (M[:, 0] - M[:, 1])/2, which act on F(k2) and
-    F(-k2) of F = (A + C)^, and curl/2, which acts on E'(k2) + E'(-k2).
+    the sums over the u1 and u2 rows of (M[:, 0] + M[:, 1])/2 and
+    (M[:, 0] - M[:, 1])/2, which act on F(k2) and F(-k2) of F = (A + C)^,
+    and of curl/2 over the b1 and b2 rows, which acts on E'(k2) + E'(-k2).
     Kept per grid while ``_multipliers`` returns the same arrays."""
     M, curl = _multipliers(grid)
     hit = _SPLIT.get(grid)
     if hit is None or hit[0] is not M or hit[1] is not curl:
         plus, minus = 0.5 * (M[:, 0] + M[:, 1]), 0.5 * (M[:, 0] - M[:, 1])
-        hit = _SPLIT[grid] = (M, curl, plus, minus, 0.5 * curl)
+        hit = _SPLIT[grid] = (M, curl, plus.sum(0), minus.sum(0), 0.5 * curl.sum(0))
     return hit[2:]
 
 
@@ -102,11 +104,29 @@ def _max_speed(u_pair, b_pair, work: np.ndarray, mean: bool = False) -> float:
     return float(u.max())
 
 
-def _pack(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _pack(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The packed spectra (u1 + u2, b1 + b2) of the stacked half spectra
-    ``x`` (4, m, n), written into ``out`` (2, m, n), which may be ``x[:2]``."""
+    ``x`` (4, m, n), written into ``out`` (2, m, n), a new array when None,
+    which may be ``x[:2]``."""
+    if out is None:
+        out = np.empty((2,) + x.shape[1:], dtype=x.dtype)
     np.add(x[0], x[1], out=out[0])
     np.add(x[2], x[3], out=out[1])
+    return out
+
+
+def _unpack(hg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The stack (u1, u2, b1, b2) of a class state from its packed fields
+    ``hg`` (h, g), samples or spectra (2, ..., n), written into ``out``
+    (4, ..., n) and returned: (f + Rf)/2 into the even slot of f (u1, b2)
+    and (f - Rf)/2 into its odd slot (u2, b1), with Rf, the permutation
+    j -> n - j of the last axis, formed in the odd slot first.  So each
+    field has its parity bit for bit."""
+    for f, even, odd in zip(hg, out[::3], out[1:3]):
+        _reflect_coeffs(f, None, out=odd)
+        np.add(f, odd, out=even)
+        np.subtract(f, odd, out=odd)
+    out *= 0.5
     return out
 
 
@@ -140,11 +160,7 @@ def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
 
 
 def _rhs_arrays(
-    grid: GridSpec,
-    x: np.ndarray,
-    out: np.ndarray | None = None,
-    speed: bool = False,
-    packed: bool | None = None,
+    grid: GridSpec, x: np.ndarray, out: np.ndarray | None = None, speed: bool = False
 ) -> np.ndarray | float:
     """The dealiased products P(-(d1 A + d2 C), d2 A - d1 C), (d2 E, -d1 E)
     of the half spectra ``x`` of divergence-free (u1, u2, b1, b2), or of
@@ -153,16 +169,15 @@ def _rhs_arrays(
     of ``x`` and returned; the rows past the band are zero.  ``out`` may be
     ``x``: it holds the dealiased input until the inverse transform has
     read it.  With ``speed``, returns instead the max speed |u| + |b|
-    of the dealiased samples.  ``packed`` says whether ``x`` is in the
-    class (``_in_class`` decides when None): then the packed kernel runs,
-    with 2 + 2 field transforms, else the general one, with 4 + 3.  Uses
-    the shared transform workspace.
+    of the dealiased samples.  The field count of ``x`` picks the kernel:
+    4 runs the general one, with 4 + 3 field transforms; 2 takes the
+    packed fields (h, g) = ``_pack`` of a state in the class and runs the
+    packed one, with 2 + 2, which returns the packed tendency.  Uses the
+    shared transform workspace.
     """
     if out is None:
         out = np.empty_like(x)
-    if packed is None:
-        packed = _in_class(grid, x)
-    vmax = (_packed_products if packed else _products)(grid, x, out, speed)
+    vmax = (_packed_products if len(x) == 2 else _products)(grid, x, out, speed)
     out[:, _band_rows(grid) :] = 0.0
     return vmax if speed else out
 
@@ -207,20 +222,21 @@ def _products(grid: GridSpec, x: np.ndarray, out: np.ndarray, speed: bool) -> fl
 
 
 def _packed_products(
-    grid: GridSpec, x: np.ndarray, out: np.ndarray, speed: bool
+    grid: GridSpec, hg: np.ndarray, out: np.ndarray, speed: bool
 ) -> float | None:
     """``_rhs_arrays`` on the band rows of ``out`` by the packed kernel, for
-    ``x`` in the class.  With h = u1 + u2, g = b1 + b2 and their mirrors
-    Rh = u1 - u2, Rg = b2 - b1: A = (h Rh + g Rg)/2 is even, C, the odd part
-    of (h - g)(h + g)/2, is odd, and E is the even part of h Rg.  So the
-    forward transform F of A + C and E' of h Rg give A^ = (F(k2) + F(-k2))/2,
+    the packed fields ``hg`` of a state in the class.  With h = u1 + u2,
+    g = b1 + b2 and their mirrors Rh = u1 - u2, Rg = b2 - b1:
+    A = (h Rh + g Rg)/2 is even, C, the odd part of (h - g)(h + g)/2, is
+    odd, and E is the even part of h Rg.  So the forward transform F of
+    A + C and E' of h Rg give A^ = (F(k2) + F(-k2))/2,
     C^ = (F(k2) - F(-k2))/2 and E^ = (E'(k2) + E'(-k2))/2, folded into
-    ``_split_multipliers``.  Every tendency has the class's parity exactly,
-    whatever the roundoff of the transforms."""
+    ``_split_multipliers``, which also sums the u1 and u2 rows, and the b1
+    and b2 rows, into the packed tendency.  ``_unpack`` of it has the
+    class's parity exactly, whatever the roundoff of the transforms."""
     r, n, top = _band_rows(grid), grid.n, grid.n // 2 + 1
     ws = _transform_workspace(grid)
-    hg = _pack(x[:, :r], out[:2, :r])
-    hg *= grid.half.dealias_mask[:r]
+    hg = np.multiply(hg[:, :r], grid.half.dealias_mask[:r], out=out[:, :r])
     (h, hR), (g, gR), work = _packed_samples(grid, hg)
     vmax = _max_speed((h, hR), (g, gR), work[:3], mean=True) if speed else None
     # rows j <= n/2 of A + C and h Rg, and the mirror rows n - j, into
@@ -243,13 +259,11 @@ def _packed_products(
     F, E = _forward_into(ws.phys_t[2:], ws.spec_t[:2], _phys_as_complex(grid, (2, r, n)))
     plus, minus, half_curl = _split_multipliers(grid)
     mirror, t = _leading(ws.spec, (2, r, n))
-    _reflect_coeffs(F, None, out=mirror)
-    for i in (0, 1):
-        np.multiply(plus[i], F, out=out[i, :r])
-        out[i, :r] += np.multiply(minus[i], mirror, out=t)
+    np.multiply(plus, F, out=out[0, :r])
+    out[0, :r] += np.multiply(minus, _reflect_coeffs(F, None, out=mirror), out=t)
     _reflect_coeffs(E, None, out=mirror)
     mirror += E
-    np.multiply(half_curl, mirror, out=out[2:, :r])
+    np.multiply(half_curl, mirror, out=out[1, :r])
     return vmax
 
 

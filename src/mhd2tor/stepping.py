@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _band_rows, _rhs_arrays, _sample_speed
+from .dynamics import _band_rows, _pack, _rhs_arrays, _sample_speed, _unpack
 from .dynamics import _rhs_total_arrays  # noqa: F401  traced by name in bench/spans.py
 from .errors import NonFiniteState, StepTooSmall, require, require_finite
 from .spectral import _content_rows, _leading, _transform_workspace, thread_cache
@@ -75,17 +75,22 @@ def _heat_factors(grid, t: float, coupling: bool = True):
 
 
 def _propagate(P, scratch: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """dst = P src on stacked (u1, u2, b1, b2) rows, in place when ``dst`` is
+    """dst = P src on stacked (u1, u2, b1, b2) rows, or on the packed
+    (u1 + u2, b1 + b2) rows of a class state, in place when ``dst`` is
     ``src``; P is ``_heat_factors`` cut to the rows of ``src``, and
-    ``scratch`` holds two stacks of the pair shape."""
+    ``scratch`` holds two stacks of the shape of ``src[:f]``.  exp(tL) acts
+    on (u1, b1) and on (u2, b2) with the same factors, so it maps the packed
+    pair alike: the u fields ``[:f]`` pair with the b fields ``[f:]``, with
+    f = 2 or 1."""
     p11, p22, p12 = P
     pu, pb = scratch
-    np.multiply(p12, src[2:], out=pu)
-    np.multiply(p12, src[:2], out=pb)
-    np.multiply(src[:2], p11, out=dst[:2])
-    dst[:2] += pu
-    np.multiply(src[2:], p22, out=dst[2:])
-    dst[2:] += pb
+    f = len(src) // 2
+    np.multiply(p12, src[f:], out=pu)
+    np.multiply(p12, src[:f], out=pb)
+    np.multiply(src[:f], p11, out=dst[:f])
+    dst[:f] += pu
+    np.multiply(src[f:], p22, out=dst[f:])
+    dst[f:] += pb
     return dst
 
 
@@ -148,6 +153,7 @@ def step_ifrk4(
     nonlinear: bool = True,
     coupling: bool = True,
     rows: int | None = None,
+    in_class: bool | None = None,
 ) -> MHDState:
     """The state one Lawson RK4 step of size dt after ``st`` (README,
     Numerics), in a new array; without ``nonlinear``, exp(dt L) x with no
@@ -159,29 +165,33 @@ def step_ifrk4(
     |u| + |b| of the stage-1 samples, or 0.0 on a linear step, to the
     step size; a linear step makes no transform.  Raises ValueError for
     dt <= 0 and NonFiniteState for a non-finite result; an error leaves
-    ``st`` as it was.  A nonlinear step from a state in the class
-    (``_in_class``) runs every stage on the packed kernel, and its result
-    is in the class too.  The stages run in the per-grid
-    ``_stage_storage``, the new state's array and the shared transform
-    workspace.
+    ``st`` as it was.  A nonlinear step from a state in the class runs
+    every stage on its packed fields (h, g) = (u1 + u2, b1 + b2), with the
+    packed kernel, and ``_unpack`` splits the result by k2 parity, so it is
+    in the class bit for bit; any other step runs the same stages on the
+    four fields.  ``in_class`` says whether the m rows of ``st`` are in the
+    class (``_in_class`` decides when None); the caller vouches for it.
+    The stages run in the per-grid ``_stage_storage``, the new state's
+    array and the shared transform workspace.
     """
-    grid, x = st.grid, st.x
+    grid = st.grid
     m = step_rows(st, nonlinear) if rows is None else rows
-    shape = (4, m, grid.n)
-    x_new = np.empty_like(x)
-    x = x[:, :m]
-    acc, k = _leading(_stage_storage(grid), (2,) + shape)
-    # every stage input of a step from a class state is in the class exactly
-    rhs = partial(_rhs_arrays, grid, packed=nonlinear and _in_class(grid, x))
+    x_new = np.empty_like(st.x)
+    x = st.x[:, :m]
+    packed = nonlinear and (_in_class(grid, x) if in_class is None else in_class)
+    shape = (2 if packed else 4, m, grid.n)
+    acc, k, *room = _leading(_stage_storage(grid), (3 if packed else 2,) + shape)
+    if packed:
+        x = _pack(x, room[0])
     if callable(dt):
-        dt = dt(rhs(x, out=acc, speed=True) if nonlinear else 0.0)
+        dt = dt(_rhs_arrays(grid, x, out=acc, speed=True) if nonlinear else 0.0)
     elif nonlinear:
-        rhs(x, out=acc)
+        _rhs_arrays(grid, x, out=acc)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     P = [f[:m] for f in _heat_factors(grid, 0.5 * dt if nonlinear else dt, coupling)]
     tmp = _leading(_transform_workspace(grid).spec, shape)  # free between two rhs calls
-    apply = partial(_propagate, P, tmp.reshape((2, 2, m, grid.n)))
+    apply = partial(_propagate, P, tmp.reshape((2, shape[0] // 2, m, grid.n)))
     if not nonlinear:
         apply(x, x_new[:, :m])
     else:
@@ -192,24 +202,27 @@ def step_ifrk4(
         apply(y, y)
         acc *= dt / 6.0
         acc += x
-        rhs(y, out=k)
+        _rhs_arrays(grid, y, out=k)
         # acc = P acc + dt/3 k2; y = P x; k = y3 = P x + dt/2 k2
         apply(acc, acc)
         acc += np.multiply(k, dt / 3.0, out=tmp)
         apply(x, y)
         k *= 0.5 * dt
         k += y
-        rhs(k, out=k)
+        _rhs_arrays(grid, k, out=k)
         # acc += dt/3 k3; k = y4 = P(P x + dt k3)
         acc += np.multiply(k, dt / 3.0, out=tmp)
         k *= dt
         k += y
         apply(k, k)
-        rhs(k, out=k)
+        _rhs_arrays(grid, k, out=k)
         # x_new = P acc + dt/6 k4
         apply(acc, acc)
-        np.multiply(k, dt / 6.0, out=x_new[:, :m])
-        x_new[:, :m] += acc
+        acc += np.multiply(k, dt / 6.0, out=k)
+        if packed:
+            _unpack(acc, x_new[:, :m])
+        else:
+            x_new[:, :m] = acc
     x_new[:, m:] = 0.0
     # max and min see a NaN or inf in either part, with no temporary
     parts = x_new[:, :m].view(np.float64)
@@ -295,11 +308,16 @@ def run(
         return dt
 
     m = step_rows(st, nonlinear)  # rows past the content change no bit
+    # a packed step's result is in the class bit for bit: one test holds
+    # for the whole run
+    in_class = nonlinear and _in_class(st.grid, st.x[:, :m])
     while st.t < cfg.t_end - _LANDING_TOL:
         next_sample = k * sample_every
         target = min(next_sample, cfg.t_end)
         try:
-            st = step_ifrk4(st, choose, nonlinear=nonlinear, coupling=coupling, rows=m)
+            st = step_ifrk4(
+                st, choose, nonlinear=nonlinear, coupling=coupling, rows=m, in_class=in_class
+            )
         except (NonFiniteState, StepTooSmall) as exc:
             raise type(exc)(f"{exc} (last good t={st.t:.6g})") from exc
         if limit == "landing":

@@ -278,13 +278,13 @@ def test_packed_kernel_matches_general_kernel(seed, n, epsilon):
     and the general one (4 + 3) agree within 1e-13 of the largest product
     coefficient, and the packed tendency is in the class exactly; where the
     direct DFT runs (n <= 32), both match it."""
-    from mhd2tor.dynamics import _rhs_arrays
+    from mhd2tor.dynamics import _pack, _rhs_arrays, _unpack
     from mhd2tor.symmetry import _in_class
 
     st = make_initial_data(InitialDataSpec(epsilon=epsilon, s=2, seed=seed), GridSpec(n))
     assert _in_class(st.grid, st.x)
-    packed = _rhs_arrays(st.grid, st.x, packed=True)
-    general = _rhs_arrays(st.grid, st.x, packed=False)
+    packed = _unpack(_rhs_arrays(st.grid, _pack(st.x)), np.empty_like(st.x))
+    general = _rhs_arrays(st.grid, st.x)
     scale = np.max(np.abs(general))
     assert scale > 1e-8 * epsilon**2
     assert np.max(np.abs(packed - general)) <= 1e-13 * scale
@@ -304,7 +304,12 @@ def test_swapped_split_fails_the_oracle(monkeypatch):
 
     st = make_initial_data(InitialDataSpec(epsilon=2.0, s=2, seed=8), GridSpec(16))
     products = _direct_tendency(st, False)
-    _assert_matches_direct(st, dynamics._rhs_arrays(st.grid, st.x, packed=True), products)
+
+    def packed():
+        hg = dynamics._rhs_arrays(st.grid, dynamics._pack(st.x))
+        return dynamics._unpack(hg, np.empty_like(st.x))
+
+    _assert_matches_direct(st, packed(), products)
     split = dynamics._split_multipliers
 
     def swapped(grid):
@@ -313,4 +318,4 @@ def test_swapped_split_fails_the_oracle(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_split_multipliers", swapped)
     with pytest.raises(AssertionError):
-        _assert_matches_direct(st, dynamics._rhs_arrays(st.grid, st.x, packed=True), products)
+        _assert_matches_direct(st, packed(), products)

@@ -23,7 +23,7 @@ import mhd2tor
 from mhd2tor.checkpoint import physical_arrays, read_checkpoint, write_checkpoint
 from mhd2tor.cli import main
 from mhd2tor.diagnostics import EnergyParams, instantaneous
-from mhd2tor.dynamics import _rhs_arrays, compute_pressure
+from mhd2tor.dynamics import _pack, _rhs_arrays, compute_pressure
 from mhd2tor.spectral import (
     GridSpec,
     ScalarField,
@@ -100,9 +100,10 @@ def test_no_complex_fft(tmp_path, no_complex_fft):
 
 
 def test_transform_count(field_counts, tmp_path):
-    """One rhs of a state in the class: 2 inverse fields (h = u1 + u2 and
-    g = b1 + b2) and 2 forward (A + C and h Rg); one Lawson RK4 step from
-    it: four of each, since every stage stays in the class.  A state with
+    """One rhs of the packed fields of a state in the class: 2 inverse
+    fields (h = u1 + u2 and g = b1 + b2) and 2 forward (A + C and h Rg);
+    one Lawson RK4 step from it: four of each, since every stage runs on
+    the packed fields.  A state with
     one anti coefficient takes the general kernel: 4 inverse (u1, u2, b1,
     b2) and 3 forward (A, C, E) per rhs.  One step of a nonlinear run: the
     same as a step, since its CFL speed comes from the stage-1 samples; one
@@ -116,7 +117,7 @@ def test_transform_count(field_counts, tmp_path):
     the class: ``test_checkpoint.test_one_ulp_off_the_class_is_kept``.)"""
     grid = GridSpec(16)
     st = make_initial_data(InitialDataSpec(epsilon=0.1, s=2, seed=3), grid)
-    _rhs_arrays(grid, st.x)
+    _rhs_arrays(grid, _pack(st.x))
     assert field_counts == {"irfft": 2, "rfft": 2}
     field_counts.update(irfft=0, rfft=0)
     stepped = step_ifrk4(st, 1e-2)

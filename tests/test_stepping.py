@@ -133,6 +133,68 @@ def test_step_preserves_class(grid):
     assert symmetry_defect(st) == 0.0
 
 
+def _packed_vs_general(st0, dt):
+    """Two steps from ``st0``, each from the packed step's last state: the
+    pairs (packed step, four-field step) of the same input, the four-field
+    one forced by a class test that answers False."""
+    import mhd2tor.stepping as stepping
+
+    pairs, st = [], st0
+    for _ in range(2):
+        packed = step_ifrk4(st, dt)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stepping, "_in_class", lambda grid, x: False)
+            pairs.append((packed, step_ifrk4(st, dt)))
+        st = packed
+    return pairs
+
+
+def _assert_agree(pairs):
+    for packed, general in pairs:
+        scale = np.max(np.abs(general.x))
+        assert np.max(np.abs(packed.x - general.x)) <= 1e-13 * scale
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=hst.sampled_from([16, 24, 32, 64]),
+    epsilon=hst.floats(1e-3, 2.0),
+    dt=hst.sampled_from([1e-3, 1e-2]),
+    seed=hst.integers(0, 2**31 - 1),
+)
+def test_packed_step_matches_four_field_step(n, epsilon, dt, seed):
+    """The first and the second step from a draw, run on the packed fields
+    (h, g) and split by ``_unpack``, agree with the same steps run on the
+    four fields within 1e-13 of max |x|, and each packed result is in the
+    class by value."""
+    from mhd2tor.symmetry import _in_class
+
+    grid = GridSpec(n)
+    st0 = make_initial_data(InitialDataSpec(epsilon=epsilon, s=2, seed=seed), grid)
+    pairs = _packed_vs_general(st0, dt)
+    _assert_agree(pairs)
+    assert all(_in_class(grid, packed.x) for packed, _ in pairs)
+
+
+def test_swapped_unpack_fails_the_agreement(monkeypatch):
+    """Negative control of the packed step: an ``_unpack`` that puts the
+    even parts into the odd slots (u2, b1) and the odd parts into the even
+    slots (u1, b2) no longer agrees with the four-field step."""
+    import mhd2tor.stepping as stepping
+
+    unpack = stepping._unpack
+
+    def swapped(hg, out):
+        out[:] = unpack(hg, out)[[1, 0, 3, 2]]
+        return out
+
+    st0 = make_initial_data(InitialDataSpec(epsilon=0.5, s=2, seed=3), GridSpec(32))
+    _assert_agree(_packed_vs_general(st0, 1e-2))
+    monkeypatch.setattr(stepping, "_unpack", swapped)
+    with pytest.raises(AssertionError):
+        _assert_agree(_packed_vs_general(st0, 1e-2))
+
+
 def test_step_conserves_means_bitwise(grid):
     """The exact flow conserves the mean of every component; every stage
     tendency has a zero k = 0 mode, so the step keeps it bit for bit."""

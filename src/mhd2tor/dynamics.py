@@ -38,6 +38,7 @@ from .spectral import (
     half_samples,
     roll_anchor,
     sobolev_norm,
+    thread_cache,
     to_half,
 )
 from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in bench/spans.py
@@ -130,19 +131,102 @@ def _unpack(hg: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _packed_samples(grid: GridSpec, hg: np.ndarray):
-    """Samples of the packed spectra ``hg`` (2, m, n) in the shared
-    workspace, as the pairs (h, Rh) and (g, Rg) on the rows j = 0..n/2 of
-    ``Workspace.phys`` (x2 index j), whose mirrors are the rows n - j; and
-    six free arrays of their shape."""
-    ws, top = _transform_workspace(grid), grid.n // 2 + 1
-    _inverse_into(hg, ws.spec_t[:2], ws.phys_t[:2])
-    h, g = ws.phys[:2]
-    hR, gR, *work = _spec_as_real(grid, (8, top, grid.n))
-    for f, fR in ((h, hR), (g, gR)):
-        fR[0] = f[0]
-        fR[1:] = f[: top - 2 : -1]
-    return (h[:top], hR), (g[:top], gR), work
+class _PackedPlan:
+    """The packed kernel of one grid, for the packed fields (h, g) =
+    ``_pack`` of a state in the class, with every array it touches bound
+    once (``_packed_plan``): views of the transform workspace and the
+    dealias rows, stored complex so that no multiply casts them.  With
+    h = u1 + u2, g = b1 + b2 and their mirrors Rh = u1 - u2, Rg = b2 - b1:
+    A = (h Rh + g Rg)/2 is even, C, the odd part of (h - g)(h + g)/2, is
+    odd, and E is the even part of h Rg.  So the forward transform F of
+    A + C and E' of h Rg give A^ = (F(k2) + F(-k2))/2,
+    C^ = (F(k2) - F(-k2))/2 and E^ = (E'(k2) + E'(-k2))/2, folded into
+    ``_split_multipliers``, which also sums the u1 and u2 rows, and the b1
+    and b2 rows, into the packed tendency.  ``_unpack`` of it has the
+    class's parity exactly, whatever the roundoff of the transforms.  A
+    plan binds arrays only: the transforms and ``_split_multipliers`` are
+    looked up on every call, so a patched one takes effect."""
+
+    def __init__(self, grid: GridSpec):
+        r, n, top = _band_rows(grid), grid.n, grid.n // 2 + 1
+        ws = _transform_workspace(grid)
+        self.grid, self.rows = grid, r
+        self.mask = grid.half.dealias_mask[:r].astype(np.complex128)
+        self.spec2, self.phys2 = ws.spec_t[:2], ws.phys_t[:2]
+        # samples of h and g on the rows j = 0..n/2 of phys (x2 index j);
+        # their mirrors, the rows n - j, and six free arrays of their shape
+        # in the real stack over spec
+        h, g, s, e = ws.phys
+        real = _leading(ws.spec.view(np.float64), (8, top, n))
+        hR, gR, *work = real
+        self.mirror_rows = real[:2, 0], ws.phys[:2, 0], real[:2, 1:], ws.phys[:2, : top - 2 : -1]
+        self.pairs = (h[:top], hR), (g[:top], gR)
+        self.speed_work, self.work = tuple(work[:3]), tuple(work[:4])
+        a, _, p, _ = self.work
+        # rows j <= n/2 of A + C and h Rg, and the mirror rows n - j, into
+        # phys[2:]; phys[:2] still holds h and g
+        self.inner = a[1:-1], p[1:-1], hR[1:-1], g[1 : top - 1]
+        self.s, self.e = (s[:top], s[: top - 1 : -1]), (e[:top], e[: top - 1 : -1])
+        # the band rows of F and E' over phys[:2]; their reflections k2 -> -k2
+        # and a product over spec, free after the forward transform
+        FE = _leading(ws.phys.view(np.complex128), (2, r, n))
+        mirror = _leading(ws.spec, (3, r, n))
+        self.forward = ws.phys_t[2:], ws.spec_t[:2], FE
+        self.reflect = mirror[:2, :, 0], FE[..., 0], mirror[:2, :, 1:], FE[..., :0:-1]
+        self.FE, self.mirror, self.t = tuple(FE), tuple(mirror[:2]), mirror[2]
+
+    def samples(self, hg: np.ndarray):
+        """The pairs (h, Rh) and (g, Rg) of samples of the packed spectra
+        ``hg`` (2, m, n), from one inverse transform: h and g on the rows
+        j = 0..n/2 of ``Workspace.phys`` (x2 index j), whose mirrors are the
+        rows n - j."""
+        _inverse_into(hg, self.spec2, self.phys2)
+        first, first_src, rest, rest_src = self.mirror_rows
+        np.copyto(first, first_src)
+        np.copyto(rest, rest_src)
+        return self.pairs
+
+    def products(self, hg: np.ndarray, out: np.ndarray, speed: bool) -> float | None:
+        """``_rhs_arrays`` on the band rows of ``out`` for the packed fields
+        ``hg``."""
+        r = self.rows
+        hg = np.multiply(hg[:, :r], self.mask, out=out[:, :r])
+        (h, hR), (g, gR) = self.samples(hg)
+        vmax = _max_speed(*self.pairs, self.speed_work, mean=True) if speed else None
+        a, t, p, q = self.work
+        np.multiply(h, hR, out=a)
+        a += np.multiply(g, gR, out=t)
+        a *= 0.5  # A
+        np.subtract(h, g, out=p)
+        p *= np.add(h, g, out=t)
+        np.subtract(hR, gR, out=q)
+        q *= np.add(hR, gR, out=t)
+        p -= q
+        p *= 0.25  # C
+        (s, s_mirror), (e, e_mirror) = self.s, self.e
+        a_in, p_in, hR_in, g_in = self.inner
+        np.add(a, p, out=s)
+        np.subtract(a_in, p_in, out=s_mirror)
+        np.multiply(h, gR, out=e)
+        np.multiply(hR_in, g_in, out=e_mirror)
+        _forward_into(*self.forward)
+        first, first_src, rest, rest_src = self.reflect
+        np.copyto(first, first_src)
+        np.copyto(rest, rest_src)
+        (F, E), (mF, mE), t = self.FE, self.mirror, self.t
+        plus, minus, half_curl = _split_multipliers(self.grid)
+        np.multiply(plus, F, out=out[0, :r])
+        out[0, :r] += np.multiply(minus, mF, out=t)
+        mE += E
+        np.multiply(half_curl, mE, out=out[1, :r])
+        return vmax
+
+
+@thread_cache(maxsize=4)
+def _packed_plan(grid: GridSpec) -> _PackedPlan:
+    """The ``_PackedPlan`` of the grid over the calling thread's transform
+    workspace, built on first use."""
+    return _PackedPlan(grid)
 
 
 def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
@@ -152,9 +236,9 @@ def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
     the class, as in the right-hand side."""
     x = x[:, : _content_rows(x)]
     if _in_class(grid, x):
-        hg = _phys_as_complex(grid, (2,) + x.shape[1:])
-        h_pair, g_pair, work = _packed_samples(grid, _pack(x, hg))
-        return _max_speed(h_pair, g_pair, work[:3], mean=True)
+        plan = _packed_plan(grid)
+        hg = _pack(x, _phys_as_complex(grid, (2,) + x.shape[1:]))
+        return _max_speed(*plan.samples(hg), plan.speed_work, mean=True)
     U1, U2, B1, B2 = _inverse_rows(grid, x)
     return _max_speed((U1, U2), (B2, B1), _spec_as_real(grid, (3, grid.n, grid.n)))
 
@@ -172,13 +256,17 @@ def _rhs_arrays(
     of the dealiased samples.  The field count of ``x`` picks the kernel:
     4 runs the general one, with 4 + 3 field transforms; 2 takes the
     packed fields (h, g) = ``_pack`` of a state in the class and runs the
-    packed one, with 2 + 2, which returns the packed tendency.  Uses the
-    shared transform workspace.
+    packed one, with 2 + 2, which returns the packed tendency, on the
+    grid's ``_packed_plan``.  Uses the shared transform workspace.
     """
     if out is None:
         out = np.empty_like(x)
-    vmax = (_packed_products if len(x) == 2 else _products)(grid, x, out, speed)
-    out[:, _band_rows(grid) :] = 0.0
+    if len(x) == 2:
+        plan = _packed_plan(grid)
+        vmax, r = plan.products(x, out, speed), plan.rows
+    else:
+        vmax, r = _products(grid, x, out, speed), _band_rows(grid)
+    out[:, r:] = 0.0
     return vmax if speed else out
 
 
@@ -218,52 +306,6 @@ def _products(grid: GridSpec, x: np.ndarray, out: np.ndarray, speed: bool) -> fl
         np.multiply(M[i, 0], A_hat, out=out[i, :r])
         out[i, :r] += np.multiply(M[i, 1], C_hat, out=t)
     np.multiply(curl, E_hat, out=out[2:, :r])
-    return vmax
-
-
-def _packed_products(
-    grid: GridSpec, hg: np.ndarray, out: np.ndarray, speed: bool
-) -> float | None:
-    """``_rhs_arrays`` on the band rows of ``out`` by the packed kernel, for
-    the packed fields ``hg`` of a state in the class.  With h = u1 + u2,
-    g = b1 + b2 and their mirrors Rh = u1 - u2, Rg = b2 - b1:
-    A = (h Rh + g Rg)/2 is even, C, the odd part of (h - g)(h + g)/2, is
-    odd, and E is the even part of h Rg.  So the forward transform F of
-    A + C and E' of h Rg give A^ = (F(k2) + F(-k2))/2,
-    C^ = (F(k2) - F(-k2))/2 and E^ = (E'(k2) + E'(-k2))/2, folded into
-    ``_split_multipliers``, which also sums the u1 and u2 rows, and the b1
-    and b2 rows, into the packed tendency.  ``_unpack`` of it has the
-    class's parity exactly, whatever the roundoff of the transforms."""
-    r, n, top = _band_rows(grid), grid.n, grid.n // 2 + 1
-    ws = _transform_workspace(grid)
-    hg = np.multiply(hg[:, :r], grid.half.dealias_mask[:r], out=out[:, :r])
-    (h, hR), (g, gR), work = _packed_samples(grid, hg)
-    vmax = _max_speed((h, hR), (g, gR), work[:3], mean=True) if speed else None
-    # rows j <= n/2 of A + C and h Rg, and the mirror rows n - j, into
-    # phys[2:]; phys[:2] still holds h and g
-    s, e = ws.phys[2:]
-    a, t, p, q = work[:4]
-    np.multiply(h, hR, out=a)
-    a += np.multiply(g, gR, out=t)
-    a *= 0.5  # A
-    np.subtract(h, g, out=p)
-    p *= np.add(h, g, out=t)
-    np.subtract(hR, gR, out=q)
-    q *= np.add(hR, gR, out=t)
-    p -= q
-    p *= 0.25  # C
-    np.add(a, p, out=s[:top])
-    np.subtract(a[1:-1], p[1:-1], out=s[: top - 1 : -1])
-    np.multiply(h, gR, out=e[:top])
-    np.multiply(hR[1:-1], g[1:-1], out=e[: top - 1 : -1])
-    F, E = _forward_into(ws.phys_t[2:], ws.spec_t[:2], _phys_as_complex(grid, (2, r, n)))
-    plus, minus, half_curl = _split_multipliers(grid)
-    mirror, t = _leading(ws.spec, (2, r, n))
-    np.multiply(plus, F, out=out[0, :r])
-    out[0, :r] += np.multiply(minus, _reflect_coeffs(F, None, out=mirror), out=t)
-    _reflect_coeffs(E, None, out=mirror)
-    mirror += E
-    np.multiply(half_curl, mirror, out=out[1, :r])
     return vmax
 
 

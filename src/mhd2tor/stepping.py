@@ -26,8 +26,9 @@ def _propagator(grid, coupling: bool):
     a = |k|^2/2, k2 from the Nyquist-zeroed ``ik2`` (0 without ``coupling``) and
     delta^2 = a^2 - k2^2: r = k2^2/(a + delta), 2 delta, h = r/delta and
     g = k2/delta where delta > 0 (0 elsewhere); the other modes as (row,
-    column, a, k2, sqrt(-delta^2)); and real p11, p22, two scratch arrays,
-    the complex p12, whose real part stays 0, and its imag view."""
+    column, a, k2, sqrt(-delta^2)); and the complex stack (p11, p22, p12),
+    whose other parts stay 0, so that no multiply by a factor casts it, and
+    four real scratch arrays."""
     half = grid.half
     k2 = half.ik2.imag if coupling else np.zeros_like(half.ksq)
     a = 0.5 * half.ksq
@@ -40,38 +41,40 @@ def _propagator(grid, coupling: bool):
         (i, j, float(a[i, j]), float(k2[i, j]), math.sqrt(-d2[i, j]))
         for i, j in zip(*np.nonzero(~generic))
     ]
-    p12 = np.zeros(half.ksq.shape, dtype=np.complex128)
-    room = (*np.empty((4,) + p12.shape), p12, p12.imag)
+    room = np.zeros((3,) + half.ksq.shape, dtype=np.complex128), np.empty((4,) + half.ksq.shape)
     return r, np.where(generic, 2.0 * delta, 0.0), r / delta, g, listed, room
 
 
 @thread_cache(maxsize=1)
 def _heat_factors(grid, t: float, coupling: bool = True):
-    """exp(t L) per mode on the half spectrum, as (p11, p22, p12), from the
-    formulas of README Numerics: it maps (u, b) to (p11 u + p12 b,
-    p12 u + p22 b) on both pairs.  Written into the calling thread's room
-    of ``_propagator``.  The cache keeps one entry and only a miss writes
-    the room, so a hit returns the buffers that the last miss wrote: they
-    hold these factors until that thread's next miss for that grid and
+    """exp(t L) per mode on the half spectrum, as complex (p11, p22, p12),
+    from the formulas of README Numerics: it maps (u, b) to (p11 u + p12 b,
+    p12 u + p22 b) on both pairs.  p11 and p22 are real and p12 imaginary,
+    stored with the other part +0.0.  Written into the calling thread's
+    room of ``_propagator``.  The cache keeps one entry and only a miss
+    writes the room, so a hit returns the buffers that the last miss wrote:
+    they hold these factors until that thread's next miss for that grid and
     ``coupling``.
     """
-    r, two_delta, h, g, listed, (p11, p22, w, hw, p12, s12) = _propagator(grid, coupling)
-    np.exp(np.multiply(r, -t, out=p11), out=p11)  # es
+    r, two_delta, h, g, listed, (factors, work) = _propagator(grid, coupling)
+    p11, p22, s12 = factors[0].real, factors[1].real, factors[2].imag
+    es, q, w, hw = work
+    np.exp(np.multiply(r, -t, out=es), out=es)
     np.multiply(two_delta, -t, out=w)
-    np.exp(w, out=p22)
-    p22 *= p11  # es q
+    np.exp(w, out=q)
+    q *= es
     np.expm1(w, out=w)
-    w *= p11
+    w *= es
     w *= -0.5
-    p11 += np.multiply(h, w, out=hw)
-    p22 -= hw
+    np.add(es, np.multiply(h, w, out=hw), out=p11)
+    np.subtract(q, hw, out=p22)
     np.multiply(g, w, out=s12)
     for i, j, a, k2, omega in listed:
         ea = math.exp(-a * t)
         c = ea * math.cos(omega * t)
         s = ea * (math.sin(omega * t) / omega if omega else t)
         p11[i, j], p22[i, j], s12[i, j] = c + a * s, c - a * s, k2 * s
-    return p11, p22, p12
+    return tuple(factors)
 
 
 def _propagate(P, scratch: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -147,6 +150,21 @@ def _stage_storage(grid) -> np.ndarray:
     return np.empty(2 * 4 * (grid.n // 2 + 1) * grid.n, dtype=np.complex128)
 
 
+@thread_cache(maxsize=8)
+def _stage_plan(grid, m: int, fields: int) -> tuple:
+    """The arrays of ``step_ifrk4`` on m rows of ``fields`` fields of the
+    grid, bound once per thread: the stage sums ``acc`` and ``k`` and, for
+    the packed fields (2), the room of the packed state (None for 4), each
+    (fields, m, n) over the ``_stage_storage``; ``tmp``, (fields, m, n)
+    over the transform workspace's complex stack, free between two
+    right-hand sides; and the same memory as the two stacks
+    (2, fields/2, m, n) of ``_propagate``'s scratch."""
+    shape = (fields, m, grid.n)
+    acc, k, *room = _leading(_stage_storage(grid), (3 if fields == 2 else 2,) + shape)
+    tmp = _leading(_transform_workspace(grid).spec, shape)
+    return acc, k, room[0] if room else None, tmp, tmp.reshape((2, fields // 2, m, grid.n))
+
+
 def step_ifrk4(
     st: MHDState,
     dt: float | Callable[[float], float],
@@ -171,18 +189,18 @@ def step_ifrk4(
     in the class bit for bit; any other step runs the same stages on the
     four fields.  ``in_class`` says whether the m rows of ``st`` are in the
     class (``_in_class`` decides when None); the caller vouches for it.
-    The stages run in the per-grid ``_stage_storage``, the new state's
-    array and the shared transform workspace.
+    The stages run in the arrays of ``_stage_plan``, over the per-grid
+    ``_stage_storage`` and the shared transform workspace, and in the new
+    state's array.
     """
     grid = st.grid
     m = step_rows(st, nonlinear) if rows is None else rows
     x_new = np.empty_like(st.x)
     x = st.x[:, :m]
     packed = nonlinear and (_in_class(grid, x) if in_class is None else in_class)
-    shape = (2 if packed else 4, m, grid.n)
-    acc, k, *room = _leading(_stage_storage(grid), (3 if packed else 2,) + shape)
+    acc, k, room, tmp, scratch = _stage_plan(grid, m, 2 if packed else 4)
     if packed:
-        x = _pack(x, room[0])
+        x = _pack(x, room)
     if callable(dt):
         dt = dt(_rhs_arrays(grid, x, out=acc, speed=True) if nonlinear else 0.0)
     elif nonlinear:
@@ -190,13 +208,12 @@ def step_ifrk4(
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     P = [f[:m] for f in _heat_factors(grid, 0.5 * dt if nonlinear else dt, coupling)]
-    tmp = _leading(_transform_workspace(grid).spec, shape)  # free between two rhs calls
-    apply = partial(_propagate, P, tmp.reshape((2, shape[0] // 2, m, grid.n)))
+    apply = partial(_propagate, P, scratch)
     if not nonlinear:
         apply(x, x_new[:, :m])
     else:
         # y = P(x + dt/2 k1); acc = x + dt/6 k1
-        y = _leading(x_new, shape)
+        y = _leading(x_new, tmp.shape)
         np.multiply(acc, 0.5 * dt, out=y)
         y += x
         apply(y, y)

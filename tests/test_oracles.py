@@ -319,3 +319,70 @@ def test_swapped_split_fails_the_oracle(monkeypatch):
     monkeypatch.setattr(dynamics, "_split_multipliers", swapped)
     with pytest.raises(AssertionError):
         _assert_matches_direct(st, packed(), products)
+
+
+def test_plans_look_up_patched_functions(monkeypatch, request):
+    """The plans of the packed kernel and of the stages bind arrays only:
+    with both built first, a transform and a multiplier function patched
+    afterwards still take effect.  ``field_counts`` then counts 2 + 2
+    fields per packed right-hand side and 8 + 8 per step, and the swapped
+    split of ``test_swapped_split_fails_the_oracle`` still fails the
+    direct DFT."""
+    import mhd2tor.dynamics as dynamics
+
+    st = make_initial_data(InitialDataSpec(epsilon=2.0, s=2, seed=8), GridSpec(16))
+    products = _direct_tendency(st, False)
+
+    def packed():
+        hg = dynamics._rhs_arrays(st.grid, dynamics._pack(st.x))
+        return dynamics._unpack(hg, np.empty_like(st.x))
+
+    _assert_matches_direct(st, packed(), products)
+    step_ifrk4(st, 1e-2)
+    field_counts = request.getfixturevalue("field_counts")
+    packed()
+    assert field_counts == {"irfft": 2, "rfft": 2}
+    field_counts.update(irfft=0, rfft=0)
+    step_ifrk4(st, 1e-2)
+    assert field_counts == {"irfft": 8, "rfft": 8}
+    split = dynamics._split_multipliers
+
+    def swapped(grid):
+        plus, minus, half_curl = split(grid)
+        return minus, plus, half_curl
+
+    monkeypatch.setattr(dynamics, "_split_multipliers", swapped)
+    with pytest.raises(AssertionError):
+        _assert_matches_direct(st, packed(), products)
+
+
+def test_plans_survive_cache_eviction():
+    """Six grids on one thread, twice round, are more than the four
+    transform workspaces kept per thread, so the plans of the packed kernel
+    and of the stages outlive the buffers they were built over.  Each
+    packed tendency still matches the general kernel within the 1e-13 of
+    ``test_packed_kernel_matches_general_kernel``, and each step gives the
+    bits of its first round."""
+    from mhd2tor.dynamics import _pack, _packed_plan, _rhs_arrays, _unpack
+    from mhd2tor.spectral import _transform_workspace
+
+    sizes = (16, 24, 32, 40, 48, 64)
+    states = [
+        make_initial_data(InitialDataSpec(epsilon=1.0, s=2, seed=n), GridSpec(n)) for n in sizes
+    ]
+    first = {}
+    for round_ in range(2):
+        plan_misses = _packed_plan.cache_info().misses
+        for st in states:
+            packed = _unpack(_rhs_arrays(st.grid, _pack(st.x)), np.empty_like(st.x))
+            general = _rhs_arrays(st.grid, st.x)
+            scale = np.max(np.abs(general))
+            assert scale > 0
+            assert np.max(np.abs(packed - general)) <= 1e-13 * scale
+            x = step_ifrk4(st, 1e-2).x
+            if round_:
+                assert np.array_equal(x, first[st.grid.n])
+            first[st.grid.n] = x
+        if round_:  # every grid's plan was evicted and built again
+            assert _packed_plan.cache_info().misses == plan_misses + len(sizes)
+    assert _transform_workspace.cache_info().currsize <= 4

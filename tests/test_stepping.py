@@ -239,7 +239,8 @@ def test_run_lands_on_sample_times(grid):
 def test_heat_factor_cache_stays_small(grid):
     """A CFL-bound dt changes on every step and must not pile up cache
     entries; a dt_max-bound run repeats one dt and must keep hitting.  The
-    factor set is (p11, p22, p12) on the half spectrum, p11 and p22 real.
+    factor set is (p11, p22, p12) on the half spectrum, stored complex so
+    that no multiply casts it: p11 and p22 real, p12 imaginary.
     The state's max |u| + |b| is about 1, so its CFL step is about 0.08."""
     st0 = make_initial_data(InitialDataSpec(epsilon=125.0, s=2, seed=5), grid)
     _heat_factors.cache_clear()
@@ -252,7 +253,8 @@ def test_heat_factor_cache_stays_small(grid):
     assert _heat_factors.cache_info().hits >= 20
     p11, p22, p12 = _heat_factors(grid, 1e-2)
     assert p11.shape == p22.shape == p12.shape == (grid.n // 2 + 1, grid.n)
-    assert p11.dtype == p22.dtype == np.float64 and p12.dtype == np.complex128
+    assert p11.dtype == p22.dtype == p12.dtype == np.complex128
+    assert not (p11.imag.any() or p22.imag.any() or p12.real.any())
 
 
 def test_small_perturbation_steps_at_dt_max():

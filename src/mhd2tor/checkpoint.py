@@ -14,14 +14,17 @@ representation; writing and re-reading a state reproduces its samples
 bit-exactly and its spectral coefficients to roundoff.
 
 A state in the reflection class keeps the class through the round trip,
-exactly.  Its samples come from the packed fields h = u1 + u2 and
-g = b1 + b2 alone, as (h + Rh)/2, (h - Rh)/2, (g - Rg)/2 and (g + Rg)/2,
-with R the x2-mirror, the permutation j -> n - j on either grid; so the
-written samples are even and odd bit for bit.  A read that finds its
-samples even and odd bit for bit transforms the packed fields and splits
-their spectra by k2 parity the same way, which leaves the state in the
-class bit for bit.  Samples off the class by one bit take the four-field
-transforms both ways, so the anti part is kept, not projected away.
+exactly, by the packed form of ``symmetry``.  Its samples come from the
+packed fields h = u1 + u2 and g = b1 + b2 alone (``_pack``), as
+(h + Rh)/2, (h - Rh)/2, (g - Rg)/2 and (g + Rg)/2 (``_unpack``), with R
+the x2-mirror, the permutation j -> n - j on either grid; so the written
+samples are even and odd bit for bit.  A read that finds its samples even
+and odd bit for bit transforms the packed fields and splits their spectra
+by k2 parity the same way, which leaves the state in the class bit for
+bit.  Samples off the class by one bit take the four-field transforms both
+ways, so the anti part is kept, not projected away.  A read checks the
+file's size against the one its header implies before it allocates the
+arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import struct
 
 import numpy as np
 
-from .dynamics import _pack, _unpack
 from .errors import CorruptCheckpoint, GridMismatch
 from .spectral import (
     MAX_S,
@@ -46,7 +48,7 @@ from .spectral import (
     roll_anchor,
 )
 from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in bench/spans.py
-from .symmetry import _STACK_PARITY, MHDState, _in_class, _reflect_coeffs
+from .symmetry import _STACK_PARITY, MHDState, _in_class, _pack, _reflect_coeffs, _unpack
 
 MAGIC = b"MHD2TOR1"
 _HEADER = struct.Struct("<8sIId")
@@ -131,27 +133,29 @@ def checkpoint_header(path: str | os.PathLike) -> tuple[int, int, float]:
 def read_checkpoint(
     path: str | os.PathLike, grid: GridSpec | None = None
 ) -> MHDState:
-    """Load a state; raises CorruptCheckpoint / GridMismatch on bad input."""
+    """Load a state; raises CorruptCheckpoint / GridMismatch on bad input,
+    a file of the wrong size before any array is allocated."""
     n, _, t = checkpoint_header(path)
     if grid is not None and grid.n != n:
         raise GridMismatch(f"checkpoint has n={n}, expected n={grid.n}")
     grid = grid if grid is not None else GridSpec(n)
     nbytes = 8 * n * n
-    raw = np.empty((4, n, n), dtype="<f8")
+    end = _HEADER.size + 4 * nbytes
     with open(path, "rb") as fh:
-        fh.seek(_HEADER.size)
-        for i, arr in enumerate(raw):
-            offset = _HEADER.size + i * nbytes
-            got = fh.readinto(arr)
-            if got < nbytes:
-                raise CorruptCheckpoint(f"truncated array {i + 1} of 4", offset=offset + got)
-            if not np.all(np.isfinite(arr)):
-                raise CorruptCheckpoint(
-                    f"non-finite samples in array {i + 1} of 4", offset=offset
-                )
-        if fh.read(1):
+        size = os.fstat(fh.fileno()).st_size
+        if size > end:
+            raise CorruptCheckpoint("trailing bytes after final array", offset=end)
+        if size == end:
+            raw = np.empty((4, n, n), dtype="<f8")
+            fh.seek(_HEADER.size)
+            size = _HEADER.size + fh.readinto(raw)
+    if size < end:
+        i = (size - _HEADER.size) // nbytes
+        raise CorruptCheckpoint(f"truncated array {i + 1} of 4", offset=size)
+    for i, arr in enumerate(raw):
+        if not np.all(np.isfinite(arr)):
             raise CorruptCheckpoint(
-                "trailing bytes after final array", offset=_HEADER.size + 4 * nbytes
+                f"non-finite samples in array {i + 1} of 4", offset=_HEADER.size + i * nbytes
             )
     if not np.array_equal(_reflect_coeffs(raw, _STACK_PARITY), raw):
         return MHDState(grid, t, half_coeffs(grid, roll_anchor(raw)))

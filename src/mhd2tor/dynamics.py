@@ -26,10 +26,8 @@ from .spectral import (
     SpectralScalar,
     VectorField,
     _coeff_arrays,
-    _content_rows,
     _forward_into,
     _inverse_into,
-    _inverse_rows,
     _leading,
     _phys_as_complex,
     _spec_as_real,
@@ -42,7 +40,7 @@ from .spectral import (
     to_half,
 )
 from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in bench/spans.py
-from .symmetry import MHDState, _in_class, _reflect_coeffs
+from .symmetry import MHDState
 
 
 def _band_rows(grid: GridSpec) -> int:
@@ -71,7 +69,11 @@ def _multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return M, mask * np.stack([d2, -d1])
 
 
-_SPLIT: dict = {}
+@lru_cache(maxsize=_multipliers.cache_info().maxsize)
+def _split_slot(grid: GridSpec) -> list:
+    """The one-entry memo of ``_split_multipliers`` for the grid, kept for
+    as many grids as ``_multipliers`` keeps."""
+    return [None]
 
 
 def _split_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,10 +83,11 @@ def _split_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarr
     and of curl/2 over the b1 and b2 rows, which acts on E'(k2) + E'(-k2).
     Kept per grid while ``_multipliers`` returns the same arrays."""
     M, curl = _multipliers(grid)
-    hit = _SPLIT.get(grid)
+    slot = _split_slot(grid)
+    hit = slot[0]
     if hit is None or hit[0] is not M or hit[1] is not curl:
         plus, minus = 0.5 * (M[:, 0] + M[:, 1]), 0.5 * (M[:, 0] - M[:, 1])
-        hit = _SPLIT[grid] = (M, curl, plus.sum(0), minus.sum(0), 0.5 * curl.sum(0))
+        hit = slot[0] = (M, curl, plus.sum(0), minus.sum(0), 0.5 * curl.sum(0))
     return hit[2:]
 
 
@@ -92,8 +95,10 @@ def _max_speed(u_pair, b_pair, work: np.ndarray, mean: bool = False) -> float:
     """Max over the grid of |u| + |b|, with |u|^2 = p^2 + q^2 for the sample
     arrays (p, q) = ``u_pair``, or their mean (p^2 + q^2)/2 with ``mean``,
     and |b|^2 likewise from ``b_pair``; ``work`` holds three arrays of their
-    shape.  The one speed formula of the CFL bound: the pairs are (u1, u2)
-    and (b2, b1), or a packed field and its mirror, (h, Rh) and (g, Rg)."""
+    shape.  The one speed formula of the CFL bound, which ``_rhs_arrays``
+    applies to its dealiased samples: the pairs are (u1, u2) and (b2, b1)
+    in the general kernel, a packed field and its mirror, (h, Rh) and
+    (g, Rg), in the packed one."""
     u, b, t = work
     for (p, q), sq in ((u_pair, u), (b_pair, b)):
         np.square(p, out=sq)
@@ -103,32 +108,6 @@ def _max_speed(u_pair, b_pair, work: np.ndarray, mean: bool = False) -> float:
     np.sqrt(u, out=u)
     u += np.sqrt(b, out=b)
     return float(u.max())
-
-
-def _pack(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The packed spectra (u1 + u2, b1 + b2) of the stacked half spectra
-    ``x`` (4, m, n), written into ``out`` (2, m, n), a new array when None,
-    which may be ``x[:2]``."""
-    if out is None:
-        out = np.empty((2,) + x.shape[1:], dtype=x.dtype)
-    np.add(x[0], x[1], out=out[0])
-    np.add(x[2], x[3], out=out[1])
-    return out
-
-
-def _unpack(hg: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The stack (u1, u2, b1, b2) of a class state from its packed fields
-    ``hg`` (h, g), samples or spectra (2, ..., n), written into ``out``
-    (4, ..., n) and returned: (f + Rf)/2 into the even slot of f (u1, b2)
-    and (f - Rf)/2 into its odd slot (u2, b1), with Rf, the permutation
-    j -> n - j of the last axis, formed in the odd slot first.  So each
-    field has its parity bit for bit."""
-    for f, even, odd in zip(hg, out[::3], out[1:3]):
-        _reflect_coeffs(f, None, out=odd)
-        np.add(f, odd, out=even)
-        np.subtract(f, odd, out=odd)
-    out *= 0.5
-    return out
 
 
 class _PackedPlan:
@@ -175,23 +154,17 @@ class _PackedPlan:
         self.reflect = mirror[:2, :, 0], FE[..., 0], mirror[:2, :, 1:], FE[..., :0:-1]
         self.FE, self.mirror, self.t = tuple(FE), tuple(mirror[:2]), mirror[2]
 
-    def samples(self, hg: np.ndarray):
-        """The pairs (h, Rh) and (g, Rg) of samples of the packed spectra
-        ``hg`` (2, m, n), from one inverse transform: h and g on the rows
-        j = 0..n/2 of ``Workspace.phys`` (x2 index j), whose mirrors are the
-        rows n - j."""
+    def products(self, hg: np.ndarray, out: np.ndarray, speed: bool) -> float | None:
+        """``_rhs_arrays`` on the band rows of ``out`` for the packed fields
+        ``hg``: one inverse transform puts h and g on the rows j = 0..n/2 of
+        ``Workspace.phys`` (x2 index j), whose mirrors are the rows n - j."""
+        r = self.rows
+        hg = np.multiply(hg[:, :r], self.mask, out=out[:, :r])
         _inverse_into(hg, self.spec2, self.phys2)
         first, first_src, rest, rest_src = self.mirror_rows
         np.copyto(first, first_src)
         np.copyto(rest, rest_src)
-        return self.pairs
-
-    def products(self, hg: np.ndarray, out: np.ndarray, speed: bool) -> float | None:
-        """``_rhs_arrays`` on the band rows of ``out`` for the packed fields
-        ``hg``."""
-        r = self.rows
-        hg = np.multiply(hg[:, :r], self.mask, out=out[:, :r])
-        (h, hR), (g, gR) = self.samples(hg)
+        (h, hR), (g, gR) = self.pairs
         vmax = _max_speed(*self.pairs, self.speed_work, mean=True) if speed else None
         a, t, p, q = self.work
         np.multiply(h, hR, out=a)
@@ -227,20 +200,6 @@ def _packed_plan(grid: GridSpec) -> _PackedPlan:
     """The ``_PackedPlan`` of the grid over the calling thread's transform
     workspace, built on first use."""
     return _PackedPlan(grid)
-
-
-def _sample_speed(grid: GridSpec, x: np.ndarray) -> float:
-    """``_max_speed`` of the samples of the stacked half spectra ``x`` as
-    stored (not dealiased), from one inverse transform of their content
-    rows in the shared workspace: of the two packed fields for a state in
-    the class, as in the right-hand side."""
-    x = x[:, : _content_rows(x)]
-    if _in_class(grid, x):
-        plan = _packed_plan(grid)
-        hg = _pack(x, _phys_as_complex(grid, (2,) + x.shape[1:]))
-        return _max_speed(*plan.samples(hg), plan.speed_work, mean=True)
-    U1, U2, B1, B2 = _inverse_rows(grid, x)
-    return _max_speed((U1, U2), (B2, B1), _spec_as_real(grid, (3, grid.n, grid.n)))
 
 
 def _rhs_arrays(

@@ -319,11 +319,11 @@ class Workspace(NamedTuple):
 @thread_cache(maxsize=4)
 def _transform_workspace(grid: GridSpec) -> Workspace:
     """The ``Workspace`` of the grid and the calling thread, used by the
-    right-hand side, ``cfl_dt``, the class test, ``symmetry_defect``, the
-    squares and the divergence scratch of ``instantaneous`` and the samples
-    of ``write_checkpoint`` and ``physical_arrays``.  Not reentrant: a
-    caller owns its contents only until its next call into one of those on
-    its thread."""
+    right-hand side (and so by ``cfl_dt``), the class test,
+    ``symmetry_defect``, the squares and the divergence scratch of
+    ``instantaneous`` and the samples of ``write_checkpoint`` and
+    ``physical_arrays``.  Not reentrant: a caller owns its contents only
+    until its next call into one of those on its thread."""
     n = grid.n
     spec = np.empty((4, n, n // 2 + 1), dtype=np.complex128)
     phys = np.empty((4, n, n))
@@ -343,16 +343,6 @@ def _phys_as_complex(grid: GridSpec, shape: tuple[int, ...]) -> np.ndarray:
     ``_transform_workspace`` (room for 2 n^2 complex values): scratch while
     that stack holds nothing a caller still needs."""
     return _leading(_transform_workspace(grid).phys.view(np.complex128), shape)
-
-
-def _inverse_rows(grid: GridSpec, x: np.ndarray) -> np.ndarray:
-    """Samples of the stacked half spectra ``x`` (4, n//2+1, n), stored
-    transposed (``Workspace.phys``), from a transform of the rows of ``x``
-    that hold content, in the shared transform workspace: valid until its
-    next use."""
-    ws = _transform_workspace(grid)
-    _inverse_into(x[:, : _content_rows(x)], ws.spec_t, ws.phys_t)
-    return ws.phys
 
 
 def roll_anchor(samples: np.ndarray) -> np.ndarray:

@@ -10,11 +10,11 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _band_rows, _pack, _rhs_arrays, _sample_speed, _unpack
+from .dynamics import _band_rows, _rhs_arrays
 from .dynamics import _rhs_total_arrays  # noqa: F401  traced by name in bench/spans.py
 from .errors import NonFiniteState, StepTooSmall, require, require_finite
 from .spectral import _content_rows, _leading, _transform_workspace, thread_cache
-from .symmetry import MHDState, _in_class
+from .symmetry import MHDState, _in_class, _pack, _unpack
 from .symmetry import ifft_samples, symmetry_defect  # noqa: F401  traced by name in bench/spans.py
 
 _LANDING_TOL = 1e-12
@@ -130,9 +130,12 @@ def _cfl_limit(speed: float, grid, cfg: StepperConfig) -> float:
 
 
 def cfl_dt(st: MHDState, cfg: StepperConfig) -> float:
-    """Advective CFL step from the pointwise speed |u| + |b|, sampled on
-    the grid anchored at 0: the same points as the one anchored at -pi."""
-    return _cfl_limit(_sample_speed(st.grid, st.x), st.grid, cfg)
+    """The CFL step that ``run`` takes from ``st`` short of a landing: the
+    advective limit of the max speed |u| + |b| of the stage-1 samples of
+    ``step_ifrk4``, capped at dt_max.  Runs that stage's right-hand side,
+    packed for a state in the class."""
+    _, _, x, (acc, *_) = _stage_input(st)
+    return _cfl_limit(_rhs_arrays(st.grid, x, out=acc, speed=True), st.grid, cfg)
 
 
 def step_rows(st: MHDState, nonlinear: bool = True) -> int:
@@ -165,6 +168,21 @@ def _stage_plan(grid, m: int, fields: int) -> tuple:
     return acc, k, room[0] if room else None, tmp, tmp.reshape((2, fields // 2, m, grid.n))
 
 
+def _stage_input(
+    st: MHDState, nonlinear: bool = True, rows: int | None = None, in_class: bool | None = None
+) -> tuple:
+    """The start of ``step_ifrk4`` from ``st``: its rows m, whether its
+    stages run on the packed fields, the arrays of ``_stage_plan`` and the
+    stage input, the m rows of ``st.x`` or their ``_pack`` in the plan's
+    room."""
+    grid = st.grid
+    m = step_rows(st, nonlinear) if rows is None else rows
+    x = st.x[:, :m]
+    packed = nonlinear and (_in_class(grid, x) if in_class is None else in_class)
+    plan = _stage_plan(grid, m, 2 if packed else 4)
+    return m, packed, _pack(x, plan[2]) if packed else x, plan
+
+
 def step_ifrk4(
     st: MHDState,
     dt: float | Callable[[float], float],
@@ -194,13 +212,8 @@ def step_ifrk4(
     state's array.
     """
     grid = st.grid
-    m = step_rows(st, nonlinear) if rows is None else rows
+    m, packed, x, (acc, k, _, tmp, scratch) = _stage_input(st, nonlinear, rows, in_class)
     x_new = np.empty_like(st.x)
-    x = st.x[:, :m]
-    packed = nonlinear and (_in_class(grid, x) if in_class is None else in_class)
-    acc, k, room, tmp, scratch = _stage_plan(grid, m, 2 if packed else 4)
-    if packed:
-        x = _pack(x, room)
     if callable(dt):
         dt = dt(_rhs_arrays(grid, x, out=acc, speed=True) if nonlinear else 0.0)
     elif nonlinear:

@@ -4,6 +4,8 @@ A state holds the perturbation (u, b), B = b + e2, as one stacked half
 spectrum of (u1, u2, b1, b2) (``spectral``).  The class fixes the parities
 under x2 -> -x2: u1 and b2 even, u2 and b1 odd.  The grid is closed under
 the reflection, so it is the exact permutation k2 -> -k2 of the coefficients.
+A state in the class is held by its packed fields (u1 + u2, b1 + b2)
+(``_pack``), from which ``_unpack`` restores it with its parities exact.
 """
 
 from __future__ import annotations
@@ -142,6 +144,32 @@ def _reflect_coeffs(coeffs: np.ndarray, parity, out: np.ndarray | None = None) -
     out[..., 1:] = coeffs[..., :0:-1]  # column j takes column n - j
     if parity is not None:
         out *= parity
+    return out
+
+
+def _pack(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The packed spectra (u1 + u2, b1 + b2) of the stacked half spectra
+    ``x`` (4, m, n), written into ``out`` (2, m, n), a new array when None,
+    which may be ``x[:2]``."""
+    if out is None:
+        out = np.empty((2,) + x.shape[1:], dtype=x.dtype)
+    np.add(x[0], x[1], out=out[0])
+    np.add(x[2], x[3], out=out[1])
+    return out
+
+
+def _unpack(hg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The stack (u1, u2, b1, b2) of a class state from its packed fields
+    ``hg`` (h, g), samples or spectra (2, ..., n), written into ``out``
+    (4, ..., n) and returned: (f + Rf)/2 into the even slot of f (u1, b2)
+    and (f - Rf)/2 into its odd slot (u2, b1), with Rf, the permutation
+    j -> n - j of the last axis, formed in the odd slot first.  So each
+    field has its parity bit for bit."""
+    for f, even, odd in zip(hg, out[::3], out[1:3]):
+        _reflect_coeffs(f, None, out=odd)
+        np.add(f, odd, out=even)
+        np.subtract(f, odd, out=odd)
+    out *= 0.5
     return out
 
 

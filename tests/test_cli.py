@@ -1,7 +1,10 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mhd2tor.checkpoint import checkpoint_header, read_checkpoint
+from mhd2tor.checkpoint import MAGIC, checkpoint_header, read_checkpoint
 from mhd2tor.cli import main
 
 GOOD = """
@@ -190,6 +193,22 @@ def test_diagnose_rejects_header_s(tmp_path, cfg_path, s):
     raw[12:16] = s.to_bytes(4, "little")
     ic.write_bytes(bytes(raw))
     assert main(["--quiet", "diagnose", "--checkpoint", str(ic)]) == 4
+
+
+def test_diagnose_refuses_short_file_before_allocating(tmp_path):
+    """A 24-byte checkpoint whose header says n = 16384 is refused as
+    truncated (exit 4) before its 8 GiB of samples are allocated: the
+    traced peak stays under 1 MiB."""
+    path = tmp_path / "short.chk"
+    path.write_bytes(struct.pack("<8sIId", MAGIC, 16384, 2, 0.0))
+    tracemalloc.start()
+    try:
+        code = main(["--quiet", "diagnose", "--checkpoint", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 2**20
 
 
 def test_sample_times_land_exactly(tmp_path, cfg_path):

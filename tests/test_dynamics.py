@@ -113,6 +113,25 @@ def test_unprojected_multipliers_lose_divergence(monkeypatch):
     assert worst_defect() > 1e-10
 
 
+def test_split_multipliers_freed_with_the_multipliers():
+    """The packed kernel's multipliers are kept for no more grids than
+    ``_multipliers`` keeps: after packed right-hand sides on n = 16 ... 56,
+    six grids against its four, those of n = 16 and the multipliers they
+    were built from are freed."""
+    import gc
+    import weakref
+
+    grid = GridSpec(16)
+    refs = [
+        weakref.ref(a) for a in (*dynamics._multipliers(grid), *dynamics._split_multipliers(grid))
+    ]
+    for n in range(16, 64, 8):
+        st = make_initial_data(InitialDataSpec(epsilon=1.0, s=2, seed=n), GridSpec(n))
+        dynamics._rhs_arrays(st.grid, symmetry._pack(st.x))
+    gc.collect()
+    assert [r() is None for r in refs] == [True] * 5
+
+
 def test_tendency_zero_mode_zero(grid, small_state):
     dx = rhs_perturbation(small_state)
     assert np.all(dx[:, 0, 0] == 0.0)

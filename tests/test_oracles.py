@@ -278,8 +278,8 @@ def test_packed_kernel_matches_general_kernel(seed, n, epsilon):
     and the general one (4 + 3) agree within 1e-13 of the largest product
     coefficient, and the packed tendency is in the class exactly; where the
     direct DFT runs (n <= 32), both match it."""
-    from mhd2tor.dynamics import _pack, _rhs_arrays, _unpack
-    from mhd2tor.symmetry import _in_class
+    from mhd2tor.dynamics import _rhs_arrays
+    from mhd2tor.symmetry import _in_class, _pack, _unpack
 
     st = make_initial_data(InitialDataSpec(epsilon=epsilon, s=2, seed=seed), GridSpec(n))
     assert _in_class(st.grid, st.x)
@@ -301,13 +301,14 @@ def test_swapped_split_fails_the_oracle(monkeypatch):
     on F(-k2), C enters with the wrong sign and the tendency no longer
     matches the direct DFT."""
     import mhd2tor.dynamics as dynamics
+    from mhd2tor.symmetry import _pack, _unpack
 
     st = make_initial_data(InitialDataSpec(epsilon=2.0, s=2, seed=8), GridSpec(16))
     products = _direct_tendency(st, False)
 
     def packed():
-        hg = dynamics._rhs_arrays(st.grid, dynamics._pack(st.x))
-        return dynamics._unpack(hg, np.empty_like(st.x))
+        hg = dynamics._rhs_arrays(st.grid, _pack(st.x))
+        return _unpack(hg, np.empty_like(st.x))
 
     _assert_matches_direct(st, packed(), products)
     split = dynamics._split_multipliers
@@ -329,13 +330,14 @@ def test_plans_look_up_patched_functions(monkeypatch, request):
     split of ``test_swapped_split_fails_the_oracle`` still fails the
     direct DFT."""
     import mhd2tor.dynamics as dynamics
+    from mhd2tor.symmetry import _pack, _unpack
 
     st = make_initial_data(InitialDataSpec(epsilon=2.0, s=2, seed=8), GridSpec(16))
     products = _direct_tendency(st, False)
 
     def packed():
-        hg = dynamics._rhs_arrays(st.grid, dynamics._pack(st.x))
-        return dynamics._unpack(hg, np.empty_like(st.x))
+        hg = dynamics._rhs_arrays(st.grid, _pack(st.x))
+        return _unpack(hg, np.empty_like(st.x))
 
     _assert_matches_direct(st, packed(), products)
     step_ifrk4(st, 1e-2)
@@ -363,8 +365,9 @@ def test_plans_survive_cache_eviction():
     packed tendency still matches the general kernel within the 1e-13 of
     ``test_packed_kernel_matches_general_kernel``, and each step gives the
     bits of its first round."""
-    from mhd2tor.dynamics import _pack, _packed_plan, _rhs_arrays, _unpack
+    from mhd2tor.dynamics import _packed_plan, _rhs_arrays
     from mhd2tor.spectral import _transform_workspace
+    from mhd2tor.symmetry import _pack, _unpack
 
     sizes = (16, 24, 32, 40, 48, 64)
     states = [

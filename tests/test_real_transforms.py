@@ -23,21 +23,21 @@ import mhd2tor
 from mhd2tor.checkpoint import physical_arrays, read_checkpoint, write_checkpoint
 from mhd2tor.cli import main
 from mhd2tor.diagnostics import EnergyParams, instantaneous
-from mhd2tor.dynamics import _pack, _rhs_arrays, compute_pressure
+from mhd2tor.dynamics import _rhs_arrays, compute_pressure
 from mhd2tor.spectral import (
     GridSpec,
     ScalarField,
     _content_rows,
     _forward_into,
     _inverse_into,
-    _inverse_rows,
+    _transform_workspace,
     forward_transform,
     half_coeffs,
     half_samples,
     inverse_transform,
 )
-from mhd2tor.stepping import StepCounts, StepperConfig, run, step_ifrk4
-from mhd2tor.symmetry import InitialDataSpec, MHDState, make_initial_data
+from mhd2tor.stepping import StepCounts, StepperConfig, cfl_dt, run, step_ifrk4
+from mhd2tor.symmetry import InitialDataSpec, MHDState, _pack, make_initial_data
 from mhd2tor.verify import run_checks
 
 COMPLEX = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
@@ -103,9 +103,10 @@ def test_transform_count(field_counts, tmp_path):
     """One rhs of the packed fields of a state in the class: 2 inverse
     fields (h = u1 + u2 and g = b1 + b2) and 2 forward (A + C and h Rg);
     one Lawson RK4 step from it: four of each, since every stage runs on
-    the packed fields.  A state with
-    one anti coefficient takes the general kernel: 4 inverse (u1, u2, b1,
-    b2) and 3 forward (A, C, E) per rhs.  One step of a nonlinear run: the
+    the packed fields.  A state with one anti coefficient takes the
+    general kernel: 4 inverse (u1, u2, b1, b2) and 3 forward (A, C, E) per
+    rhs.  ``cfl_dt`` runs the rhs of a step's first stage, so it costs one
+    rhs of the kernel that the step takes.  One step of a nonlinear run: the
     same as a step, since its CFL speed comes from the stage-1 samples; one
     step of a linear run: none, since it has no CFL limit.  A sample of a
     state in the class (the initial data, and every state of a fresh run,
@@ -120,6 +121,9 @@ def test_transform_count(field_counts, tmp_path):
     _rhs_arrays(grid, _pack(st.x))
     assert field_counts == {"irfft": 2, "rfft": 2}
     field_counts.update(irfft=0, rfft=0)
+    cfl_dt(st, StepperConfig(t_end=1.0))
+    assert field_counts == {"irfft": 2, "rfft": 2}
+    field_counts.update(irfft=0, rfft=0)
     stepped = step_ifrk4(st, 1e-2)
     assert field_counts == {"irfft": 8, "rfft": 8}
 
@@ -129,6 +133,9 @@ def test_transform_count(field_counts, tmp_path):
     anti = MHDState(grid, 0.0, x)
     field_counts.update(irfft=0, rfft=0)
     _rhs_arrays(grid, anti.x)
+    assert field_counts == {"irfft": 4, "rfft": 3}
+    field_counts.update(irfft=0, rfft=0)
+    cfl_dt(anti, StepperConfig(t_end=1.0))
     assert field_counts == {"irfft": 4, "rfft": 3}
     field_counts.update(irfft=0, rfft=0)
     step_ifrk4(anti, 1e-2)
@@ -219,8 +226,9 @@ def test_run_loop_samples_are_transposed_half_samples(n, rows):
     x = np.zeros((4, n // 2 + 1, n), dtype=np.complex128)
     x[:, :m] = rng.standard_normal((4, m, n)) + 1j * rng.standard_normal((4, m, n))
     assert _content_rows(x) == m
-    phys = _inverse_rows(grid, x)
-    assert phys.transpose(0, 2, 1).tobytes() == half_samples(grid, x).tobytes()
+    ws = _transform_workspace(grid)
+    _inverse_into(x[:, :m], ws.spec_t, ws.phys_t)
+    assert ws.phys.transpose(0, 2, 1).tobytes() == half_samples(grid, x).tobytes()
 
 
 def _minor_faults() -> int:

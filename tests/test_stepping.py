@@ -348,14 +348,13 @@ def test_run_invalid_sample_spacing(grid):
         run(st0, StepperConfig(t_end=1.0), 0.0, lambda rec, st: None)
 
 
-def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
-    """run() takes the dt of every nonlinear step from the stage-1 samples;
-    on a nonlinear n=64 run bound by the CFL step (max |u| + |b| about 1),
-    that dt equals cfl_dt of the state it steps, bit for bit, and the last
-    step lands on t_end."""
+def _assert_run_dt_is_cfl_dt(monkeypatch, st0):
+    """Runs ``st0`` to t = 0.3 with dt_max = 1 and a spy on each step's dt:
+    every step but the last is set by the CFL bound, with dt equal to
+    cfl_dt of the state it steps, bit for bit, and the last step lands on
+    t = 0.3."""
     import mhd2tor.stepping as stepping
 
-    st0 = make_initial_data(InitialDataSpec(epsilon=85.0, s=2, seed=2), GridSpec(64))
     cfg = StepperConfig(t_end=0.3, dt_max=1.0)
     taken = []
 
@@ -378,6 +377,27 @@ def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
         assert dt == cfl_dt(st, cfg) < cfg.dt_max
     st, dt = taken[-1]
     assert dt == 0.3 - st.t <= cfl_dt(st, cfg) + 1e-12
+
+
+def test_run_dt_is_cfl_dt_of_each_state(monkeypatch):
+    """run() takes the dt of every nonlinear step from the stage-1 samples;
+    on a nonlinear n=64 run bound by the CFL step (max |u| + |b| about 1),
+    that dt equals cfl_dt of the state it steps, bit for bit, and the last
+    step lands on t_end."""
+    st0 = make_initial_data(InitialDataSpec(epsilon=85.0, s=2, seed=2), GridSpec(64))
+    _assert_run_dt_is_cfl_dt(monkeypatch, st0)
+
+
+def test_resumed_run_dt_is_cfl_dt_of_each_state(monkeypatch, tmp_path):
+    """The run of ``test_run_dt_is_cfl_dt_of_each_state`` resumed from its
+    state after one step of 1e-3, written and read back: that state has
+    content on every row, past the 2/3 band, and each CFL-set dt still
+    equals cfl_dt of the state it steps, bit for bit."""
+    st0 = make_initial_data(InitialDataSpec(epsilon=85.0, s=2, seed=2), GridSpec(64))
+    write_checkpoint(step_ifrk4(st0, 1e-3), tmp_path / "one.chk", s=2)
+    resumed = read_checkpoint(tmp_path / "one.chk")
+    assert step_rows(resumed) == 33
+    _assert_run_dt_is_cfl_dt(monkeypatch, resumed)
 
 
 def test_linear_run_is_exact_with_no_cfl_limit():
@@ -449,10 +469,12 @@ def _bind_content_rows(monkeypatch, rows):
             monkeypatch.setattr(mod, "_content_rows", rows)
 
 
-def _samples(st, path):
-    """cfl_dt, symmetry_defect and the checkpoint bytes of a state."""
+def _samples(st, path, cfl=True):
+    """cfl_dt (None without ``cfl``), symmetry_defect and the checkpoint
+    bytes of a state."""
     write_checkpoint(st, path, s=2)
-    return cfl_dt(st, StepperConfig(t_end=1.0, dt_max=1.0)), symmetry_defect(st), path.read_bytes()
+    dt = cfl_dt(st, StepperConfig(t_end=1.0, dt_max=1.0)) if cfl else None
+    return dt, symmetry_defect(st), path.read_bytes()
 
 
 def _step(st, nonlinear):
@@ -517,14 +539,22 @@ def test_content_rows_change_no_bit(monkeypatch, tmp_path, case):
 def test_one_content_row_too_few_shows(monkeypatch, tmp_path, case):
     """Negative control of the test above: a ``_content_rows`` one row short
     moves what a state samples, and the step either moves too or, one row
-    short of the 2/3 band, is refused."""
+    short of the 2/3 band, is refused.  ``cfl_dt`` runs the first stage of
+    a nonlinear step, so it is refused there too, also for the state of a
+    linear run; its symmetry defect and checkpoint bytes still move."""
     st, nonlinear = _row_case(case, tmp_path)
     path = tmp_path / "s.chk"
+    band = int(st.grid.dealias_cutoff) + 1
     samples, stepped = _samples(st, path), _step(st, nonlinear).x
     with monkeypatch.context() as mp:
         _bind_content_rows(mp, lambda x, least=0: _content_rows(x, least) - 1)
-        assert _samples(st, path) != samples
-        if nonlinear and step_rows(st, nonlinear) < int(st.grid.dealias_cutoff) + 1:
+        if step_rows(st) < band:
+            with pytest.raises(ValueError):
+                cfl_dt(st, StepperConfig(t_end=1.0, dt_max=1.0))
+            assert _samples(st, path, cfl=False)[1:] != samples[1:]
+        else:
+            assert _samples(st, path) != samples
+        if nonlinear and step_rows(st, nonlinear) < band:
             with pytest.raises(ValueError):
                 _step(st, nonlinear)
         else:

@@ -36,10 +36,10 @@ import numpy as np
 
 from mhd2tor.checkpoint import write_checkpoint
 from mhd2tor.diagnostics import EnergyParams, instantaneous
-from mhd2tor.dynamics import _pack, _rhs_arrays
+from mhd2tor.dynamics import _rhs_arrays
 from mhd2tor.spectral import GridSpec
 from mhd2tor.stepping import step_ifrk4, step_rows
-from mhd2tor.symmetry import InitialDataSpec, _in_class, make_initial_data
+from mhd2tor.symmetry import InitialDataSpec, _in_class, _pack, make_initial_data
 
 LAYERS = ("rhs", "step", "instantaneous", "write_checkpoint")
 DT = 5e-3

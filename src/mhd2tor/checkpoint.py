@@ -19,12 +19,13 @@ packed fields h = u1 + u2 and g = b1 + b2 alone (``_pack``), as
 (h + Rh)/2, (h - Rh)/2, (g - Rg)/2 and (g + Rg)/2 (``_unpack``), with R
 the x2-mirror, the permutation j -> n - j on either grid; so the written
 samples are even and odd bit for bit.  A read that finds its samples even
-and odd bit for bit transforms the packed fields and splits their spectra
-by k2 parity the same way, which leaves the state in the class bit for
-bit.  Samples off the class by one bit take the four-field transforms both
-ways, so the anti part is kept, not projected away.  A read checks the
-file's size against the one its header implies before it allocates the
-arrays.
+and odd bit for bit, by the class test of the step (``_in_class``),
+transforms the packed fields and splits their spectra by k2 parity the
+same way, which leaves the state in the class bit for bit.  Samples off
+the class by one bit take the four-field transforms both ways, so the
+anti part is kept, not projected away.  A read checks the file's size
+against the one its header implies before it allocates the arrays.  A
+header n that ``GridSpec`` refuses is corrupt.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .spectral import (
     GridSpec,
     _content_rows,
     _inverse_into,
+    _n_allowed,
     _phys_as_complex,
     _spec_as_real,
     _transform_workspace,
@@ -48,11 +50,10 @@ from .spectral import (
     roll_anchor,
 )
 from .spectral import fft_coeffs, ifft_samples  # noqa: F401  traced by name in bench/spans.py
-from .symmetry import _STACK_PARITY, MHDState, _in_class, _pack, _reflect_coeffs, _unpack
+from .symmetry import MHDState, _in_class, _pack, _unpack
 
 MAGIC = b"MHD2TOR1"
 _HEADER = struct.Struct("<8sIId")
-_MAX_N = 16384
 
 
 def physical_arrays(st: MHDState) -> np.ndarray:
@@ -121,7 +122,7 @@ def checkpoint_header(path: str | os.PathLike) -> tuple[int, int, float]:
     magic, n, s, t = _HEADER.unpack(head)
     if magic != MAGIC:
         raise CorruptCheckpoint(f"bad magic {magic!r}", offset=0)
-    if n < 8 or n % 2 != 0 or n > _MAX_N:
+    if not _n_allowed(n):
         raise CorruptCheckpoint(f"implausible grid size n={n}", offset=8)
     if not 2 <= s <= MAX_S:
         raise CorruptCheckpoint(f"regularity index s={s} outside [2, {MAX_S}]", offset=12)
@@ -157,7 +158,7 @@ def read_checkpoint(
             raise CorruptCheckpoint(
                 f"non-finite samples in array {i + 1} of 4", offset=_HEADER.size + i * nbytes
             )
-    if not np.array_equal(_reflect_coeffs(raw, _STACK_PARITY), raw):
+    if not _in_class(grid, raw):
         return MHDState(grid, t, half_coeffs(grid, roll_anchor(raw)))
     # even and odd bit for bit: split the spectra of h and g by k2 parity
     hg = half_coeffs(grid, roll_anchor(_pack(raw, raw[:2])))

@@ -29,11 +29,11 @@ class RunConfig:
     epsilon: float
     t_end: float
     seed: int = 1
-    spectrum_decay: float = 3.0
-    max_wavenumber: int = 4
-    cfl: float = 0.4
-    dt_max: float = 1e-2
-    dt_min: float = 1e-8
+    spectrum_decay: float = InitialDataSpec.spectrum_decay
+    max_wavenumber: int = InitialDataSpec.max_wavenumber
+    cfl: float = StepperConfig.cfl
+    dt_max: float = StepperConfig.dt_max
+    dt_min: float = StepperConfig.dt_min
     sample_every: float = 0.1
     snapshot_every: float = 0.0
     outdir: str = "out"
@@ -103,6 +103,7 @@ def parse_config(text: str) -> RunConfig:
     Raises
     ------
     UnknownKey, InvalidValue, MissingRequired
+        InvalidValue also for a key set on a second line.
     """
     types = typing.get_type_hints(RunConfig)
     values = {}
@@ -115,6 +116,8 @@ def parse_config(text: str) -> RunConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in types:
             raise UnknownKey(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise InvalidValue(f"line {lineno}: key {key!r} set twice")
         values[key] = _convert(key, raw, types[key])
     missing = [k for k in _REQUIRED if k not in values]
     if missing:

@@ -48,9 +48,20 @@ def _band_rows(grid: GridSpec) -> int:
     return int(grid.dealias_cutoff) + 1
 
 
+def _split(M: np.ndarray, curl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multipliers of the packed kernel from those of the general one:
+    the sums over the u1 and u2 rows of (M[:, 0] + M[:, 1])/2 and
+    (M[:, 0] - M[:, 1])/2, which act on F(k2) and F(-k2) of F = (A + C)^,
+    and of curl/2 over the b1 and b2 rows, which acts on E'(k2) + E'(-k2)."""
+    plus, minus = 0.5 * (M[:, 0] + M[:, 1]), 0.5 * (M[:, 0] - M[:, 1])
+    return plus.sum(0), minus.sum(0), 0.5 * curl.sum(0)
+
+
 @lru_cache(maxsize=4)
-def _multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The tendency multipliers on the band rows, dealias mask folded in.
+def _multipliers(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """The tendency multipliers on the band rows, dealias mask folded in:
+    (M, curl) of the general kernel, then (plus, minus, half_curl) =
+    ``_split(M, curl)`` of the packed one.
 
     ``M[i, j]`` maps (A_hat, C_hat) to the u tendency: M = P [[-d1, -d2],
     [d2, -d1]], the Leray projection P folded into the divergence-form
@@ -66,29 +77,8 @@ def _multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
         [-2.0 * k1 * k2 * k2, k2 * (k1 * k1 - k2 * k2)],
         [2.0 * k1 * k1 * k2, k1 * (k2 * k2 - k1 * k1)],
     ])
-    return M, mask * np.stack([d2, -d1])
-
-
-@lru_cache(maxsize=_multipliers.cache_info().maxsize)
-def _split_slot(grid: GridSpec) -> list:
-    """The one-entry memo of ``_split_multipliers`` for the grid, kept for
-    as many grids as ``_multipliers`` keeps."""
-    return [None]
-
-
-def _split_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The multipliers of the packed kernel, built from ``_multipliers``:
-    the sums over the u1 and u2 rows of (M[:, 0] + M[:, 1])/2 and
-    (M[:, 0] - M[:, 1])/2, which act on F(k2) and F(-k2) of F = (A + C)^,
-    and of curl/2 over the b1 and b2 rows, which acts on E'(k2) + E'(-k2).
-    Kept per grid while ``_multipliers`` returns the same arrays."""
-    M, curl = _multipliers(grid)
-    slot = _split_slot(grid)
-    hit = slot[0]
-    if hit is None or hit[0] is not M or hit[1] is not curl:
-        plus, minus = 0.5 * (M[:, 0] + M[:, 1]), 0.5 * (M[:, 0] - M[:, 1])
-        hit = slot[0] = (M, curl, plus.sum(0), minus.sum(0), 0.5 * curl.sum(0))
-    return hit[2:]
+    curl = mask * np.stack([d2, -d1])
+    return (M, curl, *_split(M, curl))
 
 
 def _max_speed(u_pair, b_pair, work: np.ndarray, mean: bool = False) -> float:
@@ -120,11 +110,12 @@ class _PackedPlan:
     odd, and E is the even part of h Rg.  So the forward transform F of
     A + C and E' of h Rg give A^ = (F(k2) + F(-k2))/2,
     C^ = (F(k2) - F(-k2))/2 and E^ = (E'(k2) + E'(-k2))/2, folded into
-    ``_split_multipliers``, which also sums the u1 and u2 rows, and the b1
-    and b2 rows, into the packed tendency.  ``_unpack`` of it has the
-    class's parity exactly, whatever the roundoff of the transforms.  A
-    plan binds arrays only: the transforms and ``_split_multipliers`` are
-    looked up on every call, so a patched one takes effect."""
+    the packed multipliers of ``_multipliers`` (``_split``), which also sum
+    the u1 and u2 rows, and the b1 and b2 rows, into the packed tendency.
+    ``_unpack`` of it has the class's parity exactly, whatever the roundoff
+    of the transforms.  A plan binds arrays only: the transforms and
+    ``_multipliers`` are looked up on every call, so a patched one takes
+    effect."""
 
     def __init__(self, grid: GridSpec):
         r, n, top = _band_rows(grid), grid.n, grid.n // 2 + 1
@@ -187,7 +178,7 @@ class _PackedPlan:
         np.copyto(first, first_src)
         np.copyto(rest, rest_src)
         (F, E), (mF, mE), t = self.FE, self.mirror, self.t
-        plus, minus, half_curl = _split_multipliers(self.grid)
+        _, _, plus, minus, half_curl = _multipliers(self.grid)
         np.multiply(plus, F, out=out[0, :r])
         out[0, :r] += np.multiply(minus, mF, out=t)
         mE += E
@@ -233,7 +224,7 @@ def _products(grid: GridSpec, x: np.ndarray, out: np.ndarray, speed: bool) -> fl
     """``_rhs_arrays`` on the band rows of ``out`` by the general kernel:
     A, C and E from the samples of u1, u2, b1 and b2."""
     r = _band_rows(grid)
-    M, curl = _multipliers(grid)
+    M, curl = _multipliers(grid)[:2]
     ws = _transform_workspace(grid)
     dealiased = np.multiply(x[:, :r], grid.half.dealias_mask[:r], out=out[:, :r])
     _inverse_into(dealiased, ws.spec_t, ws.phys_t)

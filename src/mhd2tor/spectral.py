@@ -31,7 +31,10 @@ from .errors import HermitianViolation, require
 MEASURE = (2.0 * np.pi) ** 2
 # 2/3 rule: products keep max(|k1|, |k2|) <= DEALIAS_FRACTION * n/2
 DEALIAS_FRACTION = 2.0 / 3.0
-# largest regularity index s: mu_{2s+2} stays finite in float64 for n <= 16384
+# largest grid size: GridSpec refuses a larger n and a checkpoint header
+# that names one is corrupt
+MAX_N = 16384
+# largest regularity index s: mu_{2s+2} stays finite in float64 for n <= MAX_N
 MAX_S = 16
 
 
@@ -39,6 +42,12 @@ def require_s(s: int) -> None:
     """The rule on the regularity index s, for every type that takes one."""
     constraint = f"must be an integer in [2, {MAX_S}] (small-data theory needs s >= 2)"
     require(2 <= s <= MAX_S, "s", s, constraint)
+
+
+def _n_allowed(n: int) -> bool:
+    """The rule on the grid size n, for ``GridSpec`` and the checkpoint
+    header: even and in [8, MAX_N]."""
+    return 8 <= n <= MAX_N and n % 2 == 0
 
 
 def thread_cache(maxsize: int):
@@ -82,13 +91,13 @@ class GridSpec:
     Parameters
     ----------
     n : int
-        Points per dimension; even, at least 8.
+        Points per dimension; even, in [8, MAX_N] (``_n_allowed``).
     """
 
     n: int
 
     def __post_init__(self):
-        require(self.n >= 8 and self.n % 2 == 0, "n", self.n, "must be an even integer >= 8")
+        require(_n_allowed(self.n), "n", self.n, f"must be an even integer in [8, {MAX_N}]")
 
     @property
     def spacing(self) -> float:
@@ -319,11 +328,12 @@ class Workspace(NamedTuple):
 @thread_cache(maxsize=4)
 def _transform_workspace(grid: GridSpec) -> Workspace:
     """The ``Workspace`` of the grid and the calling thread, used by the
-    right-hand side (and so by ``cfl_dt``), the class test,
-    ``symmetry_defect``, the squares and the divergence scratch of
-    ``instantaneous`` and the samples of ``write_checkpoint`` and
-    ``physical_arrays``.  Not reentrant: a caller owns its contents only
-    until its next call into one of those on its thread."""
+    right-hand side (and so by ``cfl_dt``), the class test (and so by
+    ``read_checkpoint``), ``symmetry_defect``, the squares and the
+    divergence scratch of ``instantaneous`` and the samples of
+    ``write_checkpoint`` and ``physical_arrays``.  Not reentrant: a caller
+    owns its contents only until its next call into one of those on its
+    thread."""
     n = grid.n
     spec = np.empty((4, n, n // 2 + 1), dtype=np.complex128)
     phys = np.empty((4, n, n))

@@ -43,16 +43,19 @@ _STACK_PARITY = np.array([PARITY[c] for c in ("u1", "u2", "b1", "b2")], dtype=fl
 
 
 def _in_class(grid: GridSpec, x: np.ndarray) -> bool:
-    """Whether the stacked half spectra ``x`` (4, m, n), or their leading
-    rows, are in the class by value: column -k2 of each field equals its
-    parity times column k2.  A -0.0 counts as zero; a NaN or inf counts as
-    out of class.  Copies the columns k2 = 0..n/2 and their mirrors into
-    the shared transform workspace and compares them there, allocating
-    nothing."""
+    """Whether the stack (u1, u2, b1, b2) ``x`` (4, m, n) is in the class
+    by value: column n - j of each field equals its parity times column j.
+    ``x`` holds half spectra, or their leading rows, or real samples
+    (4, n, n) on either grid, since the permutation j -> n - j of the last
+    axis is the x2-mirror of both.  A -0.0 counts as zero; a NaN or inf
+    counts as out of class.  Copies the columns j = 0..n/2 and their
+    mirrors into the shared transform workspace, viewed in the dtype of
+    ``x``, and compares them there, allocating nothing."""
     m, n = x.shape[1:]
     h = n // 2
-    cols = _phys_as_complex(grid, (4, m, h + 1))
-    mirror = _leading(_transform_workspace(grid).spec, (4, m, h + 1))
+    ws = _transform_workspace(grid)
+    cols = _leading(ws.phys.view(x.dtype), (4, m, h + 1))
+    mirror = _leading(ws.spec.view(x.dtype), (4, m, h + 1))
     cols[:] = x[..., : h + 1]
     mirror[..., 0] = x[..., 0]
     mirror[..., 1:] = x[..., : h - 1 : -1]  # column j takes column n - j
@@ -213,10 +216,13 @@ def symmetry_defect(st: MHDState, rows: int | None = None) -> float:
     return 0.0 if scale == 0.0 else defect / scale
 
 
-def _philox(seed: int, attempt: int = 0) -> np.random.Generator:
-    """Counter-based Philox generator keyed by (seed, attempt) through a
-    SeedSequence, so draws are bit-reproducible across platforms."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
+def _philox(seed: int, stream: int = 0) -> np.random.Generator:
+    """Counter-based Philox generator of ``seed``, keyed through a
+    SeedSequence, so draws are bit-reproducible across platforms.  Each
+    ``stream`` is an independent key: stream 0 draws the initial data, the
+    class velocities of ``random_class_velocity`` and the amplitudes of
+    ``verify.multimode_linear_state``, stream 1 the scalars of ``verify``."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -273,18 +279,19 @@ def _draw_class(grid: GridSpec, rng: np.random.Generator, kmax: int, decay: floa
 def make_initial_data(spec: InitialDataSpec, grid: GridSpec) -> MHDState:
     """Seeded random state in the class, rescaled to the smallness budget.
 
-    The draw uses the Philox generator keyed by (seed, attempt), so results
-    are bit-reproducible across platforms (see ``_philox``).
-    u and b are rescaled separately so that each contributes epsilon/2 to
-    ||u0||_{H^{2s+1}} + ||grad b0||_{H^{2s}}.
+    One draw of ``_draw_class`` from ``_philox(spec.seed)``, so results are
+    bit-reproducible across platforms.  u and b are rescaled separately so
+    that each contributes epsilon/2 to ||u0||_{H^{2s+1}} + ||grad b0||_{H^{2s}}.
+    A draw has the mode (0, 1), which keeps u1 = Re z and b1 = i Im z of its
+    normal z through the symmetrization and the projection, so only a normal
+    of exactly 0.0 could leave a zero norm.
 
     Raises
     ------
     InvalidValue
         If ``spec.require_resolved(grid)`` fails.
     DegenerateSpectrum
-        If the drawn fields are identically zero after projection on ten
-        consecutive attempts.
+        If the drawn u or b is identically zero after projection.
     NonFiniteState
         If epsilon (near the largest float) scales the draw to inf.
     """
@@ -293,22 +300,19 @@ def make_initial_data(spec: InitialDataSpec, grid: GridSpec) -> MHDState:
     half = grid.half
     w_u = half.weight * half_sobolev_multiplier(grid, 2 * spec.s + 1)
     w_gb = half.weight * half_sobolev_multiplier(grid, 2 * spec.s) * half.ksq
-    for attempt in range(10):
-        rng = _philox(spec.seed, attempt)
-        x = _draw_class(grid, rng, spec.max_wavenumber, spec.spectrum_decay)
-        sq = x.real**2 + x.imag**2
-        norm_u = np.sqrt(MEASURE * np.sum(w_u * (sq[0] + sq[1])))
-        norm_gb = np.sqrt(MEASURE * np.sum(w_gb * (sq[2] + sq[3])))
-        if norm_u == 0.0 or norm_gb == 0.0:
-            continue
-        scale = np.repeat(0.5 * spec.epsilon / np.array([norm_u, norm_gb]), 2)[:, None, None]
-        if not np.isfinite(scale).all():
-            raise NonFiniteState(f"epsilon {spec.epsilon!r} overflows the draw (seed {spec.seed})")
-        x *= scale
-        return MHDState(grid, 0.0, x)
-    raise DegenerateSpectrum(
-        f"initial data collapsed to zero after projection (seed {spec.seed})"
-    )
+    x = _draw_class(grid, _philox(spec.seed), spec.max_wavenumber, spec.spectrum_decay)
+    sq = x.real**2 + x.imag**2
+    norm_u = np.sqrt(MEASURE * np.sum(w_u * (sq[0] + sq[1])))
+    norm_gb = np.sqrt(MEASURE * np.sum(w_gb * (sq[2] + sq[3])))
+    if norm_u == 0.0 or norm_gb == 0.0:
+        raise DegenerateSpectrum(
+            f"initial data collapsed to zero after projection (seed {spec.seed})"
+        )
+    scale = np.repeat(0.5 * spec.epsilon / np.array([norm_u, norm_gb]), 2)[:, None, None]
+    if not np.isfinite(scale).all():
+        raise NonFiniteState(f"epsilon {spec.epsilon!r} overflows the draw (seed {spec.seed})")
+    x *= scale
+    return MHDState(grid, 0.0, x)
 
 
 def random_class_velocity(

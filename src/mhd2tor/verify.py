@@ -13,8 +13,10 @@ import numpy as np
 
 from .diagnostics import SQRT2, poincare_check
 from .dynamics import transport_skew_defect
+from .errors import require
 from .oracles import dft_coefficients, dft_derivative, linearized_mode_solution
 from .spectral import (
+    MAX_S,
     GridSpec,
     ScalarField,
     SpectralScalar,
@@ -50,7 +52,7 @@ def _result(name: str, value: float, bound: float) -> VerifyResult:
 
 def _random_scalar(grid: GridSpec, seed: int) -> SpectralScalar:
     """Random band-limited real scalar, kmax 5, |k|^-2 coefficient falloff."""
-    return SpectralScalar(grid, to_full(_draw_modes(grid, _philox(seed, attempt=1), 5, 2.0, 1)[0]))
+    return SpectralScalar(grid, to_full(_draw_modes(grid, _philox(seed, stream=1), 5, 2.0, 1)[0]))
 
 
 def verify_poincare(
@@ -85,27 +87,19 @@ def verify_skew(n: int = 32, n_samples: int = 100, seed: int = 0) -> list[Verify
 
 
 def multimode_linear_state(grid: GridSpec, kmax: int, seed: int):
-    """State with one random amplitude pair on every mode |k| <= kmax.
+    """State with one random amplitude pair on every mode 0 < |k| <= kmax.
 
-    Amplitudes sit along the unit vector perpendicular to k, so both fields
-    are divergence-free; returns (state, {k: (a0, c0)}).
+    ``_draw_modes`` draws the amplitude fields a and c, with unit
+    magnitudes, from ``_philox(seed)``; (u, b) = i k_perp/|k| (a, c) with
+    k_perp = (-k2, k1), so both fields are divergence-free, and real, since
+    k_perp is odd in k.  Returns (state, {k: (a0, c0)}), the amplitudes
+    read back by ``mode_amplitudes``.
     """
-    rng = _philox(seed)
-    n = grid.n
-    x = np.zeros((4, n // 2 + 1, n), dtype=np.complex128)
-    amps: dict[tuple[int, int], tuple[complex, complex]] = {}
-    for k1, k2 in _mode_list(kmax):
-        g = rng.standard_normal(4)
-        a0 = (g[0] + 1j * g[1]) / np.sqrt(2.0)
-        c0 = (g[2] + 1j * g[3]) / np.sqrt(2.0)
-        norm = np.hypot(k1, k2)
-        p1, p2 = -k2 / norm, k1 / norm
-        mode = np.array([a0 * p1, a0 * p2, c0 * p1, c0 * p2])
-        x[:, k1, k2 % n] += mode
-        if k1 == 0:  # the conjugate mode (0, -k2) is stored too
-            x[:, 0, -k2 % n] += np.conj(mode)
-        amps[(k1, k2)] = (complex(a0), complex(c0))
-    return MHDState(grid, 0.0, x), amps
+    a, c = _draw_modes(grid, _philox(seed), kmax, 0.0, 2)
+    half = grid.half
+    perp = 1j * np.sqrt(half.inv_ksq) * np.stack([-half.k2, half.k1])
+    st = MHDState(grid, 0.0, np.concatenate([perp * a, perp * c]))
+    return st, {k: mode_amplitudes(st, k) for k in _mode_list(kmax)}
 
 
 def mode_amplitudes(st, k: tuple[int, int]) -> tuple[complex, complex]:
@@ -244,6 +238,15 @@ CHECKS = {
 def run_checks(
     names, n_samples: int | None = None, k: int | None = None
 ) -> list[VerifyResult]:
+    """The rows of the checks ``names``, with ``n_samples`` draws per random
+    sweep and the Sobolev order ``k`` of the Poincare sweep when given.
+    InvalidValue, before any check runs, for ``n_samples`` < 1, a sweep
+    that would pass over no draws, or ``k`` outside [0, 2 MAX_S + 1], the
+    orders of the energy norms."""
+    if n_samples is not None:
+        require(n_samples >= 1, "samples", n_samples, "must be >= 1")
+    if k is not None:
+        require(0 <= k <= 2 * MAX_S + 1, "k", k, f"must lie in [0, {2 * MAX_S + 1}]")
     rows: list[VerifyResult] = []
     for name in names:
         kwargs = {}

@@ -17,7 +17,14 @@ from mhd2tor.checkpoint import (
 )
 from mhd2tor.dynamics import _rhs_arrays
 from mhd2tor.errors import CorruptCheckpoint, GridMismatch
-from mhd2tor.spectral import GridSpec, ScalarField, forward_transform, half_samples, roll_anchor
+from mhd2tor.spectral import (
+    MAX_N,
+    GridSpec,
+    ScalarField,
+    forward_transform,
+    half_samples,
+    roll_anchor,
+)
 from mhd2tor.stepping import step_ifrk4
 from mhd2tor.symmetry import (
     _STACK_PARITY,
@@ -99,6 +106,59 @@ def test_one_ulp_off_the_class_is_kept(tmp_path, state, field_counts):
     field_counts.update(irfft=0, rfft=0)
     _rhs_arrays(loaded.grid, loaded.x)
     assert field_counts == {"irfft": 4, "rfft": 3}
+
+
+def _off_by_one_bit(raw):
+    raw[1, 3, 5] = np.nextafter(raw[1, 3, 5], np.inf)
+    return raw
+
+
+def _signed_zeros(raw):
+    """Column j = 0 of the odd u2 is -0.0, its own mirror; one pair of
+    mirrored samples of the even u1 is -0.0 and +0.0."""
+    n = raw.shape[-1]
+    raw[1, :, 0] = -0.0
+    raw[0, 2, 3], raw[0, 2, n - 3] = -0.0, 0.0
+    return raw
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256])
+@pytest.mark.parametrize(
+    "case, in_class",
+    [
+        (lambda raw: raw, False),
+        (lambda raw: raw, True),
+        (_off_by_one_bit, False),
+        (_signed_zeros, True),
+    ],
+    ids=["random", "symmetrized", "one-bit-off", "signed-zeros"],
+)
+def test_in_class_on_samples_matches_the_mirror_test(n, case, in_class):
+    """``_in_class`` on real samples (4, n, n), the class test of a read,
+    decides as the mirror test R raw == raw, with R the x2 reflection and
+    the class parities: on random samples, on their symmetrized part, on
+    that part one bit off and on it with signed zeros.  (At the parent the
+    samples did not fit the complex view of the workspace.)"""
+    grid = GridSpec(n)
+    raw = np.random.default_rng(n).standard_normal((4, n, n))
+    if in_class or case is _off_by_one_bit:
+        raw = 0.5 * (raw + _reflect_coeffs(raw, _STACK_PARITY))
+    raw = case(raw)
+    assert np.array_equal(_reflect_coeffs(raw, _STACK_PARITY), raw) is in_class
+    assert _in_class(grid, raw) is in_class
+
+
+def test_header_refuses_a_grid_above_max_n(tmp_path, state):
+    """A header n above MAX_N is corrupt at offset 8, by the n rule of
+    ``GridSpec``."""
+    path = tmp_path / "a.chk"
+    write_checkpoint(state, path, s=2)
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = (MAX_N + 2).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptCheckpoint) as exc:
+        checkpoint_header(path)
+    assert exc.value.offset == 8
 
 
 def test_round_trip_stable(tmp_path, state):

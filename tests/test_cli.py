@@ -240,5 +240,22 @@ def test_verify_subcommand(capsys):
     assert "PASS" in out and "poincare_ratio_max" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["poincare", "--samples", "0"], ["skew", "--samples", "-3"],
+        ["poincare", "--k", "-1"], ["poincare", "--k", "34"],
+    ],
+)
+def test_verify_refuses_a_vacuous_or_unbounded_sweep(capsys, args):
+    """A sweep over no draws (at the parent: PASS with value 0) and a
+    Sobolev order outside [0, 2 MAX_S + 1] (at the parent, --k -1 ended in
+    a traceback, exit 1) are config errors, refused before any check runs."""
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and "Traceback" not in captured.err
+
+
 def test_verify_unknown_check():
     assert main(["--quiet", "verify", "nonsense"]) == 2

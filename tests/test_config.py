@@ -5,7 +5,7 @@ import pytest
 from mhd2tor.config import RunConfig, parse_config
 from mhd2tor.diagnostics import EnergyParams
 from mhd2tor.errors import InvalidValue, MissingRequired, UnknownKey
-from mhd2tor.spectral import MAX_S, GridSpec
+from mhd2tor.spectral import MAX_N, MAX_S, GridSpec
 from mhd2tor.stepping import StepperConfig, run
 from mhd2tor.symmetry import InitialDataSpec, make_initial_data
 
@@ -26,6 +26,17 @@ def test_minimal_config_defaults():
     assert cfg.sample_every == 0.1
     assert cfg.snapshot_every == 0.0
     assert cfg.nonlinearity and cfg.coupling
+
+
+def test_largest_grid_accepted():
+    """n = MAX_N parses; the rule is checked without building the grid's arrays."""
+    assert parse_config(MINIMAL.replace("n = 32", f"n = {MAX_N}")).n == MAX_N
+
+
+def test_duplicate_key_names_the_second_line():
+    """A key set twice is refused (at the parent the last value won)."""
+    with pytest.raises(InvalidValue, match="line 7: key 'n' set twice"):
+        parse_config(MINIMAL + "\nn = 64\n")
 
 
 def test_comments_and_blank_lines():
@@ -108,7 +119,7 @@ def test_direct_construction_validates():
 # same message (OWNERS).
 BASE = {"n": 16, "s": 2, "epsilon": 1e-2, "t_end": 1.0}
 BAD_VALUES = [
-    ("n", 7), ("n", 6),
+    ("n", 7), ("n", 6), ("n", MAX_N + 2),
     ("s", 1), ("s", MAX_S + 1),
     ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -1.0),
     ("seed", -1),

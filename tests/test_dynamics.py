@@ -95,7 +95,7 @@ def test_unprojected_multipliers_lose_divergence(monkeypatch):
     tendency left unprojected, div u leaves roundoff within 100 steps at
     n=64 and crosses criterion 05's bound; with P folded in it stays there."""
     grid = GridSpec(64)
-    M, curl = dynamics._multipliers(grid)
+    curl = dynamics._multipliers(grid)[1]
     r = dynamics._band_rows(grid)
     d1, d2 = grid.half.ik_stack[:, :r] * grid.half.dealias_mask[:r]
     unprojected = np.stack([[-d1, -d2], [d2, -d1]])
@@ -109,22 +109,21 @@ def test_unprojected_multipliers_lose_divergence(monkeypatch):
         return worst
 
     assert worst_defect() < 1e-14
-    monkeypatch.setattr(dynamics, "_multipliers", lambda g: (unprojected, curl))
+    patched = (unprojected, curl, *dynamics._split(unprojected, curl))
+    monkeypatch.setattr(dynamics, "_multipliers", lambda g: patched)
     assert worst_defect() > 1e-10
 
 
 def test_split_multipliers_freed_with_the_multipliers():
-    """The packed kernel's multipliers are kept for no more grids than
-    ``_multipliers`` keeps: after packed right-hand sides on n = 16 ... 56,
-    six grids against its four, those of n = 16 and the multipliers they
-    were built from are freed."""
+    """The packed kernel's multipliers are kept in the one cache entry of
+    ``_multipliers``, with those of the general kernel: after packed
+    right-hand sides on n = 16 ... 56, six grids against its four, all five
+    arrays of n = 16 are freed."""
     import gc
     import weakref
 
     grid = GridSpec(16)
-    refs = [
-        weakref.ref(a) for a in (*dynamics._multipliers(grid), *dynamics._split_multipliers(grid))
-    ]
+    refs = [weakref.ref(a) for a in dynamics._multipliers(grid)]
     for n in range(16, 64, 8):
         st = make_initial_data(InitialDataSpec(epsilon=1.0, s=2, seed=n), GridSpec(n))
         dynamics._rhs_arrays(st.grid, symmetry._pack(st.x))

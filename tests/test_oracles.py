@@ -311,13 +311,13 @@ def test_swapped_split_fails_the_oracle(monkeypatch):
         return _unpack(hg, np.empty_like(st.x))
 
     _assert_matches_direct(st, packed(), products)
-    split = dynamics._split_multipliers
+    multipliers = dynamics._multipliers
 
     def swapped(grid):
-        plus, minus, half_curl = split(grid)
-        return minus, plus, half_curl
+        M, curl, plus, minus, half_curl = multipliers(grid)
+        return M, curl, minus, plus, half_curl
 
-    monkeypatch.setattr(dynamics, "_split_multipliers", swapped)
+    monkeypatch.setattr(dynamics, "_multipliers", swapped)
     with pytest.raises(AssertionError):
         _assert_matches_direct(st, packed(), products)
 
@@ -347,13 +347,13 @@ def test_plans_look_up_patched_functions(monkeypatch, request):
     field_counts.update(irfft=0, rfft=0)
     step_ifrk4(st, 1e-2)
     assert field_counts == {"irfft": 8, "rfft": 8}
-    split = dynamics._split_multipliers
+    multipliers = dynamics._multipliers
 
     def swapped(grid):
-        plus, minus, half_curl = split(grid)
-        return minus, plus, half_curl
+        M, curl, plus, minus, half_curl = multipliers(grid)
+        return M, curl, minus, plus, half_curl
 
-    monkeypatch.setattr(dynamics, "_split_multipliers", swapped)
+    monkeypatch.setattr(dynamics, "_multipliers", swapped)
     with pytest.raises(AssertionError):
         _assert_matches_direct(st, packed(), products)
 

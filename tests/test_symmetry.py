@@ -16,7 +16,8 @@ from mhd2tor.spectral import (
     sobolev_norm,
 )
 from mhd2tor.diagnostics import gradient_norm
-from mhd2tor.errors import NonFiniteState
+from mhd2tor import symmetry
+from mhd2tor.errors import DegenerateSpectrum, NonFiniteState
 from mhd2tor.stepping import step_ifrk4
 from mhd2tor.symmetry import (
     _STACK_PARITY,
@@ -249,6 +250,40 @@ def test_initial_data_overflow_raises():
     spec = InitialDataSpec(1.7e308, 2, 15, max_wavenumber=1)
     with pytest.raises(NonFiniteState), np.errstate(over="ignore"):
         make_initial_data(spec, GridSpec(16))
+
+
+def test_zero_draw_raises_after_one_draw(monkeypatch, grid):
+    """A draw whose fields vanish raises DegenerateSpectrum: there is one
+    draw per seed, and no retry."""
+    draws = []
+
+    def zero(grid, rng, kmax, decay):
+        draws.append(rng)
+        return np.zeros((4, grid.n // 2 + 1, grid.n), dtype=np.complex128)
+
+    monkeypatch.setattr(symmetry, "_draw_class", zero)
+    with pytest.raises(DegenerateSpectrum):
+        make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), grid)
+    assert len(draws) == 1
+
+
+def test_only_the_mode_sampler_and_the_dft_oracle_draw_normals():
+    """One random-field generator: in the package, ``standard_normal`` is
+    called by ``_draw_modes`` and by ``verify_oracle``, whose white-noise
+    samples check the transforms, and nowhere else."""
+    import ast
+    from pathlib import Path
+
+    callers = set()
+    for path in Path(symmetry.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers.update(
+                    fn.name
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr == "standard_normal"
+                )
+    assert callers == {"_draw_modes", "verify_oracle"}
 
 
 def test_random_class_velocity_in_class(grid):

@@ -1,14 +1,15 @@
 """Negative controls of the verification sweeps behind criteria 02, 03 and
 09: a stepper of lower accuracy or lower order, or a derivative multiplier
-with the wrong Nyquist convention, must fail them."""
+with the wrong Nyquist convention, must fail them.  And the state that
+criterion 02 draws is real, divergence-free and has every mode."""
 
 import numpy as np
 
 import mhd2tor.verify as verify
 from mhd2tor.dynamics import _rhs_arrays
-from mhd2tor.spectral import derivative_multiplier
+from mhd2tor.spectral import GridSpec, derivative_multiplier, divergence_defect, inverse_transform
 from mhd2tor.stepping import _heat_factors, _propagate
-from mhd2tor.symmetry import MHDState
+from mhd2tor.symmetry import MHDState, _mode_list
 
 
 def _apply(P, x):
@@ -79,3 +80,20 @@ def test_nyquist_column_kept_fails_the_oracle_check(monkeypatch):
     monkeypatch.setattr(verify, "derivative_multiplier", keeps_nyquist)
     (row,) = [r for r in verify.verify_oracle(n=16) if r.name == "dft_derivative_rel_err"]
     assert not row.passed and 0.5 < row.value < 1.0
+
+
+def test_multimode_state_is_real_divergence_free_and_full():
+    """Every component of ``multimode_linear_state`` transforms to real
+    samples (no HermitianViolation: the factor i of i k_perp/|k| keeps row
+    k1 = 0 Hermitian), both fields are divergence-free within 1e-14, and
+    every mode of ``_mode_list(kmax)`` holds a nonzero amplitude pair."""
+    grid, kmax = GridSpec(16), 4
+    st, amps = verify.multimode_linear_state(grid, kmax, seed=0)
+    for field in (st.u, st.b):
+        for component in (field.c1, field.c2):
+            inverse_transform(component)
+    x = st.x
+    assert divergence_defect(grid.half, x[0], x[1]) <= 1e-14
+    assert divergence_defect(grid.half, x[2], x[3]) <= 1e-14
+    assert sorted(amps) == sorted(_mode_list(kmax))
+    assert all(a != 0 and c != 0 for a, c in amps.values())

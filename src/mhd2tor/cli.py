@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from .checkpoint import checkpoint_header, read_checkpoint, write_checkpoint
-from .config import parse_config
-from .diagnostics import EnergyParams, instantaneous
+from .config import RunConfig, parse_config
+from .diagnostics import EnergyParams, _orders, instantaneous
 from .driver import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -42,15 +42,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-ic", help="write seeded initial data to a checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="checkpoint path to write")
+    p.set_defaults(handler=_cmd_make_ic)
 
     p = sub.add_parser("simulate", help="run from seeded initial data")
     p.add_argument("--config", required=True)
     p.add_argument("--outdir", default=None, help="override the config outdir")
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("resume", help="continue a run from a checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--outdir", default=None)
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("verify", help="run built-in verification sweeps")
     p.add_argument(
@@ -59,46 +62,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=None, help="random draws per sweep")
     p.add_argument("--k", type=int, default=None, help="Sobolev order for poincare")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("diagnose", help="recompute all norms from a checkpoint")
     p.add_argument("--checkpoint", required=True)
+    p.set_defaults(handler=_cmd_diagnose)
     return parser
 
 
-def _cmd_make_ic(args, say) -> int:
+def _config(args) -> RunConfig:
     with open(args.config) as fh:
-        cfg = parse_config(fh.read())
-    st = initial_state(cfg)
-    write_checkpoint(st, args.out, cfg.s)
+        return parse_config(fh.read())
+
+
+def _cmd_make_ic(args, say) -> int:
+    cfg = _config(args)
+    write_checkpoint(initial_state(cfg), args.out, cfg.s)
     say(f"wrote initial data (n={cfg.n}, seed={cfg.seed}) to {args.out}")
     return EXIT_OK
 
 
-def _cmd_simulate(args, say) -> int:
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read())
-    code = simulate(cfg, outdir=args.outdir)
-    say(f"simulate finished with exit code {code}")
-    return code
-
-
-def _cmd_resume(args, say) -> int:
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read())
-    code = resume(cfg, args.checkpoint, outdir=args.outdir)
-    say(f"resume finished with exit code {code}")
+def _cmd_run(args, say) -> int:
+    cfg = _config(args)
+    if args.command == "resume":
+        code = resume(cfg, args.checkpoint, outdir=args.outdir)
+    else:
+        code = simulate(cfg, outdir=args.outdir)
+    say(f"{args.command} finished with exit code {code}")
     return code
 
 
 def _cmd_verify(args, say) -> int:
-    names = args.checks or sorted(CHECKS)
-    unknown = [n for n in names if n not in CHECKS]
-    if unknown:
-        print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
-        return EXIT_CONFIG
-    rows = run_checks(names, n_samples=args.samples, k=args.k)
     ok = True
-    for row in rows:
+    for row in run_checks(args.checks or sorted(CHECKS), n_samples=args.samples, k=args.k):
         ok = ok and row.passed
         say(
             f"{'PASS' if row.passed else 'FAIL'}  {row.name}: "
@@ -114,12 +110,10 @@ def _cmd_diagnose(args, say) -> int:
     say(f"n = {n}")
     say(f"s = {s}")
     say(f"t = {t:.17g}")
-    for m, v in sorted(rec.norm_u.items()):
-        say(f"u_H{m} = {v:.17g}")
-    for m, v in sorted(rec.norm_b.items()):
-        say(f"b_H{m} = {v:.17g}")
-    for m, v in sorted(rec.norm_d2u.items()):
-        say(f"d2u_H{m} = {v:.17g}")
+    norms = rec.norm_u, rec.norm_b, rec.norm_d2u
+    for field, values, orders in zip(("u", "b", "d2u"), norms, _orders(s)):
+        for m in orders:
+            say(f"{field}_H{m} = {values[m]:.17g}")
     say(f"l2_energy = {rec.l2_energy:.17g}")
     say(f"grad_b_l2_sq = {rec.grad_b_l2_sq:.17g}")
     ok = True
@@ -136,15 +130,8 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(msg)
 
-    handlers = {
-        "make-ic": _cmd_make_ic,
-        "simulate": _cmd_simulate,
-        "resume": _cmd_resume,
-        "verify": _cmd_verify,
-        "diagnose": _cmd_diagnose,
-    }
     try:
-        return handlers[args.command](args, say)
+        return args.handler(args, say)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

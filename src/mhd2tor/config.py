@@ -67,7 +67,7 @@ class RunConfig:
         grid = self.grid
         self.initial_data.require_resolved(grid)
         self.stepper  # checks t_end, cfl, dt_max and dt_min
-        require_sample_every(self.sample_every)
+        require_sample_every(self.sample_every, self.dt_min)
         every = self.snapshot_every
         require_finite(snapshot_every=every)
         require(every >= 0, "snapshot_every", every, "must be >= 0 (0 disables snapshots)")

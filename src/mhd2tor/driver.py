@@ -44,11 +44,9 @@ _FLOAT_FMT = "%.17g"
 
 
 def csv_header(s: int) -> list[str]:
-    u_orders, b_orders, d2u_orders = _orders(s)
     cols = ["t"]
-    cols += [f"u_H{m}" for m in u_orders]
-    cols += [f"b_H{m}" for m in b_orders]
-    cols += [f"d2u_H{m}" for m in d2u_orders]
+    for field, orders in zip(("u", "b", "d2u"), _orders(s)):
+        cols += [f"{field}_H{m}" for m in orders]
     cols += [
         "l2_energy", "grad_b_l2_sq", "symmetry_defect",
         "div_defect_u", "div_defect_b", "mean_abs_max", "e0", "e1",
@@ -57,11 +55,9 @@ def csv_header(s: int) -> list[str]:
 
 
 def _csv_row(rec: DiagnosticsRecord, led: EnergyLedger) -> list[float]:
-    u_orders, b_orders, d2u_orders = _orders(led.s)
     vals = [rec.t]
-    vals += [rec.norm_u[m] for m in u_orders]
-    vals += [rec.norm_b[m] for m in b_orders]
-    vals += [rec.norm_d2u[m] for m in d2u_orders]
+    for norms, orders in zip((rec.norm_u, rec.norm_b, rec.norm_d2u), _orders(led.s)):
+        vals += [norms[m] for m in orders]
     vals += [
         rec.l2_energy, rec.grad_b_l2_sq, rec.symmetry_defect,
         rec.div_defect_u, rec.div_defect_b, rec.mean_abs_max, led.e0, led.e1,

@@ -13,7 +13,8 @@ class HermitianViolation(Mhd2torError):
 
 
 class DegenerateSpectrum(Mhd2torError):
-    """Random initial data collapsed to zero after projection, even after resampling."""
+    """Random initial data collapsed to zero after projection (one draw per
+    seed, with no retry)."""
 
 
 class NonFiniteTendency(Mhd2torError):

@@ -106,8 +106,7 @@ class GridSpec:
     @cached_property
     def x1(self) -> np.ndarray:
         """Physical x1 coordinates, shape (n, n), axis 0."""
-        pts = -np.pi + 2.0 * np.pi * np.arange(self.n) / self.n
-        return np.broadcast_to(pts[:, None], (self.n, self.n)).copy()
+        return self.x2.T.copy()
 
     @cached_property
     def x2(self) -> np.ndarray:

@@ -115,10 +115,13 @@ class StepperConfig:
         require(0 < self.dt_min < self.dt_max, "dt_min", self.dt_min, dt_rule)
 
 
-def require_sample_every(sample_every: float) -> None:
-    """The rule on the spacing of the samples that ``run`` emits."""
+def require_sample_every(sample_every: float, dt_min: float) -> None:
+    """The rule on the spacing of the samples that ``run`` emits: at least
+    the step floor ``dt_min``, since each landing on a sample time caps the
+    step at the spacing (at 1e-320 the run stalls)."""
     require_finite(sample_every=sample_every)
-    require(sample_every > 0, "sample_every", sample_every, "must be > 0")
+    rule = f"must be >= dt_min = {dt_min!r}"
+    require(sample_every >= dt_min, "sample_every", sample_every, rule)
 
 
 def _cfl_limit(speed: float, grid, cfg: StepperConfig) -> float:
@@ -306,21 +309,18 @@ def run(
 
     ``sink(record, state)`` is invoked at the initial time, at every sample
     time and at t_end; it must not write into its states.  ``counts``, when
-    given, tallies each dt and what set it.  Raises InvalidValue for a bad
-    ``sample_every``, and NonFiniteState or StepTooSmall with the last
-    good t.
+    given, tallies each dt and what set it.  Raises InvalidValue for a
+    ``sample_every`` outside ``require_sample_every``, and NonFiniteState
+    or StepTooSmall with the last good t.
     """
     from .diagnostics import EnergyParams, instantaneous
 
-    require_sample_every(sample_every)
+    require_sample_every(sample_every, cfg.dt_min)
     params = energy_params if energy_params is not None else EnergyParams(s=2)
     counts = counts if counts is not None else StepCounts()
 
     st = st0
     sink(instantaneous(st, params), st)
-    if cfg.t_end <= st.t + _LANDING_TOL:
-        return st
-    last_emitted = st.t
     # sample times are k * sample_every for an integer k, never a running
     # sum, so they land exactly; on resume k continues from the start time
     k = int(np.floor(st.t / sample_every + 1e-9)) + 1
@@ -350,13 +350,9 @@ def run(
             )
         except (NonFiniteState, StepTooSmall) as exc:
             raise type(exc)(f"{exc} (last good t={st.t:.6g})") from exc
-        if limit == "landing":
-            st.t = target  # exact landing
         counts.add(limit, dt)
-        if st.t >= next_sample - _LANDING_TOL:
+        if limit == "landing":  # on the next sample time or on t_end
+            st.t = target  # exact landing
             sink(instantaneous(st, params), st)
-            last_emitted = st.t
             k += 1
-    if last_emitted < st.t - _LANDING_TOL:
-        sink(instantaneous(st, params), st)
     return st

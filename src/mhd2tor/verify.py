@@ -240,17 +240,24 @@ def run_checks(
 ) -> list[VerifyResult]:
     """The rows of the checks ``names``, with ``n_samples`` draws per random
     sweep and the Sobolev order ``k`` of the Poincare sweep when given.
-    InvalidValue, before any check runs, for ``n_samples`` < 1, a sweep
-    that would pass over no draws, or ``k`` outside [0, 2 MAX_S + 1], the
-    orders of the energy norms."""
+    InvalidValue, before any check runs, for a name not in ``CHECKS``, for
+    ``n_samples`` < 1, a sweep that would pass over no draws, or ``k``
+    outside [0, 2 MAX_S + 1], the orders of the energy norms; and for an
+    option that no named check reads: ``n_samples`` without poincare or
+    skew, ``k`` without poincare."""
+    for name in names:
+        require(name in CHECKS, "check", name, f"must be one of {', '.join(sorted(CHECKS))}")
+    sweeps = [name for name in names if name in ("poincare", "skew")]
     if n_samples is not None:
         require(n_samples >= 1, "samples", n_samples, "must be >= 1")
+        require(bool(sweeps), "samples", n_samples, "only poincare and skew read it")
     if k is not None:
         require(0 <= k <= 2 * MAX_S + 1, "k", k, f"must lie in [0, {2 * MAX_S + 1}]")
+        require("poincare" in names, "k", k, "only poincare reads it")
     rows: list[VerifyResult] = []
     for name in names:
         kwargs = {}
-        if n_samples is not None and name in ("poincare", "skew"):
+        if n_samples is not None and name in sweeps:
             kwargs["n_samples"] = n_samples
         if k is not None and name == "poincare":
             kwargs["ks"] = (k,)

@@ -245,12 +245,15 @@ def test_verify_subcommand(capsys):
     [
         ["poincare", "--samples", "0"], ["skew", "--samples", "-3"],
         ["poincare", "--k", "-1"], ["poincare", "--k", "34"],
+        ["oracle", "--k", "3"], ["order", "--samples", "5"], ["linear", "--samples", "2"],
+        ["nonsense"],
     ],
 )
 def test_verify_refuses_a_vacuous_or_unbounded_sweep(capsys, args):
-    """A sweep over no draws (at the parent: PASS with value 0) and a
-    Sobolev order outside [0, 2 MAX_S + 1] (at the parent, --k -1 ended in
-    a traceback, exit 1) are config errors, refused before any check runs."""
+    """A sweep over no draws (once PASS with value 0), a Sobolev order
+    outside [0, 2 MAX_S + 1] (once a traceback, exit 1), an option that no
+    named check reads (once dropped, with PASS lines and exit 0) and an
+    unknown check name are config errors, refused before any check runs."""
     assert main(["verify", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -129,6 +129,7 @@ BAD_VALUES = [
     ("cfl", 0.0), ("cfl", 1.5),
     ("dt_max", math.inf), ("dt_max", 1e-9), ("dt_min", 0.0),
     ("sample_every", math.nan), ("sample_every", 0.0),
+    ("sample_every", 5e-9), ("sample_every", 1e-320),  # below dt_min = 1e-8
 ]
 
 

@@ -315,6 +315,49 @@ def test_propagator_matches_expm(n, coupling):
     assert worst <= 1e-14
 
 
+def _lawson_rk4_reference(st, dt):
+    """One Lawson RK4 step written out from its tableau, with no stage code
+    of ``step_ifrk4``: with h = dt/2, P(t) = exp(t L) per mode from scipy
+    and N the four-field products of ``_rhs_arrays``,
+    k1 = N(x), k2 = N(P(h)(x + h k1)), k3 = N(P(h) x + h k2),
+    k4 = N(P(dt) x + dt P(h) k3) and
+    x' = P(dt) x + dt/6 (P(dt) k1 + 2 P(h) k2 + 2 P(h) k3 + k4)."""
+    from mhd2tor.dynamics import _rhs_arrays
+
+    def propagator(t):
+        p11, p22, p12, p21 = _expm_factors(st.grid, t, True)
+        return lambda y: np.concatenate([p11 * y[:2] + p12 * y[2:], p21 * y[:2] + p22 * y[2:]])
+
+    half, full = propagator(dt / 2), propagator(dt)
+    N = lambda y: _rhs_arrays(st.grid, y)
+    x = st.x
+    k1 = N(x)
+    k2 = N(half(x + dt / 2 * k1))
+    k3 = N(half(x) + dt / 2 * k2)
+    k4 = N(full(x) + dt * half(k3))
+    return full(x) + dt / 6 * (full(k1) + 2 * half(k2) + 2 * half(k3) + k4)
+
+
+@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize("epsilon, dt, seed", [(0.5, 0.05, 1), (1.0, 0.1, 2), (0.7, 0.08, 5)])
+def test_step_matches_the_tableau_reference(monkeypatch, packed, epsilon, dt, seed):
+    """One step at n=16, on the packed fields of a class state and on the
+    four fields (a class test that answers False), against
+    ``_lawson_rk4_reference`` within 1e-13 of max |x|.  A stage weight off
+    by 1.7e-7 (``acc *= dt / 6.000001``) moves the step by about 1e-12 of
+    max |x| here, and every other test lets it pass."""
+    import mhd2tor.stepping as stepping
+    from mhd2tor.symmetry import _in_class
+
+    grid = GridSpec(16)
+    st = make_initial_data(InitialDataSpec(epsilon=epsilon, s=2, seed=seed), grid)
+    assert _in_class(grid, st.x)
+    if not packed:
+        monkeypatch.setattr(stepping, "_in_class", lambda grid, x: False)
+    ref = _lawson_rk4_reference(st, dt)
+    assert np.max(np.abs(step_ifrk4(st, dt).x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_factor_miss_allocates_no_array():
     """At n=256, with a new dt on every step, a step stays within the
     bytes of its new state plus 256 KiB, and a factor miss alone stays

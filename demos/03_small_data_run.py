@@ -13,6 +13,7 @@ from mhd2tor import (
     InitialDataSpec,
     StepperConfig,
     decay_fit,
+    instantaneous,
     ledger_update,
     make_initial_data,
     run,
@@ -29,14 +30,15 @@ ledger = EnergyLedger(S)
 b_series = []
 print(f"{'t':>5} {'||u||_H3':>12} {'||b||_H3':>12} {'E0+E1':>12} {'sym defect':>11}")
 
-def sink(rec, state):
+def sink(state):
+    rec = instantaneous(state, EnergyParams(S))
     ledger_update(ledger, rec)
     b_series.append((rec.t, rec.norm_b[2 * S - 1]))
     if abs(rec.t - round(rec.t)) < 1e-9:
         print(f"{rec.t:5.1f} {rec.norm_u[3]:12.4e} {rec.norm_b[3]:12.4e} "
               f"{ledger.total:12.4e} {rec.symmetry_defect:11.2e}")
 
-final = run(st0, StepperConfig(t_end=8.0), 0.1, sink, energy_params=EnergyParams(S))
+final = run(st0, StepperConfig(t_end=8.0), 0.1, sink)
 
 print(f"\nE0 = {ledger.e0:.4e}, E1 = {ledger.e1:.4e}")
 rate = decay_fit(b_series, t_start=2.0)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: make-ic, simulate, resume, verify, diagnose.
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 I/O error or an
+allocation failure.
 """
 
 from __future__ import annotations
@@ -137,6 +138,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (CorruptCheckpoint, GridMismatch, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Mhd2torError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -13,17 +13,9 @@ from __future__ import annotations
 import os
 import sys
 
-import numpy as np
-
+from . import diagnostics
 from .checkpoint import checkpoint_header, read_checkpoint, write_checkpoint
 from .config import RunConfig
-from .diagnostics import (
-    DiagnosticsRecord,
-    EnergyLedger,
-    _orders,
-    decay_fit,
-    ledger_update,
-)
 from .dynamics import energy_balance_series
 from .errors import (
     GridMismatch,
@@ -41,33 +33,30 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _FLOAT_FMT = "%.17g"
+# the scalar columns of diag.csv that a record holds, after its norms
+_SCALARS = (
+    "l2_energy", "grad_b_l2_sq", "symmetry_defect", "div_defect_u", "div_defect_b", "mean_abs_max",
+)
 
 
 def csv_header(s: int) -> list[str]:
     cols = ["t"]
-    for field, orders in zip(("u", "b", "d2u"), _orders(s)):
+    for field, orders in zip(("u", "b", "d2u"), diagnostics._orders(s)):
         cols += [f"{field}_H{m}" for m in orders]
-    cols += [
-        "l2_energy", "grad_b_l2_sq", "symmetry_defect",
-        "div_defect_u", "div_defect_b", "mean_abs_max", "e0", "e1",
-    ]
-    return cols
+    return cols + list(_SCALARS) + ["e0", "e1"]
 
 
-def _csv_row(rec: DiagnosticsRecord, led: EnergyLedger) -> list[float]:
+def _csv_row(rec: diagnostics.DiagnosticsRecord, led: diagnostics.EnergyLedger) -> list[float]:
     vals = [rec.t]
-    for norms, orders in zip((rec.norm_u, rec.norm_b, rec.norm_d2u), _orders(led.s)):
+    for norms, orders in zip((rec.norm_u, rec.norm_b, rec.norm_d2u), diagnostics._orders(led.s)):
         vals += [norms[m] for m in orders]
-    vals += [
-        rec.l2_energy, rec.grad_b_l2_sq, rec.symmetry_defect,
-        rec.div_defect_u, rec.div_defect_b, rec.mean_abs_max, led.e0, led.e1,
-    ]
-    return vals
+    return vals + [getattr(rec, col) for col in _SCALARS] + [led.e0, led.e1]
 
 
-def _fit_or_nan(series) -> float:
+def _or_nan(fn, *args) -> float:
+    """fn(*args), or nan when there are too few samples or a value <= 0."""
     try:
-        return decay_fit(series)
+        return fn(*args)
     except (InsufficientSamples, NonPositiveValue):
         return float("nan")
 
@@ -76,30 +65,22 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
     """Advance st0 to cfg.t_end, streaming diagnostics to outdir."""
     os.makedirs(outdir, exist_ok=True)
     s = cfg.s
-    led = EnergyLedger(s)
+    led = diagnostics.EnergyLedger(s)
     counts = StepCounts()
-    ts, energies, dissipations = [], [], []
-    series_u, series_b = [], []
-    max_sym = 0.0
-    max_div = 0.0
-    last = {"rec": None, "st": st0}
+    recs: list[diagnostics.DiagnosticsRecord] = []
+    last = {"st": st0}
 
     diag_path = os.path.join(outdir, "diag.csv")
     fh = open(diag_path, "w")
     fh.write(",".join(csv_header(s)) + "\n")
 
-    def sink(rec: DiagnosticsRecord, st: MHDState) -> None:
-        nonlocal max_sym, max_div
-        ledger_update(led, rec)
+    def sink(st: MHDState) -> None:
+        # looked up on the module at each call, so that a wrapper set there sees it
+        rec = diagnostics.instantaneous(st, cfg.energy)
+        recs.append(rec)
+        diagnostics.ledger_update(led, rec)
         fh.write(",".join(_FLOAT_FMT % v for v in _csv_row(rec, led)) + "\n")
-        ts.append(rec.t)
-        energies.append(rec.l2_energy)
-        dissipations.append(rec.grad_b_l2_sq)
-        series_u.append((rec.t, rec.norm_u[2 * s - 1]))
-        series_b.append((rec.t, rec.norm_b[2 * s - 1]))
-        max_sym = max(max_sym, rec.symmetry_defect)
-        max_div = max(max_div, rec.div_defect_u, rec.div_defect_b)
-        last["rec"], last["st"] = rec, st
+        last["st"] = st
         if cfg.snapshot_every > 0 and rec.t > st0.t:
             ratio = rec.t / cfg.snapshot_every
             if abs(ratio - round(ratio)) < 1e-9:
@@ -111,7 +92,6 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
     try:
         final = run(
             st0, cfg.stepper, cfg.sample_every, sink,
-            energy_params=cfg.energy,
             nonlinear=cfg.nonlinearity, coupling=cfg.coupling, counts=counts,
         )
     except (NonFiniteState, StepTooSmall) as exc:
@@ -122,12 +102,12 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
         fh.close()
 
     write_checkpoint(final, os.path.join(outdir, "final.chk"), s)
-    balance = (
-        energy_balance_series(np.array(ts), np.array(energies), np.array(dissipations))
-        if len(ts) >= 2
-        else float("nan")
-    )
-    rec = last["rec"]
+    # run samples st0 first, so recs is never empty here
+    col = lambda name: [getattr(r, name) for r in recs]
+    balance = _or_nan(energy_balance_series, col("t"), col("l2_energy"), col("grad_b_l2_sq"))
+    h, rec = 2 * s - 1, recs[-1]
+    rate = lambda norm: _or_nan(diagnostics.decay_fit, [(r.t, getattr(r, norm)[h]) for r in recs])
+    divs = [d for r in recs for d in (r.div_defect_u, r.div_defect_b)]
     dt_min, dt_mean, dt_max = counts.dt_stats()
     lines = [
         ("status", status),
@@ -138,7 +118,7 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
         ("seed", cfg.seed),
         ("t_start", _FLOAT_FMT % st0.t),
         ("t_final", _FLOAT_FMT % final.t),
-        ("samples", len(ts)),
+        ("samples", len(recs)),
         ("steps", counts.steps),
         ("steps_cfl", counts.cfl),
         ("steps_dt_max", counts.dt_max),
@@ -151,17 +131,14 @@ def _execute(cfg: RunConfig, st0: MHDState, outdir: str) -> int:
         ("e1", _FLOAT_FMT % led.e1),
         ("e_total", _FLOAT_FMT % led.total),
         ("energy_balance_residual", _FLOAT_FMT % balance),
-        ("decay_rate_u", _FLOAT_FMT % _fit_or_nan(series_u)),
-        ("decay_rate_b", _FLOAT_FMT % _fit_or_nan(series_b)),
-        ("max_symmetry_defect", _FLOAT_FMT % max_sym),
-        ("max_div_defect", _FLOAT_FMT % max_div),
+        ("decay_rate_u", _FLOAT_FMT % rate("norm_u")),
+        ("decay_rate_b", _FLOAT_FMT % rate("norm_b")),
+        ("max_symmetry_defect", _FLOAT_FMT % max([0.0] + col("symmetry_defect"))),
+        ("max_div_defect", _FLOAT_FMT % max([0.0] + divs)),
+        ("final_l2_energy", _FLOAT_FMT % rec.l2_energy),
+        (f"final_u_H{h}", _FLOAT_FMT % rec.norm_u[h]),
+        (f"final_b_H{h}", _FLOAT_FMT % rec.norm_b[h]),
     ]
-    if rec is not None:
-        lines += [
-            ("final_l2_energy", _FLOAT_FMT % rec.l2_energy),
-            (f"final_u_H{2 * s - 1}", _FLOAT_FMT % rec.norm_u[2 * s - 1]),
-            (f"final_b_H{2 * s - 1}", _FLOAT_FMT % rec.norm_b[2 * s - 1]),
-        ]
     with open(os.path.join(outdir, "summary.txt"), "w") as sf:
         for key, val in lines:
             sf.write(f"{key} = {val}\n")

@@ -26,7 +26,8 @@ class NonFiniteState(Mhd2torError):
 
 
 class StepTooSmall(Mhd2torError):
-    """The CFL step size fell below the configured minimum."""
+    """The CFL step size fell below the configured minimum, or a landing on
+    a sample time cannot advance t."""
 
 
 class InsufficientSamples(Mhd2torError):

@@ -298,8 +298,7 @@ def run(
     st0: MHDState,
     cfg: StepperConfig,
     sample_every: float,
-    sink: Callable[[object, MHDState], None],
-    energy_params=None,
+    sink: Callable[[MHDState], None],
     nonlinear: bool = True,
     coupling: bool = True,
     counts: StepCounts | None = None,
@@ -307,20 +306,18 @@ def run(
     """Advance ``st0`` to t_end by the dt rule of README Numerics, landing
     exactly on every multiple of ``sample_every``; returns the final state.
 
-    ``sink(record, state)`` is invoked at the initial time, at every sample
-    time and at t_end; it must not write into its states.  ``counts``, when
-    given, tallies each dt and what set it.  Raises InvalidValue for a
+    ``sink(state)`` is invoked at the initial time, at every sample time and
+    at t_end; it must not write into its states.  ``counts``, when given,
+    tallies each dt and what set it.  Raises InvalidValue for a
     ``sample_every`` outside ``require_sample_every``, and NonFiniteState
-    or StepTooSmall with the last good t.
+    or StepTooSmall with the last good t; StepTooSmall also when a landing
+    cannot advance t (sample times finer than the float spacing of t).
     """
-    from .diagnostics import EnergyParams, instantaneous
-
     require_sample_every(sample_every, cfg.dt_min)
-    params = energy_params if energy_params is not None else EnergyParams(s=2)
     counts = counts if counts is not None else StepCounts()
 
     st = st0
-    sink(instantaneous(st, params), st)
+    sink(st)
     # sample times are k * sample_every for an integer k, never a running
     # sum, so they land exactly; on resume k continues from the start time
     k = int(np.floor(st.t / sample_every + 1e-9)) + 1
@@ -333,6 +330,8 @@ def run(
         dt = _cfl_limit(speed, st.grid, cfg)
         if st.t + dt >= target - _LANDING_TOL:
             limit, dt = "landing", target - st.t
+            if dt <= 0:
+                raise StepTooSmall(f"landing step {dt:.3e} does not advance t")
         else:
             limit = "cfl" if dt < cfg.dt_max else "dt_max"
         return dt
@@ -353,6 +352,6 @@ def run(
         counts.add(limit, dt)
         if limit == "landing":  # on the next sample time or on t_end
             st.t = target  # exact landing
-            sink(instantaneous(st, params), st)
+            sink(st)
             k += 1
     return st

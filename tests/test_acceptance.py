@@ -48,7 +48,7 @@ def test_01_equilibrium_steady():
     grid = GridSpec(32)
     zero = np.zeros((32, 32), dtype=np.complex128)
     st = state_from_arrays(grid, 0.0, zero, zero.copy(), zero.copy(), zero.copy())
-    final = run(st, StepperConfig(t_end=10.0), 1.0, lambda rec, s: None)
+    final = run(st, StepperConfig(t_end=10.0), 1.0, lambda s: None)
     rec = instantaneous(final, EnergyParams(2))
     worst = max(
         max(rec.norm_u.values()), max(rec.norm_b.values()), max(rec.norm_d2u.values())
@@ -178,13 +178,14 @@ def _theorem_run(epsilon: float):
     led = EnergyLedger(2)
     e_series, b_series, u_series = [], [], []
 
-    def sink(rec, st):
+    def sink(st):
+        rec = instantaneous(st, EnergyParams(2))
         ledger_update(led, rec)
         e_series.append((rec.t, led.total))
         b_series.append((rec.t, rec.norm_b[3]))
         u_series.append((rec.t, (1.0 + rec.t) ** 2 * rec.norm_u[3] ** 2))
 
-    run(st0, StepperConfig(t_end=50.0), 0.1, sink, energy_params=EnergyParams(2))
+    run(st0, StepperConfig(t_end=50.0), 0.1, sink)
     e0 = e_series[0][1]
     max_ratio = max(v for _, v in e_series) / e0
     fit = decay_fit(b_series, t_start=5.0)

@@ -4,8 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mhd2tor.checkpoint import MAGIC, checkpoint_header, read_checkpoint
+from mhd2tor import driver
+from mhd2tor.checkpoint import MAGIC, checkpoint_header, read_checkpoint, write_checkpoint
 from mhd2tor.cli import main
+from mhd2tor.spectral import GridSpec
+from mhd2tor.symmetry import InitialDataSpec, MHDState, make_initial_data
 
 GOOD = """
 n = 16
@@ -122,6 +125,46 @@ def test_blowup_exit_3(tmp_path, capsys):
     assert "StepTooSmall" in err or "NonFiniteState" in err
     assert "last good t" in err
     assert "status = failed" in (out / "summary.txt").read_text()
+
+
+def test_resume_landing_that_cannot_advance_t_exit_3(tmp_path, capsys):
+    """A resume at t = 1e8 with sample times 1e-8 apart, finer than the
+    float spacing of t: the first landing cannot advance t.  The run fails
+    as a numerical failure (exit 3, no traceback), with the last good t,
+    ``status = failed`` and a ``final.chk`` of the state it started from."""
+    grid = GridSpec(16)
+    drawn = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=4), grid)
+    chk = tmp_path / "late.chk"
+    write_checkpoint(MHDState(grid, 1e8, drawn.x), chk, s=2)
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(
+        GOOD.replace("t_end = 0.3", "t_end = 100000000.000001")
+        .replace("sample_every = 0.1", "sample_every = 1e-8")
+    )
+    out = tmp_path / "out"
+    args = ["--config", str(cfg), "--checkpoint", str(chk), "--outdir", str(out)]
+    assert main(["--quiet", "resume", *args]) == 3
+    err = capsys.readouterr().err
+    assert "StepTooSmall" in err and "last good t=1e+08" in err and "Traceback" not in err
+    summary = _summary(out / "summary.txt")
+    assert summary["status"] == "failed" and summary["t_final"] == "100000000"
+    assert summary["samples"] == "1" and summary["steps"] == "0"
+    assert read_checkpoint(out / "final.chk").t == 1e8
+
+
+def test_allocation_failure_exit_4(tmp_path, cfg_path, monkeypatch, capsys):
+    """A MemoryError (here raised by a stand-in for the initial data, not by
+    a real oversized allocation) ends in exit 4 with one ``memory error:``
+    line on stderr and no traceback."""
+
+    def fail(cfg):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(driver, "initial_state", fail)
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", "--config", str(cfg_path), "--outdir", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "memory error: Unable to allocate 8.00 GiB\n"
 
 
 def test_make_ic_and_diagnose(tmp_path, cfg_path, capsys):

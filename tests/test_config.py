@@ -139,7 +139,7 @@ def _spec(**changes):
 
 def _run_with_sample_every(value):
     grid = GridSpec(BASE["n"])
-    run(make_initial_data(_spec(), grid), StepperConfig(t_end=0.0), value, lambda rec, st: None)
+    run(make_initial_data(_spec(), grid), StepperConfig(t_end=0.0), value, lambda st: None)
 
 
 OWNERS = {

@@ -19,3 +19,19 @@ def test_demo_runs(script, tmp_path):
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """README's "Library quick start" block runs as written and prints one
+    line per sample: t = 0, 0.5, ..., 5."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    times = [float(line.split()[0]) for line in proc.stdout.splitlines()]
+    assert times == [0.5 * k for k in range(11)]

@@ -158,14 +158,14 @@ def test_transform_count(field_counts, tmp_path):
     assert field_counts == {"irfft": 8, "rfft": 8}
     field_counts.update(irfft=0, rfft=0)
     counts = StepCounts()
-    run(st, StepperConfig(t_end=0.05, dt_max=1e-2), 0.05, lambda rec, s: None, counts=counts)
+    run(st, StepperConfig(t_end=0.05, dt_max=1e-2), 0.05, lambda s: None, counts=counts)
     assert counts.steps == counts.dt_max + counts.landing == 5
     assert field_counts == {"irfft": 8 * 5 + 0 + 0, "rfft": 8 * 5}
 
     field_counts.update(irfft=0, rfft=0)
     counts = StepCounts()
     cfg = StepperConfig(t_end=0.05, dt_max=1e-2)
-    run(st, cfg, 0.05, lambda rec, s: None, nonlinear=False, counts=counts)
+    run(st, cfg, 0.05, lambda s: None, nonlinear=False, counts=counts)
     assert counts.steps == counts.dt_max + counts.landing == 5
     assert field_counts == {"irfft": 0 * 5 + 2 * 0, "rfft": 0}
 
@@ -175,7 +175,7 @@ def test_transform_count(field_counts, tmp_path):
     assert cfg.cfl * grid.spacing < 0.5 / 3
     field_counts.update(irfft=0, rfft=0)
     counts = StepCounts()
-    run(st, cfg, 0.5, lambda rec, s: None, nonlinear=False, counts=counts)
+    run(st, cfg, 0.5, lambda s: None, nonlinear=False, counts=counts)
     assert counts.steps == counts.landing == 1
     assert field_counts == {"irfft": 0, "rfft": 0}
 
@@ -250,7 +250,7 @@ def test_step_makes_no_page_faults(n):
 
 _SAMPLED_RUN = """
 import resource
-from mhd2tor.diagnostics import EnergyParams
+from mhd2tor.diagnostics import EnergyParams, instantaneous
 from mhd2tor.spectral import GridSpec
 from mhd2tor.stepping import StepCounts, StepperConfig, run
 from mhd2tor.symmetry import InitialDataSpec, make_initial_data
@@ -258,11 +258,12 @@ from mhd2tor.symmetry import InitialDataSpec, make_initial_data
 st = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), GridSpec(256))
 faults = []
 
-def sink(rec, state):
+def sink(state):
+    instantaneous(state, EnergyParams(2))
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 
 counts = StepCounts()
-run(st, StepperConfig(t_end=0.035), 5e-3, sink, energy_params=EnergyParams(2), counts=counts)
+run(st, StepperConfig(t_end=0.035), 5e-3, sink, counts=counts)
 assert counts.steps == counts.landing == 7 == len(faults) - 1
 print((faults[7] - faults[3]) / 4)
 """
@@ -342,7 +343,6 @@ def test_run_loop_allocates_only_the_new_state(monkeypatch, tmp_path, case):
             instantaneous(full, EnergyParams(2))
             write_checkpoint(full, tmp_path / "a.chk", s=2)
     else:
-        import mhd2tor.diagnostics as diagnostics
         import mhd2tor.stepping as stepping
 
         step = stepping.step_ifrk4
@@ -351,14 +351,14 @@ def test_run_loop_allocates_only_the_new_state(monkeypatch, tmp_path, case):
             _mark(marks)
             return step(*args, **kwargs)
 
-        # marks at both samples and at the step, so the windows split there
-        monkeypatch.setattr(diagnostics, "instantaneous", lambda st, params: _mark(marks))
+        # marks at both samples (from the sink) and at the step, so the
+        # windows split there
         monkeypatch.setattr(stepping, "step_ifrk4", marked_step)
 
         def call():
             counts = StepCounts()
             cfg = StepperConfig(t_end=5e-3, dt_max=5e-3)
-            run(full, cfg, 5e-3, lambda rec, st: None, nonlinear=False, counts=counts)
+            run(full, cfg, 5e-3, lambda st: _mark(marks), nonlinear=False, counts=counts)
             assert counts.steps == counts.landing == 1
 
     tracemalloc.start()

@@ -1,4 +1,6 @@
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as hst
 
 from mhd2tor import spectral
 from mhd2tor.checkpoint import read_checkpoint, write_checkpoint
+from mhd2tor.diagnostics import EnergyParams, instantaneous
 from mhd2tor.errors import NonFiniteState, StepTooSmall
 from mhd2tor.oracles import linearized_mode_solution
 from mhd2tor.spectral import GridSpec, _content_rows, forward_transform, half_samples, ScalarField
@@ -62,7 +65,7 @@ def test_run_rejects_non_finite_sample_spacing(grid, sample_every):
     rows = []
     cfg = StepperConfig(t_end=0.2)
     with pytest.raises(ValueError, match="sample_every"):
-        run(zero_state(grid), cfg, sample_every, lambda rec, st: rows.append(rec))
+        run(zero_state(grid), cfg, sample_every, lambda st: rows.append(st))
     assert rows == []
 
 
@@ -230,7 +233,7 @@ def test_step_deterministic(grid):
 def test_run_lands_on_sample_times(grid):
     st0 = make_initial_data(InitialDataSpec(epsilon=0.05, s=2, seed=5), grid)
     times = []
-    run(st0, StepperConfig(t_end=0.55), 0.1, lambda rec, st: times.append(rec.t))
+    run(st0, StepperConfig(t_end=0.55), 0.1, lambda st: times.append(st.t))
     assert times[0] == 0.0
     assert np.allclose(times[1:6], [0.1, 0.2, 0.3, 0.4, 0.5], atol=1e-12)
     assert np.isclose(times[-1], 0.55, atol=1e-12)
@@ -244,12 +247,12 @@ def test_heat_factor_cache_stays_small(grid):
     The state's max |u| + |b| is about 1, so its CFL step is about 0.08."""
     st0 = make_initial_data(InitialDataSpec(epsilon=125.0, s=2, seed=5), grid)
     _heat_factors.cache_clear()
-    run(st0, StepperConfig(t_end=0.5, dt_max=1.0), 0.1, lambda rec, st: None)
+    run(st0, StepperConfig(t_end=0.5, dt_max=1.0), 0.1, lambda st: None)
     info = _heat_factors.cache_info()
     assert info.misses >= 8
     assert info.currsize <= 4
     _heat_factors.cache_clear()
-    run(st0, StepperConfig(t_end=0.3), 0.1, lambda rec, st: None)
+    run(st0, StepperConfig(t_end=0.3), 0.1, lambda st: None)
     assert _heat_factors.cache_info().hits >= 20
     p11, p22, p12 = _heat_factors(grid, 1e-2)
     assert p11.shape == p22.shape == p12.shape == (grid.n // 2 + 1, grid.n)
@@ -268,7 +271,7 @@ def test_small_perturbation_steps_at_dt_max():
     st0 = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), grid)
     counts = StepCounts()
     _heat_factors.cache_clear()
-    final = run(st0, StepperConfig(t_end=0.1), 0.05, lambda rec, st: None, counts=counts)
+    final = run(st0, StepperConfig(t_end=0.1), 0.05, lambda st: None, counts=counts)
     assert final.t == 0.1
     assert counts.cfl == 0 and counts.landing == 2 and counts.steps == 10
     assert _heat_factors.cache_info().misses == 2 * counts.landing
@@ -388,7 +391,7 @@ def test_factor_miss_allocates_no_array():
 def test_run_invalid_sample_spacing(grid):
     st0 = zero_state(grid)
     with pytest.raises(ValueError):
-        run(st0, StepperConfig(t_end=1.0), 0.0, lambda rec, st: None)
+        run(st0, StepperConfig(t_end=1.0), 0.0, lambda st: None)
 
 
 def _assert_run_dt_is_cfl_dt(monkeypatch, st0):
@@ -413,7 +416,7 @@ def _assert_run_dt_is_cfl_dt(monkeypatch, st0):
 
     monkeypatch.setattr(stepping, "step_ifrk4", spy)
     counts = StepCounts()
-    final = run(st0, cfg, 0.3, lambda rec, st: None, counts=counts)
+    final = run(st0, cfg, 0.3, lambda st: None, counts=counts)
     assert final.t == 0.3
     assert counts.landing == 1 and counts.dt_max == 0 and counts.cfl == len(taken) - 1 >= 5
     for st, dt in taken[:-1]:
@@ -454,7 +457,7 @@ def test_linear_run_is_exact_with_no_cfl_limit():
 
     def run_linear(st0):
         counts = StepCounts()
-        final = run(st0, cfg, 0.5, lambda rec, st: None, nonlinear=False, counts=counts)
+        final = run(st0, cfg, 0.5, lambda st: None, nonlinear=False, counts=counts)
         assert final.t == 2.0 and counts.steps == 4 and counts.cfl == 0
         return final
 
@@ -500,9 +503,39 @@ def test_run_step_too_small_keeps_last_good_state():
     seen = []
     cfg = StepperConfig(t_end=1.0, dt_min=1e-3, dt_max=1e-2)
     with pytest.raises(StepTooSmall, match="last good t=0"):
-        run(st0, cfg, 0.1, lambda rec, st: seen.append(st))
+        run(st0, cfg, 0.1, lambda st: seen.append(st))
     assert seen == [st0] and st0.t == 0.0
     assert np.array_equal(st0.x, x0)
+
+
+def test_landing_that_cannot_advance_t_raises_step_too_small():
+    """At t = 1e8 the sample times k * 1e-8 are finer than the float spacing
+    of t (about 1.5e-8): k * sample_every rounds to t, so the landing step
+    is not positive.  ``run`` raises StepTooSmall with the last good t,
+    before any step, and the state is unchanged."""
+    grid = GridSpec(16)
+    drawn = make_initial_data(InitialDataSpec(epsilon=1e-2, s=2, seed=1), grid)
+    st0 = MHDState(grid, 1e8, drawn.x)
+    x0, seen, counts = st0.x.copy(), [], StepCounts()
+    cfg = StepperConfig(t_end=1e8 + 1e-6)
+    with pytest.raises(StepTooSmall, match=r"landing .* \(last good t=1e\+08\)"):
+        run(st0, cfg, 1e-8, lambda st: seen.append(st), counts=counts)
+    assert seen == [st0] and counts.steps == 0
+    assert st0.t == 1e8 and np.array_equal(st0.x, x0)
+
+
+def test_stepping_imports_nothing_from_diagnostics():
+    """The integrator only integrates: what a sample measures is the sink's
+    business, so ``stepping`` does not import ``diagnostics``, at module
+    level or inside a function."""
+    path = Path(__file__).resolve().parents[1] / "src" / "mhd2tor" / "stepping.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert imported and not [m for m in imported if "diagnostics" in m.split(".")]
 
 
 def _bind_content_rows(monkeypatch, rows):
@@ -643,7 +676,7 @@ def test_concurrent_runs_match_serial_runs():
 
     def trajectory(st0):
         records = []
-        final = run(st0, cfg, 0.1, lambda rec, st: records.append(rec))
+        final = run(st0, cfg, 0.1, lambda st: records.append(instantaneous(st, EnergyParams(2))))
         return final.x.view(np.uint64), records
 
     serial = [trajectory(st0) for st0 in starts]
